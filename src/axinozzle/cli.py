@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ import numpy as np
 from .gas import GasModel
 from .nozzle import NozzleProfile, build_grid, make_profile, pick_domain_length
 from .solver import newton_solve
-from .fields import diagnostics_report, velocity_from_stream
+from .fields import MIN_DIAGNOSTIC_CELLS, diagnostics_report, velocity_from_stream
 from .continuation import find_critical_flux, mass_flux_sweep, SweepPoint
 from . import continuation
 
@@ -113,14 +114,21 @@ _KEYS = {
 }
 
 
+def _finite_float(key, raw, expected="a number"):
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: expected {expected}: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: not a finite number: {raw!r}")
+    return value
+
+
 def _get_float(section, key, default):
     raw = section.get(key)
     if raw is None:
         return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {raw!r}") from exc
+    return _finite_float(key, raw)
 
 
 def _get_int(section, key, default):
@@ -149,10 +157,7 @@ def _get_auto_float(section, key):
     raw = section.get(key)
     if raw is None or raw.strip().lower() == "auto":
         return None
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number or 'auto': {raw!r}") from exc
+    return _finite_float(key, raw, "a number or 'auto'")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -213,10 +218,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("flux: m0 must be a number >= 0")
         flux = FluxConfig(mode="single", m0=m0)
     elif modes[0] == "sweep":
-        try:
-            values = tuple(float(tok) for tok in flux_sec["sweep"].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"flux: bad sweep list: {flux_sec['sweep']!r}") from exc
+        values = tuple(_finite_float("sweep", tok) for tok in flux_sec["sweep"].split(","))
         if not values or any(v < 0.0 for v in values):
             raise ConfigError("flux: sweep needs a comma list of numbers >= 0")
         flux = FluxConfig(mode="sweep", sweep=values)
@@ -393,6 +395,10 @@ def run(cfg: RunConfig, command: str, out_dir: Path, jobs: int = 1) -> int:
         raise ConfigError("sweep needs [flux] sweep")
     if command == "critical" and cfg.flux.mode != "critical":
         raise ConfigError("critical needs [flux] critical = yes")
+    diagnostics = command == "diagnose" or (command == "solve" and cfg.outputs.diagnostics)
+    if diagnostics and min(cfg.grid.nx, cfg.grid.nr) < MIN_DIAGNOSTIC_CELLS:
+        raise ConfigError(f"grid: diagnostics need nx and nr >= {MIN_DIAGNOSTIC_CELLS}; "
+                          "set [outputs] diagnostics = no or refine the grid")
 
     gas, grid = _build(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -407,7 +413,7 @@ def run(cfg: RunConfig, command: str, out_dir: Path, jobs: int = 1) -> int:
         if cfg.outputs.fields:
             write_field_csv(out_dir / "field.csv", flow)
         code = 0
-        if command == "diagnose" or cfg.outputs.diagnostics:
+        if diagnostics:
             report = diagnostics_report(solution, gas, flow=flow,
                                         thresholds=_thresholds(cfg))
             write_report(out_dir / "diagnostics.txt", report.items())

@@ -28,6 +28,8 @@ from .nozzle import MappedGrid
 from .solver import StreamSolution, nodal_gradients, ResidualNorms
 
 TWO_PI = 2.0 * np.pi
+# the irrotationality residual differences two node layers in from each edge
+MIN_DIAGNOSTIC_CELLS = 5
 
 
 class FlowAngleError(ValueError):
@@ -284,7 +286,7 @@ def entropy_pair_residual(flow: FlowField, gas: GasModel,
 def irrotationality_residual(flow: FlowField) -> ResidualNorms:
     """Norms of U_r - V_x over interior nodes (vanishes for these flows)."""
     grid = flow.grid
-    if grid.nx < 5 or grid.nr < 5:
+    if min(grid.nx, grid.nr) < MIN_DIAGNOSTIC_CELLS:
         raise ValueError("irrotationality_residual: grid too coarse")
     f = grid.f_nodes[:, None]
     fp = grid.fp_nodes[:, None]

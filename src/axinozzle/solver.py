@@ -17,9 +17,10 @@ Discretization: bilinear elements on the mapped tensor grid with one
 midpoint quadrature point per cell.  Energy, gradient, and Hessian are
 exact derivatives of the same discrete functional, so the Hessian is
 symmetric positive definite and damped Newton iterations converge
-globally.  Linear systems are solved by preconditioned conjugate
-gradients (incomplete LU preconditioner) with a direct sparse
-factorization as fallback.
+globally.  The unknown numbering i*(nr-1)+j makes the Hessian banded with
+half-width nr, so each Newton system is solved exactly by one banded
+Cholesky factorization (LAPACK pbtrf); a failed factorization means the
+Hessian is not SPD and raises LinearSolveError.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .gas import GasModel
 from .nozzle import MappedGrid, NozzleProfile
 
 _ARMIJO_SLOPE = 1e-4
-_CG_RTOL = 1e-10
 
 # corner order per cell: SW, SE, NW, NE
 _CXI = np.array([-1.0, 1.0, -1.0, 1.0])
@@ -189,7 +189,7 @@ def assemble_hessian(psi, grid: MappedGrid, gas: GasModel) -> sp.csr_matrix:
         (vals[keep], (rows[keep], cols[keep])), shape=(ndof, ndof)
     ).tocsr()
     # summation order across cells can differ between (i, j) and (j, i);
-    # symmetrize so the conjugate-gradient theory applies exactly
+    # symmetrize exactly: the banded solve reads only the upper triangle
     return (matrix + matrix.T) * 0.5
 
 
@@ -198,27 +198,16 @@ class LinearSolveError(RuntimeError):
 
 
 def _solve_spd(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    """CG with an incomplete-LU preconditioner; direct factorization fallback."""
+    """Exact solve by banded Cholesky; raises LinearSolveError unless SPD."""
+    upper = sp.triu(matrix, format="coo")
+    width = int((upper.col - upper.row).max(initial=0))
+    band = np.zeros((width + 1, matrix.shape[0]))  # LAPACK upper band storage
+    band[width + upper.row - upper.col, upper.col] = upper.data
     try:
-        ilu = spla.spilu(matrix.tocsc(), drop_tol=1e-5, fill_factor=20.0)
-        precond = spla.LinearOperator(matrix.shape, ilu.solve)
-    except RuntimeError:
-        diag = matrix.diagonal()
-        if np.any(diag <= 0.0):
-            raise LinearSolveError("Hessian has a nonpositive diagonal entry")
-        precond = spla.LinearOperator(matrix.shape, lambda v: v / diag)
-    try:
-        sol, info = spla.cg(matrix, rhs, rtol=_CG_RTOL, atol=0.0, M=precond,
-                            maxiter=20 * matrix.shape[0])
-    except TypeError:  # older scipy spells the relative tolerance "tol"
-        sol, info = spla.cg(matrix, rhs, tol=_CG_RTOL, atol=0.0, M=precond,
-                            maxiter=20 * matrix.shape[0])
-    if info == 0:
-        return sol
-    try:
-        return spla.splu(matrix.tocsc()).solve(rhs)
-    except RuntimeError as err:
-        raise LinearSolveError(f"linear solve failed: {err}") from err
+        factor = cholesky_banded(band, overwrite_ab=True)
+        return cho_solve_banded((factor, False), rhs)
+    except (LinAlgError, ValueError) as err:
+        raise LinearSolveError(f"banded Cholesky of the Hessian failed: {err}") from err
 
 
 def apply_boundary(psi: np.ndarray, grid: MappedGrid, m: float,

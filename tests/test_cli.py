@@ -74,6 +74,18 @@ def test_parse_rejects_bad_input():
         parse_config("[flux]\nm0 = -2\n")
 
 
+@pytest.mark.parametrize("text", [
+    BASE.replace("m0 = 1.0", "m0 = inf"),
+    "[gas]\ngamma = nan\n" + BASE,
+    BASE.replace("m0 = 1.0", "sweep = 0.5, nan"),
+    BASE.replace("length = 4", "length = -inf"),
+    BASE + "\n[tolerances]\nnewton = nan\n",
+], ids=["m0-inf", "gamma-nan", "sweep-nan", "length-inf", "newton-nan"])
+def test_parse_rejects_non_finite_numbers(text):
+    with pytest.raises(ConfigError, match="not a finite number"):
+        parse_config(text)
+
+
 def write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -122,6 +134,30 @@ def test_diagnose_exit_code_on_failure(tmp_path):
     diag = (out / "diagnostics.txt").read_text()
     assert "passed = false" in diag
     assert "check_flux_drift = false" in diag
+
+
+def test_infinite_flux_exits_2(tmp_path):
+    cfg = write(tmp_path, BASE.replace("m0 = 1.0", "m0 = inf"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "inf")]) == 2
+
+
+COARSE = BASE.replace("nr = 12", "nr = 4")
+
+
+def test_diagnostics_on_too_coarse_grid_exit_2(tmp_path):
+    cfg = write(tmp_path, COARSE)
+    out = tmp_path / "coarse"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 2
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()  # rejected before solving
+
+
+def test_solve_without_diagnostics_on_coarse_grid(tmp_path):
+    cfg = write(tmp_path, COARSE + "\n[outputs]\ndiagnostics = no\n")
+    out = tmp_path / "coarse"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert len((out / "field.csv").read_text().splitlines()) == 1 + 49 * 5
+    assert not (out / "diagnostics.txt").exists()
 
 
 def test_sweep_table(tmp_path):

@@ -10,9 +10,12 @@ decay of the strong-form residual under refinement.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from axinozzle import (
     GasModel,
+    LinearSolveError,
     assemble_energy,
     assemble_gradient,
     assemble_hessian,
@@ -22,7 +25,7 @@ from axinozzle import (
     newton_solve,
     pde_residual,
 )
-from axinozzle.solver import _dof_map, apply_boundary
+from axinozzle.solver import _dof_map, _solve_spd, apply_boundary
 
 GAS = GasModel()
 
@@ -128,6 +131,41 @@ def test_hessian_is_second_derivative_of_energy():
         fd = (jp - 2.0 * j0 + jm) / eps**2
         quad = float(v_dof @ (matrix @ v_dof))
         assert fd == pytest.approx(quad, rel=5e-5, abs=1e-9)
+
+
+def cold_tanh_system(nx, nr, m=0.25):
+    """Hessian and Newton right-hand side at the default start m sigma^2."""
+    grid = build_grid(make_profile("tanh_step", a=0.8, ell=2.0), length=8.0,
+                      nx=nx, nr=nr, delta=1e-6)
+    psi = apply_boundary(m * np.broadcast_to(grid.sigma[None, :] ** 2, grid.shape), grid, m)
+    rhs = -assemble_gradient(psi, grid, GAS)[1:-1, 1:-1].ravel()
+    return assemble_hessian(psi, grid, GAS), rhs
+
+
+@pytest.mark.parametrize("nx, nr", [(128, 32), (2, 2), (2, 9), (9, 2)])
+def test_banded_cholesky_matches_sparse_direct_solve(nx, nr):
+    # nr = 2 leaves one unknown per station (a diagonal band), nx = 2 one station
+    matrix, rhs = cold_tanh_system(nx, nr)
+    expected = spla.spsolve(matrix.tocsc(), rhs)
+    step = _solve_spd(matrix, rhs)
+    assert np.linalg.norm(step - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_linear_solve_rejects_indefinite_matrix():
+    matrix, rhs = cold_tanh_system(8, 6)
+    shifted = matrix - matrix.diagonal().mean() * sp.identity(matrix.shape[0], format="csr")
+    eigvals = np.linalg.eigvalsh(shifted.toarray())
+    assert eigvals.min() < 0.0 < eigvals.max()
+    with pytest.raises(LinearSolveError):
+        _solve_spd(shifted.tocsr(), rhs)
+
+
+def test_linear_solve_rejects_non_finite_matrix():
+    matrix, rhs = cold_tanh_system(8, 6)
+    poison = np.zeros(matrix.shape[0])
+    poison[3] = np.nan
+    with pytest.raises(LinearSolveError):
+        _solve_spd((matrix + sp.diags(poison)).tocsr(), rhs)
 
 
 def test_cylinder_solved_exactly_with_matching_datum():
