@@ -10,7 +10,8 @@ Commands:
 All output files use repr floats and LF line endings, so a rerun with the
 same configuration produces byte-identical files.
 
-Exit codes: 0 success, 1 diagnostics failed, 2 configuration error,
+Exit codes: 0 success, 1 diagnostics failed (or, for solve with
+diagnostics off, the momentum cutoff engaged), 2 configuration error,
 3 solver non-convergence.
 """
 
@@ -409,6 +410,10 @@ def run(cfg: RunConfig, command: str, out_dir: Path, jobs: int = 1) -> int:
         if not solution.converged:
             print(f"solver failed to converge at m0 = {cfg.flux.m0}", file=sys.stderr)
             return 3
+        if solution.cutoff_active and not diagnostics:
+            print(f"m0 = {cfg.flux.m0}: momentum cutoff active, not a subsonic flow; "
+                  "field.csv not written", file=sys.stderr)
+            return 1
         flow = velocity_from_stream(solution, gas)
         if cfg.outputs.fields:
             write_field_csv(out_dir / "field.csv", flow)

@@ -9,11 +9,13 @@ squared momentum |grad psi / (r + delta)|^2.  On the axis the direct
 formulas degenerate as delta shrinks, so axial values are filled by even
 quadratic extrapolation in r and the radial velocity vanishes there.
 
-The diagnostics mirror the qualitative theory for these flows: maximum
-principle and barrier bounds for psi, positive axial velocity, flow angle
-pinched by the wall slope range, station-wise mass flux conservation,
-uniform far fields on both flat ends, approximate irrotationality, and
-compactly supported weak residuals of the two momentum entropy pairs.
+The diagnostics mirror the qualitative theory for these flows: the
+momentum cutoff left disengaged (else the flow solves only the truncated
+problem), maximum principle and barrier bounds for psi, positive axial
+velocity, flow angle pinched by the wall slope range, station-wise mass
+flux conservation, uniform far fields on both flat ends, approximate
+irrotationality, and compactly supported weak residuals of the two
+momentum entropy pairs.
 """
 
 from __future__ import annotations
@@ -441,6 +443,7 @@ def diagnostics_report(solution: StreamSolution, gas: GasModel,
     scale = max(1.0, solution.m)
     checks = {
         "converged": solution.converged,
+        "cutoff": not solution.cutoff_active,
         "max_principle": max_principle <= cfg["max_principle"] * scale,
         "barrier": barrier_violation <= cfg["barrier_slack"] * grid.h_max**2,
         "positivity": (pos.min_u > 0.0) if solution.m > 0.0 else True,

@@ -15,6 +15,11 @@ constant over [m_tilde**2, ((m_tilde+1)/2)**2] in the squared-momentum
 variable, and stays constant beyond.  The blend keeps the relation C^2,
 decreasing, and uniformly elliptic, which makes the stream-function
 energy strictly convex.
+
+One private evaluator, GasModel._evaluate, holds the only below/blend/tail
+dispatch of the truncated relation Htilde: it solves the branch root once
+and returns the coenergy F with Htilde, Htilde' and Htilde''.  The public
+truncated_density_* and coenergy* methods are views of it.
 """
 
 from __future__ import annotations
@@ -45,6 +50,20 @@ class CoenergyBundle(NamedTuple):
     second: np.ndarray
 
 
+class _Truncated(NamedTuple):
+    """Coenergy F and the truncated relation Htilde with two derivatives."""
+
+    value: np.ndarray
+    rho: np.ndarray
+    slope: np.ndarray
+    curvature: np.ndarray
+
+
+def _like_input(s, out):
+    """Return a float for scalar input s, else the array out."""
+    return float(out[0]) if np.ndim(s) == 0 else out
+
+
 @dataclass(frozen=True)
 class GasModel:
     """Polytropic gas with a near-sonic truncation of the density relation.
@@ -53,23 +72,16 @@ class GasModel:
     ----------
     gamma : adiabatic exponent, > 1.
     m_tilde : momentum threshold in (0, 1) where the truncation starts.
-    blend : name of the C^2 blend used on the transition interval.  The
-        default "quintic" matches value, slope and curvature of the exact
-        relation at the lower knot and flattens to the constant value with
-        zero slope and curvature at the upper knot.
     """
 
     gamma: float = 1.4
     m_tilde: float = 0.98
-    blend: str = "quintic"
 
     def __post_init__(self):
         if not self.gamma > 1.0:
             raise ValueError(f"GasModel: gamma must exceed 1, got {self.gamma}")
         if not 0.0 < self.m_tilde < 1.0:
             raise ValueError(f"GasModel: m_tilde must lie in (0, 1), got {self.m_tilde}")
-        if self.blend not in ("quintic",):
-            raise ValueError(f"GasModel: unknown blend {self.blend!r}")
 
     # ------------------------------------------------------------------
     # derived constants
@@ -212,17 +224,10 @@ class GasModel:
             out[near] = self._density_fold(1.0 - arr[near])
         return float(out[0]) if scalar else out
 
-    def _density_slope(self, s, rho=None):
-        """d(density)/d(squared momentum) on the exact subsonic branch, s < 1."""
-        if rho is None:
-            rho = self._density_root(np.atleast_1d(np.asarray(s, dtype=float)))
-        return 1.0 / self._dmomentum_sq_drho(rho)
-
-    def _density_curvature(self, s, rho=None):
-        if rho is None:
-            rho = self._density_root(np.atleast_1d(np.asarray(s, dtype=float)))
+    def _branch_derivatives(self, rho):
+        """dH/ds and d2H/ds2 on the exact subsonic branch, given its density rho."""
         d = self._dmomentum_sq_drho(rho)
-        return -self._d2momentum_sq_drho2(rho) / d**3
+        return 1.0 / d, -self._d2momentum_sq_drho2(rho) / d**3
 
     @cached_property
     def _blend_coeffs(self) -> np.ndarray:
@@ -234,9 +239,9 @@ class GasModel:
         admissible (gamma, m_tilde).
         """
         h = self.s_hi - self.s_lo
-        rho1 = float(self.density_from_momentum(self.s_lo))
-        d1 = float(self._density_slope(self.s_lo)[0]) * h
-        c1 = float(self._density_curvature(self.s_lo)[0]) * h * h
+        rho_lo = self._density_root(np.array([self.s_lo]))
+        slope_lo, curvature_lo = self._branch_derivatives(rho_lo)
+        rho1, d1, c1 = float(rho_lo[0]), float(slope_lo[0]) * h, float(curvature_lo[0]) * h * h
         lhs = np.array([[1.0, 1.0, 1.0], [3.0, 4.0, 5.0], [6.0, 12.0, 20.0]])
         rhs = np.array(
             [self.rho_hi - (rho1 + d1 + c1 / 2.0), -(d1 + c1), -c1]
@@ -265,57 +270,6 @@ class GasModel:
             out = out * t + ck
         return out
 
-    def truncated_density_from_momentum(self, s):
-        """Truncated density relation, defined for every squared momentum >= 0."""
-        s = np.asarray(s, dtype=float)
-        if np.any(s < 0.0):
-            raise ValueError("truncated_density_from_momentum: s must be >= 0")
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        out = np.full_like(s, self.rho_hi)
-        below = s < self.s_lo
-        if np.any(below):
-            out[below] = self._density_root(s[below])
-        mid = ~below & (s < self.s_hi)
-        if np.any(mid):
-            t = (s[mid] - self.s_lo) / (self.s_hi - self.s_lo)
-            out[mid] = self._blend_poly(t, self._blend_coeffs)
-        return float(out[0]) if scalar else out
-
-    def truncated_density_slope(self, s):
-        """Derivative of the truncated relation with respect to squared momentum."""
-        s = np.asarray(s, dtype=float)
-        if np.any(s < 0.0):
-            raise ValueError("truncated_density_slope: s must be >= 0")
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        out = np.zeros_like(s)
-        below = s < self.s_lo
-        if np.any(below):
-            out[below] = self._density_slope(s[below])
-        mid = ~below & (s < self.s_hi)
-        if np.any(mid):
-            h = self.s_hi - self.s_lo
-            t = (s[mid] - self.s_lo) / h
-            out[mid] = self._blend_poly(t, self._blend_coeffs, order=1) / h
-        return float(out[0]) if scalar else out
-
-    def truncated_density_curvature(self, s):
-        """Second derivative of the truncated relation (used for C^2 checks)."""
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        out = np.zeros_like(s)
-        below = s < self.s_lo
-        if np.any(below):
-            out[below] = self._density_curvature(s[below])
-        mid = ~below & (s < self.s_hi)
-        if np.any(mid):
-            h = self.s_hi - self.s_lo
-            t = (s[mid] - self.s_lo) / h
-            out[mid] = self._blend_poly(t, self._blend_coeffs, order=2) / h**2
-        return float(out[0]) if scalar else out
-
     # ------------------------------------------------------------------
     # coenergy F(s) = integral_0^s dt / Htilde(t)
     # ------------------------------------------------------------------
@@ -326,15 +280,14 @@ class GasModel:
         nodes, weights = np.polynomial.legendre.leggauss(24)
         return nodes, weights
 
-    def _coenergy_exact(self, s):
-        """Closed-form coenergy below the truncation.
+    def _coenergy_exact(self, rho):
+        """Closed-form coenergy below the truncation, at branch density rho.
 
         Substituting the branch parametrization turns 1/H into the exact
         antiderivative 2(gamma+1)/(gamma-1) * (rho - rho**gamma/gamma).
         """
         g = self.gamma
         c0 = 2.0 * (g + 1.0) / (g - 1.0)
-        rho = self._density_root(s)
         anti = rho - rho**g / g
         anti0 = self.rho_stag - self.rho_stag**g / g
         return c0 * (anti - anti0)
@@ -351,72 +304,82 @@ class GasModel:
 
     @cached_property
     def _coenergy_knots(self) -> tuple[float, float]:
-        f_lo = float(self._coenergy_exact(np.array([self.s_lo]))[0])
+        f_lo = float(self._coenergy_exact(self._density_root(np.array([self.s_lo])))[0])
         f_hi = f_lo + float(self._coenergy_blend_tail(np.array([self.s_hi]))[0])
         return f_lo, f_hi
 
-    def coenergy(self, s):
-        """Convex increasing energy density F with F' = 1/Htilde, F(0) = 0."""
-        s = np.asarray(s, dtype=float)
-        if np.any(s < 0.0):
-            raise ValueError("coenergy: s must be >= 0")
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        f_lo, f_hi = self._coenergy_knots
-        out = f_hi + (s - self.s_hi) / self.rho_hi
-        below = s < self.s_lo
-        if np.any(below):
-            out[below] = self._coenergy_exact(s[below])
-        mid = ~below & (s < self.s_hi)
-        if np.any(mid):
-            out[mid] = f_lo + self._coenergy_blend_tail(s[mid])
-        return float(out[0]) if scalar else out
+    # ------------------------------------------------------------------
+    # the single evaluator of the truncated relation, and its views
+    # ------------------------------------------------------------------
 
-    def coenergy_prime(self, s):
-        """Derivative of the coenergy, 1 / Htilde(s)."""
-        rho = self.truncated_density_from_momentum(s)
-        return 1.0 / rho
+    def _evaluate(self, s, name) -> _Truncated:
+        """F, Htilde, Htilde' and Htilde'' at squared momenta s >= 0.
 
-    def coenergy_second(self, s):
-        """Second derivative of the coenergy, -Htilde'/Htilde**2 >= 0."""
-        rho = np.asarray(self.truncated_density_from_momentum(s))
-        slope = np.asarray(self.truncated_density_slope(s))
-        out = -slope / rho**2
-        return float(out) if out.ndim == 0 else out
-
-    def coenergy_bundle(self, s) -> CoenergyBundle:
-        """Coenergy value and derivatives with one shared branch inversion.
-
-        Equivalent to (coenergy, coenergy_prime, coenergy_second) but the
-        subsonic-branch root solve below the truncation happens once, which
-        matters inside assembly loops.
+        The one below/blend/tail dispatch of the truncated relation: below
+        s_lo the branch root is solved once and every quantity is read
+        from it, on the blend the quintic is evaluated, and beyond s_hi
+        the density is constant.  Returns arrays of at least one dimension;
+        a negative s raises ValueError naming the public caller.
         """
-        s = np.asarray(s, dtype=float)
+        s = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s < 0.0):
-            raise ValueError("coenergy_bundle: s must be >= 0")
-        s = np.atleast_1d(s)
+            raise ValueError(f"{name}: s must be >= 0")
         f_lo, f_hi = self._coenergy_knots
-        g = self.gamma
-        c0 = 2.0 * (g + 1.0) / (g - 1.0)
-        anti0 = self.rho_stag - self.rho_stag**g / g
-
+        value = f_hi + (s - self.s_hi) / self.rho_hi
         rho = np.full_like(s, self.rho_hi)
         slope = np.zeros_like(s)
-        value = f_hi + (s - self.s_hi) / self.rho_hi
+        curvature = np.zeros_like(s)
         below = s < self.s_lo
         if np.any(below):
             rb = self._density_root(s[below])
             rho[below] = rb
-            slope[below] = 1.0 / self._dmomentum_sq_drho(rb)
-            value[below] = c0 * ((rb - rb**g / g) - anti0)
+            slope[below], curvature[below] = self._branch_derivatives(rb)
+            value[below] = self._coenergy_exact(rb)
         mid = ~below & (s < self.s_hi)
         if np.any(mid):
             h = self.s_hi - self.s_lo
             t = (s[mid] - self.s_lo) / h
-            rho[mid] = self._blend_poly(t, self._blend_coeffs)
-            slope[mid] = self._blend_poly(t, self._blend_coeffs, order=1) / h
+            coeffs = self._blend_coeffs
+            rho[mid] = self._blend_poly(t, coeffs)
+            slope[mid] = self._blend_poly(t, coeffs, order=1) / h
+            curvature[mid] = self._blend_poly(t, coeffs, order=2) / h**2
             value[mid] = f_lo + self._coenergy_blend_tail(s[mid])
-        return CoenergyBundle(value, 1.0 / rho, -slope / rho**2)
+        return _Truncated(value, rho, slope, curvature)
+
+    def truncated_density_from_momentum(self, s):
+        """Truncated density relation, defined for every squared momentum >= 0."""
+        return _like_input(s, self._evaluate(s, "truncated_density_from_momentum").rho)
+
+    def truncated_density_slope(self, s):
+        """Derivative of the truncated relation with respect to squared momentum."""
+        return _like_input(s, self._evaluate(s, "truncated_density_slope").slope)
+
+    def truncated_density_curvature(self, s):
+        """Second derivative of the truncated relation (used for C^2 checks)."""
+        return _like_input(s, self._evaluate(s, "truncated_density_curvature").curvature)
+
+    def coenergy(self, s):
+        """Convex increasing energy density F with F' = 1/Htilde, F(0) = 0."""
+        return _like_input(s, self._evaluate(s, "coenergy").value)
+
+    def coenergy_prime(self, s):
+        """Derivative of the coenergy, 1 / Htilde(s)."""
+        return _like_input(s, 1.0 / self._evaluate(s, "coenergy_prime").rho)
+
+    def coenergy_second(self, s):
+        """Second derivative of the coenergy, -Htilde'/Htilde**2 >= 0."""
+        e = self._evaluate(s, "coenergy_second")
+        return _like_input(s, -e.slope / e.rho**2)
+
+    def coenergy_bundle(self, s) -> CoenergyBundle:
+        """Coenergy value and derivatives from one evaluation, as arrays.
+
+        Equal to (coenergy, coenergy_prime, coenergy_second) but the
+        subsonic-branch root is solved once for all three, which matters
+        inside assembly loops.
+        """
+        e = self._evaluate(s, "coenergy_bundle")
+        return CoenergyBundle(e.value, 1.0 / e.rho, -e.slope / e.rho**2)
 
     # ------------------------------------------------------------------
     # truncated speed relation and ellipticity
@@ -425,36 +388,41 @@ class GasModel:
     def momentum_from_speed_truncated(self, q_sq):
         """Invert q^2 = s / Htilde(s)^2 for squared momentum s >= 0.
 
-        Newton iteration safeguarded by a bisection bracket; beyond the
-        upper knot the relation is linear and solved in closed form.
+        Below the blend the relation is the exact branch, so s is the closed
+        form momentum_from_speed(q^2); beyond it Htilde is constant and
+        s = rho_hi^2 q^2.  Only on the blend is a Newton iteration needed,
+        started from the chord between the knots and safeguarded by the
+        bracket kept from the residual signs.
         """
-        q_sq = np.asarray(q_sq, dtype=float)
-        if np.any(q_sq < 0.0):
+        q = np.atleast_1d(np.asarray(q_sq, dtype=float))
+        if np.any(q < 0.0):
             raise ValueError("momentum_from_speed_truncated: q_sq must be >= 0")
-        scalar = q_sq.ndim == 0
-        q_sq = np.atleast_1d(q_sq)
-        out = self.rho_hi**2 * q_sq  # exact once Htilde is constant
+        out = self.rho_hi**2 * q
+        qsq_lo = self.s_lo / self._blend_coeffs[0] ** 2  # the blend starts at H(s_lo)
         qsq_hi = self.s_hi / self.rho_hi**2
-        inner = q_sq < qsq_hi
-        if np.any(inner):
-            target = q_sq[inner]
-            lo = np.zeros_like(target)
+        below = q < qsq_lo
+        if np.any(below):
+            out[below] = self.momentum_from_speed(q[below])
+        mid = ~below & (q < qsq_hi)
+        if np.any(mid):
+            target = q[mid]
+            lo = np.full_like(target, self.s_lo)
             hi = np.full_like(target, self.s_hi)
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                rho = np.asarray(self.truncated_density_from_momentum(mid))
-                below = mid / rho**2 < target
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-            s = 0.5 * (lo + hi)
-            for _ in range(3):  # Newton polish, clamped to the bracket
-                rho = np.asarray(self.truncated_density_from_momentum(s))
-                slope = np.asarray(self.truncated_density_slope(s))
-                val = s / rho**2 - target
-                dval = (rho - 2.0 * slope * s) / rho**3
-                s = np.clip(s - val / dval, lo, hi)
-            out[inner] = s
-        return float(out[0]) if scalar else out
+            s = self.s_lo + (target - qsq_lo) / (qsq_hi - qsq_lo) * (self.s_hi - self.s_lo)
+            for _ in range(_BISECT_STEPS):  # even all-bisection steps reach full precision
+                e = self._evaluate(s, "momentum_from_speed_truncated")
+                val = s / e.rho**2 - target  # increasing in s
+                lo = np.where(val < 0.0, s, lo)
+                hi = np.where(val < 0.0, hi, s)
+                dval = (e.rho - 2.0 * e.slope * s) / e.rho**3
+                newton = s - val / dval
+                # a Newton point outside the bracket falls back to bisection
+                step = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi)) - s
+                s = s + step
+                if np.abs(step).max() <= 4.0 * np.finfo(float).eps * self.s_hi:
+                    break
+            out[mid] = s
+        return _like_input(q_sq, out)
 
     def truncated_density_from_speed(self, q_sq) -> SpeedDensity:
         """Density and ellipticity coefficient of the truncated speed relation.
@@ -463,14 +431,11 @@ class GasModel:
         Htilde(s)^2 / (Htilde(s) - 2 Htilde'(s) s) at s inverted from q^2;
         it is pinched between the returned positive bounds (nu, lam).
         """
-        s = np.asarray(self.momentum_from_speed_truncated(q_sq))
-        rho = np.asarray(self.truncated_density_from_momentum(s))
-        slope = np.asarray(self.truncated_density_slope(s))
-        coeff = rho**2 / (rho - 2.0 * slope * s)
+        s = self.momentum_from_speed_truncated(q_sq)
+        e = self._evaluate(s, "truncated_density_from_speed")
+        coeff = e.rho**2 / (e.rho - 2.0 * e.slope * s)
         nu, lam = self.ellipticity_bounds
-        if np.ndim(q_sq) == 0:
-            return SpeedDensity(float(rho), float(coeff), nu, lam)
-        return SpeedDensity(rho, coeff, nu, lam)
+        return SpeedDensity(_like_input(q_sq, e.rho), _like_input(q_sq, coeff), nu, lam)
 
     @cached_property
     def ellipticity_bounds(self) -> tuple[float, float]:
@@ -481,9 +446,8 @@ class GasModel:
         relative margin to cover points between samples.
         """
         s = np.linspace(0.0, self.s_hi, 20001)
-        rho = np.asarray(self.truncated_density_from_momentum(s))
-        slope = np.asarray(self.truncated_density_slope(s))
-        coeff = rho**2 / (rho - 2.0 * slope * s)
+        e = self._evaluate(s, "ellipticity_bounds")
+        coeff = e.rho**2 / (e.rho - 2.0 * e.slope * s)
         lo = min(coeff.min(), self.rho_hi)
         hi = max(coeff.max(), self.rho_hi)
         return 0.999 * lo, 1.001 * hi

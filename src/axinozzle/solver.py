@@ -20,7 +20,10 @@ symmetric positive definite and damped Newton iterations converge
 globally.  The unknown numbering i*(nr-1)+j makes the Hessian banded with
 half-width nr, so each Newton system is solved exactly by one banded
 Cholesky factorization (LAPACK pbtrf); a failed factorization means the
-Hessian is not SPD and raises LinearSolveError.
+Hessian is not SPD and raises LinearSolveError.  newton_solve evaluates
+the gas relation once per energy evaluation: the cell gradients and
+coenergy bundle of the accepted line-search trial also give the next
+gradient and Hessian.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-from .gas import GasModel
+from .gas import CoenergyBundle, GasModel
 from .nozzle import MappedGrid, NozzleProfile
 
 _ARMIJO_SLOPE = 1e-4
@@ -113,27 +116,33 @@ def _cell_gradients(psi, grid: MappedGrid):
     return psi_x, psi_r
 
 
-def _momentum_sq(psi, grid: MappedGrid):
+class _CellState(NamedTuple):
+    """Cell data of one psi, shared by its energy, gradient and Hessian."""
+
+    s: np.ndarray          # squared momentum per cell
+    psi_x: np.ndarray
+    psi_r: np.ndarray
+    coenergy: CoenergyBundle  # over s.ravel()
+
+
+def _cell_state(psi, grid: MappedGrid, gas: GasModel) -> _CellState:
     psi_x, psi_r = _cell_gradients(psi, grid)
-    return (psi_x**2 + psi_r**2) / grid.r_shield**2, psi_x, psi_r
+    s = (psi_x**2 + psi_r**2) / grid.r_shield**2
+    return _CellState(s, psi_x, psi_r, gas.coenergy_bundle(s.ravel()))
 
 
-def assemble_energy(psi, grid: MappedGrid, gas: GasModel) -> float:
-    """Discrete energy: midpoint quadrature of F(|grad psi/(r+delta)|^2)(r+delta)."""
-    s, _, _ = _momentum_sq(psi, grid)
-    value = gas.coenergy(s.ravel()).reshape(s.shape)
+def _energy(state: _CellState, grid: MappedGrid) -> float:
+    value = state.coenergy.value.reshape(state.s.shape)
     return float((grid.measure * value * grid.r_shield).sum())
 
 
-def assemble_gradient(psi, grid: MappedGrid, gas: GasModel) -> np.ndarray:
-    """Exact energy derivative w.r.t. interior nodal values (zero on boundary)."""
-    s, psi_x, psi_r = _momentum_sq(psi, grid)
-    prime = gas.coenergy_prime(s.ravel()).reshape(s.shape)
+def _gradient(state: _CellState, grid: MappedGrid) -> np.ndarray:
+    prime = state.coenergy.prime.reshape(state.s.shape)
     w1 = 2.0 * grid.measure * prime / grid.r_shield
-    gx = w1 * psi_x
-    gr = w1 * psi_r
+    gx = w1 * state.psi_x
+    gr = w1 * state.psi_r
     coef_x, coef_r = _geometry(grid)
-    grad = np.zeros_like(psi)
+    grad = np.zeros(grid.shape)
     grad[:-1, :-1] += gx * coef_x[0] + gr * coef_r[0]
     grad[1:, :-1] += gx * coef_x[1] + gr * coef_r[1]
     grad[:-1, 1:] += gx * coef_x[2] + gr * coef_r[2]
@@ -141,6 +150,16 @@ def assemble_gradient(psi, grid: MappedGrid, gas: GasModel) -> np.ndarray:
     grad[0, :] = grad[-1, :] = 0.0
     grad[:, 0] = grad[:, -1] = 0.0
     return grad
+
+
+def assemble_energy(psi, grid: MappedGrid, gas: GasModel) -> float:
+    """Discrete energy: midpoint quadrature of F(|grad psi/(r+delta)|^2)(r+delta)."""
+    return _energy(_cell_state(psi, grid, gas), grid)
+
+
+def assemble_gradient(psi, grid: MappedGrid, gas: GasModel) -> np.ndarray:
+    """Exact energy derivative w.r.t. interior nodal values (zero on boundary)."""
+    return _gradient(_cell_state(psi, grid, gas), grid)
 
 
 def _dof_map(grid: MappedGrid):
@@ -165,18 +184,15 @@ def _dof_map(grid: MappedGrid):
     return cache
 
 
-def assemble_hessian(psi, grid: MappedGrid, gas: GasModel) -> sp.csr_matrix:
-    """Exact second derivative on interior unknowns (symmetric positive definite)."""
-    s, psi_x, psi_r = _momentum_sq(psi, grid)
-    bundle = gas.coenergy_bundle(s.ravel())
-    prime = bundle.prime.reshape(s.shape)
-    second = bundle.second.reshape(s.shape)
+def _hessian(state: _CellState, grid: MappedGrid) -> sp.csr_matrix:
+    prime = state.coenergy.prime.reshape(state.s.shape)
+    second = state.coenergy.second.reshape(state.s.shape)
     w1 = (2.0 * grid.measure * prime / grid.r_shield).ravel()
     w2 = (4.0 * grid.measure * second / grid.r_shield**3).ravel()
     coef_x, coef_r = _geometry(grid)
     ax = coef_x.reshape(4, -1)
     ar = coef_r.reshape(4, -1)
-    proj = psi_x.ravel()[None, :] * ax + psi_r.ravel()[None, :] * ar  # (4, ncells)
+    proj = state.psi_x.ravel() * ax + state.psi_r.ravel() * ar  # (4, ncells)
     vals = (
         w1[None, None, :] * (ax[:, None, :] * ax[None, :, :] + ar[:, None, :] * ar[None, :, :])
         + w2[None, None, :] * proj[:, None, :] * proj[None, :, :]
@@ -191,6 +207,11 @@ def assemble_hessian(psi, grid: MappedGrid, gas: GasModel) -> sp.csr_matrix:
     # summation order across cells can differ between (i, j) and (j, i);
     # symmetrize exactly: the banded solve reads only the upper triangle
     return (matrix + matrix.T) * 0.5
+
+
+def assemble_hessian(psi, grid: MappedGrid, gas: GasModel) -> sp.csr_matrix:
+    """Exact second derivative on interior unknowns (symmetric positive definite)."""
+    return _hessian(_cell_state(psi, grid, gas), grid)
 
 
 class LinearSolveError(RuntimeError):
@@ -259,20 +280,21 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         raise ValueError(f"newton_solve: init shape {init.shape} != grid {grid.shape}")
     psi = apply_boundary(init, grid, m, bc)
 
-    energy = assemble_energy(psi, grid, gas)
+    state = _cell_state(psi, grid, gas)  # of the accepted point; feeds gradient and Hessian
+    energy = _energy(state, grid)
     history = [energy]
     grad_norm = np.inf
     converged = False
     iterations = 0
 
     for _ in range(max_iter):
-        grad = assemble_gradient(psi, grid, gas)
+        grad = _gradient(state, grid)
         grad_int = grad[1:-1, 1:-1].ravel()
         grad_norm = float(np.linalg.norm(grad_int))
         if grad_norm <= tol:
             converged = True
             break
-        hess = assemble_hessian(psi, grid, gas)
+        hess = _hessian(state, grid)
         step_int = _solve_spd(hess, -grad_int)
         step = np.zeros_like(psi)
         step[1:-1, 1:-1] = step_int.reshape(grid.nx - 1, grid.nr - 1)
@@ -284,7 +306,8 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         if abs(slope) <= 10.0 * np.finfo(float).eps * max(abs(energy), 1.0):
             # predicted decrease is below energy resolution; take the full step
             psi = psi + step
-            energy = assemble_energy(psi, grid, gas)
+            state = _cell_state(psi, grid, gas)
+            energy = _energy(state, grid)
             history.append(energy)
             iterations += 1
             continue
@@ -293,9 +316,10 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         accepted = False
         for _ in range(45):
             trial = psi + t * step
-            trial_energy = assemble_energy(trial, grid, gas)
+            trial_state = _cell_state(trial, grid, gas)
+            trial_energy = _energy(trial_state, grid)
             if trial_energy <= energy + _ARMIJO_SLOPE * t * slope:
-                psi, energy = trial, trial_energy
+                psi, state, energy = trial, trial_state, trial_energy
                 accepted = True
                 break
             t *= 0.5
@@ -305,12 +329,11 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         iterations += 1
 
     if not converged:  # re-measure after line-search exit or iteration cap
-        grad = assemble_gradient(psi, grid, gas)
+        grad = _gradient(state, grid)
         grad_norm = float(np.linalg.norm(grad[1:-1, 1:-1]))
         converged = grad_norm <= tol
 
-    s, _, _ = _momentum_sq(psi, grid)
-    max_s = float(s.max())
+    max_s = float(state.s.max())
     return StreamSolution(
         grid=grid,
         psi=psi,

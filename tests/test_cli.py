@@ -160,6 +160,27 @@ def test_solve_without_diagnostics_on_coarse_grid(tmp_path):
     assert not (out / "diagnostics.txt").exists()
 
 
+SUPERCRITICAL = BASE.replace("m0 = 1.0", "m0 = 10.0")  # critical flux ~ pi * 0.98
+
+
+def test_cutoff_fails_diagnostics(tmp_path):
+    cfg = write(tmp_path, SUPERCRITICAL)
+    out = tmp_path / "hot"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    diag = (out / "diagnostics.txt").read_text()
+    assert "check_cutoff = false" in diag
+    assert "passed = false" in diag
+
+
+def test_cutoff_without_diagnostics_exits_1(tmp_path, capsys):
+    coarse = SUPERCRITICAL.replace("nr = 12", "nr = 4")
+    cfg = write(tmp_path, coarse + "\n[outputs]\ndiagnostics = no\n")
+    out = tmp_path / "hot"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert "momentum cutoff active" in capsys.readouterr().err
+    assert not (out / "field.csv").exists()
+
+
 def test_sweep_table(tmp_path):
     text = BASE.replace("m0 = 1.0", "sweep = 0.5, 1.5, 2.5")
     cfg = write(tmp_path, text)

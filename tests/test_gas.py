@@ -23,8 +23,6 @@ def test_validation():
         GasModel(m_tilde=1.0)
     with pytest.raises(ValueError):
         GasModel(m_tilde=0.0)
-    with pytest.raises(ValueError):
-        GasModel(blend="cubic")
 
 
 def test_stagnation_density():

@@ -256,6 +256,22 @@ def test_cutoff_flag_set_past_onset():
     assert hot.cutoff_active
 
 
+def test_one_gas_evaluation_per_energy_evaluation(monkeypatch):
+    # the cells of the accepted line-search trial also feed the next gradient
+    # and Hessian, so with full Newton steps every evaluation is an energy one
+    calls = []
+    evaluate = GasModel._evaluate
+
+    def counting(self, s, name):
+        calls.append(name)
+        return evaluate(self, s, name)
+
+    monkeypatch.setattr(GasModel, "_evaluate", counting)
+    sol = newton_solve(cylinder_grid(), GAS, 0.1)
+    assert sol.converged and sol.iterations >= 2
+    assert len(calls) == len(sol.energy_history) == 1 + sol.iterations
+
+
 def test_pde_residual_machine_small_on_cylinder():
     grid = cylinder_grid(nx=48, nr=16, delta=0.05)
     m = 0.4
