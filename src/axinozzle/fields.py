@@ -132,6 +132,11 @@ def flow_angle(flow: FlowField) -> AngleCheck:
             f"flow angle undefined: U = {flow.U[i, j]:.3e} at "
             f"(x, r) = ({flow.grid.x_nodes[i, j]:.4f}, {flow.grid.r_nodes[i, j]:.4f})"
         )
+    return _angle_range(flow)
+
+
+def _angle_range(flow: FlowField) -> AngleCheck:
+    """Measured angle range and the wall-slope bounds, without the U > 0 check."""
     lo, hi = flow.grid.profile.slope_bounds
     bounds = (min(np.arctan(lo), 0.0), max(np.arctan(hi), 0.0))
     return AngleCheck(flow.omega, (float(flow.omega.min()), float(flow.omega.max())), bounds)
@@ -290,13 +295,8 @@ def irrotationality_residual(flow: FlowField) -> ResidualNorms:
     grid = flow.grid
     if min(grid.nx, grid.nr) < MIN_DIAGNOSTIC_CELLS:
         raise ValueError("irrotationality_residual: grid too coarse")
-    f = grid.f_nodes[:, None]
-    fp = grid.fp_nodes[:, None]
-    sg = grid.sigma[None, :]
-    _, du_dsg = np.gradient(flow.U, grid.xi, grid.sigma, edge_order=2)
-    dv_dxi, dv_dsg = np.gradient(flow.V, grid.xi, grid.sigma, edge_order=2)
-    u_r = du_dsg / f
-    v_x = dv_dxi - sg * fp / f * dv_dsg
+    _, u_r = nodal_gradients(flow.U, grid)
+    v_x, _ = nodal_gradients(flow.V, grid)
     curl = (u_r - v_x)[2:-2, 2:-2]
     return ResidualNorms(float(np.abs(curl).max()), float(np.sqrt(np.mean(curl**2))))
 
@@ -338,7 +338,7 @@ def to_3d_sample(flow: FlowField, x: float, y: float, z: float):
     return rho, u, v_meridian * y / r, v_meridian * z / r
 
 
-_DEFAULT_THRESHOLDS = {
+DEFAULT_THRESHOLDS = {
     "max_principle": 1e-10,
     "barrier_slack": 10.0,   # multiplies h_max**2
     "angle": 1e-3,
@@ -411,7 +411,7 @@ def diagnostics_report(solution: StreamSolution, gas: GasModel,
                        thresholds: dict | None = None) -> DiagnosticsReport:
     """Run the full diagnostic suite on a converged solve."""
     grid = solution.grid
-    cfg = dict(_DEFAULT_THRESHOLDS)
+    cfg = dict(DEFAULT_THRESHOLDS)
     if thresholds:
         unknown = thresholds.keys() - cfg.keys()
         if unknown:
@@ -427,13 +427,9 @@ def diagnostics_report(solution: StreamSolution, gas: GasModel,
     barrier_violation = max(0.0, float((psi - barrier).max()))
 
     pos = positivity_check(flow)
-    if solution.m > 0.0 and pos.min_u > 0.0:
-        angle = flow_angle(flow)
-    else:  # vanishing or nonpositive flow: report raw angle range, bounds only
-        lo, hi = grid.profile.slope_bounds
-        angle = AngleCheck(flow.omega,
-                           (float(flow.omega.min()), float(flow.omega.max())),
-                           (min(np.arctan(lo), 0.0), max(np.arctan(hi), 0.0)))
+    # flow_angle raises where a transporting flow has U <= 0; the report
+    # gates that through the positivity check and still records the angle
+    angle = _angle_range(flow)
 
     drift = flux_drift(flow)
     far = far_field_error(flow, gas)

@@ -30,8 +30,6 @@ class NozzleProfile:
     """Wall radius profile of one of the supported families.
 
     Use make_profile to construct; it validates the per-family parameters.
-    holder_alpha is optional recorded metadata (wall regularity exponent)
-    and plays no role in any computation.
     """
 
     kind: str
@@ -40,7 +38,6 @@ class NozzleProfile:
     a0: float | None = None
     h: float | None = None
     w: float | None = None
-    holder_alpha: float | None = None
 
     def wall(self, x):
         """Wall radius f(x)."""
@@ -99,7 +96,6 @@ def make_profile(kind: str, **params) -> NozzleProfile:
     """Build a validated NozzleProfile of the given family."""
     if kind not in _FAMILIES:
         raise ValueError(f"make_profile: unknown profile family {kind!r}")
-    holder_alpha = params.pop("holder_alpha", None)
     required = {"cylinder": {"a"}, "tanh_step": {"a", "ell"}, "bump": {"a0", "h", "w"}}[kind]
     missing = required - params.keys()
     extra = params.keys() - required
@@ -109,7 +105,7 @@ def make_profile(kind: str, **params) -> NozzleProfile:
             f"missing {sorted(missing)}, unexpected {sorted(extra)}"
         )
     vals = {k: float(v) for k, v in params.items()}
-    profile = NozzleProfile(kind=kind, holder_alpha=holder_alpha, **vals)
+    profile = NozzleProfile(kind=kind, **vals)
     if kind == "cylinder" and profile.a <= 0.0:
         raise ValueError("make_profile: cylinder radius must be positive")
     if kind == "tanh_step":

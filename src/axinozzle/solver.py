@@ -11,7 +11,8 @@ minimizers of the strictly convex energy
     J(phi) = integral F(|grad phi / (r + delta)|^2) (r + delta) dx dr
 
 where F is the gas model's coenergy.  delta > 0 shields the axis
-singularity of 1/r; delta = 0 is reached by continuation, not directly.
+singularity of 1/r.  The midpoint quadrature never evaluates 1/r on the
+axis, so the discrete problem is also solved directly at delta = 0.
 
 Discretization: bilinear elements on the mapped tensor grid with one
 midpoint quadrature point per cell.  Energy, gradient, and Hessian are
@@ -374,11 +375,8 @@ def pde_residual(solution: StreamSolution, gas: GasModel) -> ResidualNorms:
     rho = gas.truncated_density_from_momentum(s.ravel()).reshape(s.shape)
     w_x = psi_x / (r_shield * rho)
     w_r = psi_r / (r_shield * rho)
-    dwx_dxi, dwx_dsg = np.gradient(w_x, grid.xi, grid.sigma, edge_order=2)
-    _, dwr_dsg = np.gradient(w_r, grid.xi, grid.sigma, edge_order=2)
-    f = grid.f_nodes[:, None]
-    fp = grid.fp_nodes[:, None]
-    sg = grid.sigma[None, :]
-    div = (dwx_dxi - sg * fp / f * dwx_dsg) + dwr_dsg / f
+    dwx_dx, _ = nodal_gradients(w_x, grid)
+    _, dwr_dr = nodal_gradients(w_r, grid)
+    div = dwx_dx + dwr_dr
     core = div[2:-2, 2:-2]
     return ResidualNorms(float(np.abs(core).max()), float(np.sqrt(np.mean(core**2))))

@@ -1,15 +1,18 @@
 """Configuration parsing, file outputs, determinism, and exit codes."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from axinozzle import GasModel, build_grid, diagnostics_report, make_profile, newton_solve
 from axinozzle.cli import (
     ConfigError,
     FIELD_HEADER,
     SWEEP_HEADER,
     main,
     parse_config,
-    serialize_config,
+    write_report,
 )
 
 
@@ -49,14 +52,6 @@ def test_parse_sweep_and_critical():
     assert cfg2.flux.mode == "critical"
 
 
-def test_round_trip():
-    cfg = parse_config(BASE)
-    assert parse_config(serialize_config(cfg)) == cfg
-    cfg2 = parse_config("[gas]\ngamma = 1.2\n[flux]\nsweep = 0.25, 0.75\n"
-                        "[tolerances]\nnewton = 1e-11\n")
-    assert parse_config(serialize_config(cfg2)) == cfg2
-
-
 def test_parse_rejects_bad_input():
     with pytest.raises(ConfigError):
         parse_config("[bogus]\nx = 1\n[flux]\nm0 = 1\n")
@@ -86,6 +81,11 @@ def test_parse_rejects_non_finite_numbers(text):
         parse_config(text)
 
 
+def test_gas_defaults_are_the_library_defaults():
+    cfg = parse_config("[flux]\nm0 = 1\n")
+    assert asdict(cfg.gas) == asdict(GasModel())
+
+
 def write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -106,6 +106,36 @@ def test_solve_writes_outputs(tmp_path):
     diag = (out / "diagnostics.txt").read_text()
     assert "passed = true" in diag
     assert "m0 = 1.0" in diag
+
+
+def test_default_thresholds_are_the_library_defaults(tmp_path):
+    cfg = write(tmp_path, BASE)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    grid = build_grid(make_profile("cylinder", a=1.0), length=4.0, nx=48, nr=12, delta=1e-6)
+    gas = GasModel()
+    write_report(tmp_path / "library.txt",
+                 diagnostics_report(newton_solve(grid, gas, 1.0 / (2 * np.pi)), gas).items())
+
+    def threshold_lines(path):
+        return [line for line in path.read_text().splitlines()
+                if line.startswith("threshold_")]
+
+    assert threshold_lines(out / "diagnostics.txt") == threshold_lines(tmp_path / "library.txt")
+    assert len(threshold_lines(tmp_path / "library.txt")) == 5
+
+
+@pytest.mark.parametrize("nozzle", [
+    "kind = bump\na0 = 1.0\nh = -0.2\nw = 1.5\na = 3.0",     # a belongs to cylinder
+    "kind = cylinder\na = 1.0\nell = 2.0",                   # ell belongs to tanh_step
+    "kind = tanh_step\na = 0.8",                              # ell missing
+    "kind = cone\na = 1.0",                                   # no such family
+], ids=["bump-with-a", "cylinder-with-ell", "tanh-without-ell", "unknown-kind"])
+def test_nozzle_parameters_must_fit_the_family(tmp_path, nozzle):
+    cfg = write(tmp_path, BASE.replace("kind = cylinder\na = 1.0", nozzle))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()  # rejected before solving
 
 
 def test_solve_deterministic_bytes(tmp_path):
@@ -196,20 +226,6 @@ def test_sweep_table(tmp_path):
     assert all(line.split(",")[3] == "false" for line in lines[1:])
 
 
-def test_sweep_parallel_jobs(tmp_path):
-    text = BASE.replace("m0 = 1.0", "sweep = 0.5, 1.5")
-    cfg = write(tmp_path, text)
-    seq, par = tmp_path / "seq", tmp_path / "par"
-    assert main(["sweep", "--config", cfg, "--out", str(seq)]) == 0
-    assert main(["sweep", "--config", cfg, "--out", str(par), "--jobs", "2"]) == 0
-    rows_seq = (seq / "sweep.csv").read_text().splitlines()[1:]
-    rows_par = (par / "sweep.csv").read_text().splitlines()[1:]
-    for a, b in zip(rows_seq, rows_par):
-        va = np.array([float(t) for t in a.split(",")[:2]])
-        vb = np.array([float(t) for t in b.split(",")[:2]])
-        assert np.abs(va - vb).max() < 1e-7
-
-
 def test_critical_report(tmp_path):
     text = BASE.replace("m0 = 1.0", "critical = yes")
     cfg = write(tmp_path, text)
@@ -235,8 +251,3 @@ def test_command_config_consistency(tmp_path):
 def test_missing_config_file(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path)]) == 2
-
-
-def test_bad_jobs(tmp_path):
-    cfg = write(tmp_path, BASE)
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--jobs", "0"]) == 2
