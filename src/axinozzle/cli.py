@@ -207,11 +207,6 @@ def parse_config(text: str) -> RunConfig:
         if name not in _SECTIONS and name != "flux":
             raise ConfigError(f"unknown section [{name}]")
     sections = {name: _read_section(parser, name) for name in _SECTIONS}
-    grid = sections["grid"]
-    if grid.nx < 2 or grid.nr < 2:
-        raise ConfigError("grid: nx and nr must be at least 2")
-    if grid.delta < 0.0:
-        raise ConfigError("grid: delta must be >= 0")
     return RunConfig(flux=_read_flux(parser), **sections)
 
 

@@ -164,9 +164,9 @@ class SweepResult:
         return np.array([p.mach_max for p in self.points])
 
 
-def _survey(solution: StreamSolution, gas: GasModel) -> tuple[FlowField, SweepPoint]:
+def _survey(solution: StreamSolution, gas: GasModel) -> SweepPoint:
     flow = velocity_from_stream(solution, gas)
-    point = SweepPoint(
+    return SweepPoint(
         m0=TWO_PI * solution.m,
         converged=solution.converged,
         cutoff_active=solution.cutoff_active,
@@ -177,7 +177,6 @@ def _survey(solution: StreamSolution, gas: GasModel) -> tuple[FlowField, SweepPo
         far_field=far_field_error(flow, gas),
         iterations=solution.iterations,
     )
-    return flow, point
 
 
 def mass_flux_sweep(grid: MappedGrid, gas: GasModel, m0_values,
@@ -198,8 +197,7 @@ def mass_flux_sweep(grid: MappedGrid, gas: GasModel, m0_values,
         if warm and prev is not None and prev.converged and prev.m > 0.0:
             init = prev.psi * (m / prev.m)
         solution = newton_solve(grid, gas, m, init=init)
-        _, point = _survey(solution, gas)
-        points.append(point)
+        points.append(_survey(solution, gas))
         prev = solution
     return SweepResult(points, grid)
 

@@ -260,6 +260,10 @@ def entropy_pair_residual(flow: FlowField, gas: GasModel,
     source_plus = -flow.rho * flow.U * flow.V / r_safe
     source_minus = -flow.rho * flow.V**2 / r_safe
 
+    def integral(integrand):
+        per_station = np.trapezoid(integrand, x=r, axis=1)
+        return abs(float(np.trapezoid(per_station, x=grid.xi)))
+
     cx0 = 0.5 * (x_lo + x_hi)
     cr0 = 0.5 * (r_lo + r_hi)
     wx0 = 0.5 * (x_hi - x_lo)
@@ -276,17 +280,10 @@ def entropy_pair_residual(flow: FlowField, gas: GasModel,
         chi = _bump(tx) * _bump(tr)
         chi_x = _bump_prime(tx) * _bump(tr) / wx
         chi_r = _bump(tx) * _bump_prime(tr) / wr
-        for eta, lam, src, which in (
-            (eta_plus, lam_plus, source_plus, "plus"),
-            (eta_minus, lam_minus, source_minus, "minus"),
-        ):
-            integrand = eta * chi_x + lam * chi_r + src * chi
-            per_station = np.trapezoid(integrand, x=r, axis=1)
-            value = abs(float(np.trapezoid(per_station, x=grid.xi)))
-            if which == "plus":
-                worst_plus = max(worst_plus, value)
-            else:
-                worst_minus = max(worst_minus, value)
+        plus = eta_plus * chi_x + lam_plus * chi_r + source_plus * chi
+        minus = eta_minus * chi_x + lam_minus * chi_r + source_minus * chi
+        worst_plus = max(worst_plus, integral(plus))
+        worst_minus = max(worst_minus, integral(minus))
     return EntropyResiduals(worst_plus, worst_minus)
 
 

@@ -19,12 +19,12 @@ midpoint quadrature point per cell.  Energy, gradient, and Hessian are
 exact derivatives of the same discrete functional, so the Hessian is
 symmetric positive definite and damped Newton iterations converge
 globally.  The unknown numbering i*(nr-1)+j makes the Hessian banded with
-half-width nr, so each Newton system is solved exactly by one banded
-Cholesky factorization (LAPACK pbtrf); a failed factorization means the
-Hessian is not SPD and raises LinearSolveError.  newton_solve evaluates
-the gas relation once per energy evaluation: the cell gradients and
-coenergy bundle of the accepted line-search trial also give the next
-gradient and Hessian.
+half-width nr; it is assembled directly in LAPACK upper band storage, and
+each Newton system is solved exactly by one banded Cholesky factorization
+(LAPACK pbtrf).  A failed factorization means the Hessian is not SPD and
+raises LinearSolveError.  newton_solve evaluates the gas relation once
+per energy evaluation: the cell gradients and coenergy bundle of the
+accepted line-search trial also give the next gradient and Hessian.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .gas import CoenergyBundle, GasModel
@@ -44,6 +43,10 @@ _ARMIJO_SLOPE = 1e-4
 # corner order per cell: SW, SE, NW, NE
 _CXI = np.array([-1.0, 1.0, -1.0, 1.0])
 _CSG = np.array([-1.0, -1.0, 1.0, 1.0])
+_CORNER_NODE = ((0, 0), (1, 0), (0, 1), (1, 1))  # (station, radius) shift from the cell
+# corner pairs (k, l) whose unknown index of l minus that of k is 0, 1,
+# nr-2 (NW-SE), nr-1 or nr: the upper triangle of each cell block
+_UPPER_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (1, 3), (2, 1), (0, 1), (2, 3), (0, 3))
 
 
 class ResidualNorms(NamedTuple):
@@ -163,55 +166,36 @@ def assemble_gradient(psi, grid: MappedGrid, gas: GasModel) -> np.ndarray:
     return _gradient(_cell_state(psi, grid, gas), grid)
 
 
-def _dof_map(grid: MappedGrid):
-    cache = getattr(grid, "_dof_cache", None)
-    if cache is not None:
-        return cache
-    nxn, nrn = grid.nx + 1, grid.nr + 1
-    dof = -np.ones((nxn, nrn), dtype=np.int64)
-    count = (grid.nx - 1) * (grid.nr - 1)
-    dof[1:-1, 1:-1] = np.arange(count).reshape(grid.nx - 1, grid.nr - 1)
-    ii, jj = np.meshgrid(np.arange(grid.nx), np.arange(grid.nr), indexing="ij")
-    corners = np.stack(
-        [
-            dof[ii, jj].ravel(),
-            dof[ii + 1, jj].ravel(),
-            dof[ii, jj + 1].ravel(),
-            dof[ii + 1, jj + 1].ravel(),
-        ]
-    )
-    cache = (dof, corners, count)
-    grid._dof_cache = cache
-    return cache
-
-
-def _hessian(state: _CellState, grid: MappedGrid) -> sp.csr_matrix:
+def _hessian(state: _CellState, grid: MappedGrid) -> np.ndarray:
     prime = state.coenergy.prime.reshape(state.s.shape)
     second = state.coenergy.second.reshape(state.s.shape)
-    w1 = (2.0 * grid.measure * prime / grid.r_shield).ravel()
-    w2 = (4.0 * grid.measure * second / grid.r_shield**3).ravel()
-    coef_x, coef_r = _geometry(grid)
-    ax = coef_x.reshape(4, -1)
-    ar = coef_r.reshape(4, -1)
-    proj = state.psi_x.ravel() * ax + state.psi_r.ravel() * ar  # (4, ncells)
-    vals = (
-        w1[None, None, :] * (ax[:, None, :] * ax[None, :, :] + ar[:, None, :] * ar[None, :, :])
-        + w2[None, None, :] * proj[:, None, :] * proj[None, :, :]
-    )
-    _, corners, ndof = _dof_map(grid)
-    rows = np.broadcast_to(corners[:, None, :], vals.shape)
-    cols = np.broadcast_to(corners[None, :, :], vals.shape)
-    keep = (rows >= 0) & (cols >= 0)
-    matrix = sp.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=(ndof, ndof)
-    ).tocsr()
-    # summation order across cells can differ between (i, j) and (j, i);
-    # symmetrize exactly: the banded solve reads only the upper triangle
-    return (matrix + matrix.T) * 0.5
+    w1 = 2.0 * grid.measure * prime / grid.r_shield
+    w2 = 4.0 * grid.measure * second / grid.r_shield**3
+    ax, ar = _geometry(grid)
+    proj = state.psi_x * ax + state.psi_r * ar  # (4, nx, nr)
+    nx, nr = grid.nx, grid.nr
+    band = np.zeros((nr + 1, nx - 1, nr - 1))  # [nr - offset, target station, target radius]
+    for k, l in _UPPER_PAIRS:
+        (ik, jk), (il, jl) = _CORNER_NODE[k], _CORNER_NODE[l]
+        offset = (il - ik) * (nr - 1) + jl - jk
+        # cells whose corners k and l are both unknowns
+        ci = slice(1 - min(ik, il), nx - max(ik, il))
+        cj = slice(1 - min(jk, jl), nr - max(jk, jl))
+        block = (w1[ci, cj] * (ax[k, ci, cj] * ax[l, ci, cj] + ar[k, ci, cj] * ar[l, ci, cj])
+                 + w2[ci, cj] * proj[k, ci, cj] * proj[l, ci, cj])
+        band[nr - offset, ci.start + il - 1:ci.stop + il - 1,
+             cj.start + jl - 1:cj.stop + jl - 1] += block
+    return band.reshape(nr + 1, -1)
 
 
-def assemble_hessian(psi, grid: MappedGrid, gas: GasModel) -> sp.csr_matrix:
-    """Exact second derivative on interior unknowns (symmetric positive definite)."""
+def assemble_hessian(psi, grid: MappedGrid, gas: GasModel) -> np.ndarray:
+    """Exact second derivative on interior unknowns, upper band in LAPACK storage.
+
+    Unknown (i, j), 1 <= i < nx, 1 <= j < nr, has index
+    q = (i-1)(nr-1) + (j-1).  The matrix is symmetric positive definite with
+    half-width nr; entry (p, q), p <= q, is at band[nr + p - q, q] of the
+    returned (nr + 1, (nx-1)(nr-1)) array, the layout cholesky_banded reads.
+    """
     return _hessian(_cell_state(psi, grid, gas), grid)
 
 
@@ -219,12 +203,8 @@ class LinearSolveError(RuntimeError):
     pass
 
 
-def _solve_spd(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+def _solve_spd(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Exact solve by banded Cholesky; raises LinearSolveError unless SPD."""
-    upper = sp.triu(matrix, format="coo")
-    width = int((upper.col - upper.row).max(initial=0))
-    band = np.zeros((width + 1, matrix.shape[0]))  # LAPACK upper band storage
-    band[width + upper.row - upper.col, upper.col] = upper.data
     try:
         factor = cholesky_banded(band, overwrite_ab=True)
         return cho_solve_banded((factor, False), rhs)
@@ -295,8 +275,7 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         if grad_norm <= tol:
             converged = True
             break
-        hess = _hessian(state, grid)
-        step_int = _solve_spd(hess, -grad_int)
+        step_int = _solve_spd(_hessian(state, grid), -grad_int)
         step = np.zeros_like(psi)
         step[1:-1, 1:-1] = step_int.reshape(grid.nx - 1, grid.nr - 1)
         slope = float(grad_int @ step_int)

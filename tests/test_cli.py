@@ -62,8 +62,6 @@ def test_parse_rejects_bad_input():
     with pytest.raises(ConfigError):
         parse_config("[flux]\nm0 = fast\n")                 # not a number
     with pytest.raises(ConfigError):
-        parse_config("[flux]\nm0 = 1\n[grid]\nnx = 1\n")    # grid too coarse
-    with pytest.raises(ConfigError):
         parse_config("[flux]\nm0 = 1\n[grid]\nzz = 3\n")    # unknown key
     with pytest.raises(ConfigError):
         parse_config("[flux]\nm0 = -2\n")
@@ -178,6 +176,17 @@ def test_diagnostics_on_too_coarse_grid_exit_2(tmp_path):
     cfg = write(tmp_path, COARSE)
     out = tmp_path / "coarse"
     assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 2
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()  # rejected before solving
+
+
+@pytest.mark.parametrize("grid", ["nx = 1\nnr = 12", "nx = 48\nnr = 12\ndelta = -1"],
+                         ids=["nx-1", "delta-negative"])
+def test_grid_rules_exit_2(tmp_path, grid):
+    # diagnostics off, so the grid's own checks are the ones that fire
+    text = BASE.replace("nx = 48\nnr = 12\ndelta = 1e-6", grid)
+    cfg = write(tmp_path, text + "\n[outputs]\ndiagnostics = no\n")
+    out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()  # rejected before solving
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from axinozzle import (
     GasModel,
@@ -25,7 +26,7 @@ from axinozzle import (
     newton_solve,
     pde_residual,
 )
-from axinozzle.solver import _dof_map, _solve_spd, apply_boundary
+from axinozzle.solver import _cell_state, _geometry, _solve_spd, apply_boundary
 
 GAS = GasModel()
 
@@ -99,15 +100,77 @@ def test_gradient_matches_finite_differences():
         assert fd == pytest.approx(exact, rel=2e-6, abs=1e-10)
 
 
+def band_to_sparse(band):
+    """Symmetric matrix of a LAPACK upper band, entry (p, q) at band[w + p - q, q]."""
+    width, n = band.shape[0] - 1, band.shape[1]
+    offsets = [k for k in range(width + 1) if k < n]
+    upper = sp.diags([band[width - k, k:] for k in offsets], offsets, shape=(n, n))
+    return (upper + sp.triu(upper, 1).T).tocsc()
+
+
+def band_to_dense(band):
+    return band_to_sparse(band).toarray()
+
+
+def reference_hessian(psi, grid):
+    """Dense Hessian summed cell by cell from full 4x4 corner blocks."""
+    state = _cell_state(psi, grid, GAS)
+    prime = state.coenergy.prime.reshape(state.s.shape)
+    second = state.coenergy.second.reshape(state.s.shape)
+    coef_x, coef_r = _geometry(grid)
+
+    def unknown(i, j):
+        if 0 < i < grid.nx and 0 < j < grid.nr:
+            return (i - 1) * (grid.nr - 1) + (j - 1)
+        return None
+
+    ndof = (grid.nx - 1) * (grid.nr - 1)
+    dense = np.zeros((ndof, ndof))
+    for i in range(grid.nx):
+        for j in range(grid.nr):
+            a, b = coef_x[:, i, j], coef_r[:, i, j]
+            proj = state.psi_x[i, j] * a + state.psi_r[i, j] * b
+            w1 = 2.0 * grid.measure[i, j] * prime[i, j] / grid.r_shield[i, j]
+            w2 = 4.0 * grid.measure[i, j] * second[i, j] / grid.r_shield[i, j] ** 3
+            block = w1 * (np.outer(a, a) + np.outer(b, b)) + w2 * np.outer(proj, proj)
+            corners = [unknown(i, j), unknown(i + 1, j), unknown(i, j + 1), unknown(i + 1, j + 1)]
+            for k, p in enumerate(corners):
+                for l, q in enumerate(corners):
+                    if p is not None and q is not None:
+                        dense[p, q] += block[k, l]
+    return dense
+
+
+def energy_second_difference(psi, v, grid, eps):
+    return (assemble_energy(psi + eps * v, grid, GAS) - 2.0 * assemble_energy(psi, grid, GAS)
+            + assemble_energy(psi - eps * v, grid, GAS)) / eps**2
+
+
+def energy_second_derivative(psi, v, grid):
+    """Richardson extrapolation of the second difference along v.
+
+    The step gives eps * v a momentum of at most 1e-2, also next to the axis
+    of a coarse grid, so the O(eps^4) error stays far below the tolerance.
+    """
+    eps = 1e-2 / np.sqrt(_cell_state(v, grid, GAS).s.max())
+    coarse = energy_second_difference(psi, v, grid, eps)
+    fine = energy_second_difference(psi, v, grid, 0.5 * eps)
+    return (4.0 * fine - coarse) / 3.0
+
+
 def test_hessian_symmetric_and_positive_definite():
+    # only the upper band is stored, so symmetry holds by construction; the
+    # stored entries must match the full cell blocks
     grid = cylinder_grid(nx=12, nr=8, delta=0.08, length=1.5)
     rng = np.random.default_rng(11)
     psi = apply_boundary(np.zeros(grid.shape), grid, 0.6)
     psi[1:-1, 1:-1] = shielded_quadratic(grid, 0.6)[1:-1, 1:-1]
     psi[1:-1, 1:-1] += 0.01 * rng.standard_normal((grid.nx - 1, grid.nr - 1))
-    matrix = assemble_hessian(psi, grid, GAS)
-    dense = matrix.toarray()
-    assert np.abs(dense - dense.T).max() == 0.0
+    band = assemble_hessian(psi, grid, GAS)
+    assert band.shape == (grid.nr + 1, (grid.nx - 1) * (grid.nr - 1))
+    dense = band_to_dense(band)
+    reference = reference_hessian(psi, grid)
+    assert np.abs(dense - reference).max() <= 1e-13 * np.abs(reference).max()
     eigvals = np.linalg.eigvalsh(dense)
     assert eigvals.min() > 0.0
 
@@ -117,24 +180,49 @@ def test_hessian_is_second_derivative_of_energy():
     rng = np.random.default_rng(3)
     psi = apply_boundary(np.zeros(grid.shape), grid, 0.5)
     psi[1:-1, 1:-1] = shielded_quadratic(grid, 0.5)[1:-1, 1:-1]
-    matrix = assemble_hessian(psi, grid, GAS)
-    dof, _, ndof = _dof_map(grid)
+    matrix = band_to_sparse(assemble_hessian(psi, grid, GAS))
     for _ in range(8):
         v = np.zeros(grid.shape)
         v[1:-1, 1:-1] = rng.standard_normal((grid.nx - 1, grid.nr - 1))
-        v_dof = np.zeros(ndof)
-        v_dof[dof[dof >= 0]] = v[dof >= 0]
-        eps = 1e-5
-        j0 = assemble_energy(psi, grid, GAS)
-        jp = assemble_energy(psi + eps * v, grid, GAS)
-        jm = assemble_energy(psi - eps * v, grid, GAS)
-        fd = (jp - 2.0 * j0 + jm) / eps**2
-        quad = float(v_dof @ (matrix @ v_dof))
+        v_int = v[1:-1, 1:-1].ravel()
+        fd = energy_second_difference(psi, v, grid, 1e-5)
+        quad = float(v_int @ (matrix @ v_int))
         assert fd == pytest.approx(quad, rel=5e-5, abs=1e-9)
 
 
+WALLS = st.one_of(
+    st.builds(lambda a, ell: make_profile("tanh_step", a=a, ell=ell),
+              st.floats(0.5, 1.0), st.floats(0.5, 3.0)),
+    st.builds(lambda h, w: make_profile("bump", a0=1.0, h=h, w=w),
+              st.floats(-0.3, 0.3), st.floats(1.0, 2.0)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(profile=WALLS, nx=st.integers(2, 10), nr=st.integers(2, 10),
+       delta=st.floats(0.0, 0.1), flux=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_band_hessian_matches_cell_blocks(profile, nx, nr, delta, flux, seed):
+    # every coupling of the band (the (i+1, j-1) one included) sits where the
+    # cell blocks put it, and none of a boundary node wraps into another station
+    grid = build_grid(profile, length=3.0, nx=nx, nr=nr, delta=delta)
+    m = 0.25 * flux * grid.f_nodes.min() ** 2  # about half the critical flux at most
+    rng = np.random.default_rng(seed)
+    psi = apply_boundary(m * np.broadcast_to(grid.sigma[None, :] ** 2, grid.shape), grid, m)
+    psi[1:-1, 1:-1] *= 1.0 + 0.05 * rng.standard_normal((nx - 1, nr - 1))
+    band = assemble_hessian(psi, grid, GAS)
+    reference = reference_hessian(psi, grid)
+    assert np.abs(band_to_dense(band) - reference).max() <= 1e-13 * np.abs(reference).max()
+
+    v = np.zeros(grid.shape)
+    v[1:-1, 1:-1] = rng.standard_normal((nx - 1, nr - 1))
+    v_int = v[1:-1, 1:-1].ravel()
+    quad = float(v_int @ (band_to_sparse(band) @ v_int))
+    fd = energy_second_derivative(psi, v, grid)
+    assert fd == pytest.approx(quad, rel=1e-6)
+
+
 def cold_tanh_system(nx, nr, m=0.25):
-    """Hessian and Newton right-hand side at the default start m sigma^2."""
+    """Hessian band and Newton right-hand side at the default start m sigma^2."""
     grid = build_grid(make_profile("tanh_step", a=0.8, ell=2.0), length=8.0,
                       nx=nx, nr=nr, delta=1e-6)
     psi = apply_boundary(m * np.broadcast_to(grid.sigma[None, :] ** 2, grid.shape), grid, m)
@@ -145,27 +233,26 @@ def cold_tanh_system(nx, nr, m=0.25):
 @pytest.mark.parametrize("nx, nr", [(128, 32), (2, 2), (2, 9), (9, 2)])
 def test_banded_cholesky_matches_sparse_direct_solve(nx, nr):
     # nr = 2 leaves one unknown per station (a diagonal band), nx = 2 one station
-    matrix, rhs = cold_tanh_system(nx, nr)
-    expected = spla.spsolve(matrix.tocsc(), rhs)
-    step = _solve_spd(matrix, rhs)
+    band, rhs = cold_tanh_system(nx, nr)
+    expected = spla.spsolve(band_to_sparse(band), rhs)
+    step = _solve_spd(band, rhs)
     assert np.linalg.norm(step - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_linear_solve_rejects_indefinite_matrix():
-    matrix, rhs = cold_tanh_system(8, 6)
-    shifted = matrix - matrix.diagonal().mean() * sp.identity(matrix.shape[0], format="csr")
-    eigvals = np.linalg.eigvalsh(shifted.toarray())
+    band, rhs = cold_tanh_system(8, 6)
+    band[-1] -= band[-1].mean()  # shift the diagonal
+    eigvals = np.linalg.eigvalsh(band_to_dense(band))
     assert eigvals.min() < 0.0 < eigvals.max()
     with pytest.raises(LinearSolveError):
-        _solve_spd(shifted.tocsr(), rhs)
+        _solve_spd(band, rhs)
 
 
 def test_linear_solve_rejects_non_finite_matrix():
-    matrix, rhs = cold_tanh_system(8, 6)
-    poison = np.zeros(matrix.shape[0])
-    poison[3] = np.nan
+    band, rhs = cold_tanh_system(8, 6)
+    band[-1, 3] = np.nan
     with pytest.raises(LinearSolveError):
-        _solve_spd((matrix + sp.diags(poison)).tocsr(), rhs)
+        _solve_spd(band, rhs)
 
 
 def test_cylinder_solved_exactly_with_matching_datum():
