@@ -3,8 +3,11 @@
 The solves in this package carry two regularizations besides the grid: the
 axis shield delta > 0 that keeps the 1/(r + delta) weights bounded, and the
 finite truncation length L of the nozzle. Physical answers are limits
-delta -> 0 and L -> infinity, reached here by warm-started continuation
-with explicit Cauchy certificates instead of extrapolation.
+delta -> 0 and L -> infinity. The shield regularizes the theory, not the
+discrete problem: midpoint quadrature never evaluates 1/r on the axis, so
+the discrete problem is also solved directly at delta = 0. The drivers here
+approach both limits by warm-started continuation with explicit Cauchy
+certificates instead of extrapolation.
 
 The mass flux enters as the three-dimensional flux m0 = 2 pi m. Increasing
 m0 raises the speed everywhere; past a critical value the subsonic branch

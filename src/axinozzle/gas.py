@@ -20,6 +20,11 @@ One private evaluator, GasModel._evaluate, holds the only below/blend/tail
 dispatch of the truncated relation Htilde: it solves the branch root once
 and returns the coenergy F with Htilde, Htilde' and Htilde''.  The public
 truncated_density_* and coenergy* methods are views of it.
+
+One root solver, _bracketed_newton, serves every inversion: the branch
+density rho(s) (Newton in rho - 1, accurate up to the sonic fold), and
+through it the closed form q^2 = s / rho(s)^2 of speed_from_momentum, and
+the blend of the truncated speed relation in momentum_from_speed_truncated.
 """
 
 from __future__ import annotations
@@ -30,7 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-_BISECT_STEPS = 64  # interval shrinks below double precision resolution
+_BISECT_STEPS = 64  # step cap; even all-bisection steps reach full precision
+# The relations raise to the power 1/(gamma - 1), which multiplies rounding
+# errors by that factor; a gamma closer to 1 than this loses over half the digits.
+_GAMMA_MIN_EXCESS = float(np.sqrt(np.finfo(float).eps))
 
 
 class SpeedDensity(NamedTuple):
@@ -64,13 +72,49 @@ def _like_input(s, out):
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
+def _bracketed_newton(residual, x0, lo, hi):
+    """Elementwise root in [lo, hi] of an increasing residual, by Newton.
+
+    residual(x, idx) returns the residual and its slope at the iterates x
+    of the entries idx of the flat array x0.  Each entry keeps the bracket
+    its residual signs allow, and a Newton point outside it falls back to
+    bisection.  An entry stops one step after its Newton correction first
+    falls to 1e-7 of its iterate: convergence is quadratic, so that step
+    lands at roundoff however curved the residual, while an absolute test
+    on the step would be held up by the few-ulp cycling of the residual.
+    """
+    x = np.array(x0, dtype=float)
+    lo = np.full_like(x, lo)
+    hi = np.full_like(x, hi)
+    small = np.zeros(x.size, dtype=bool)
+    idx = np.arange(x.size)
+    for _ in range(_BISECT_STEPS):
+        xi = x[idx]
+        val, slope = residual(xi, idx)
+        lo_i = np.where(val < 0.0, xi, lo[idx])
+        hi_i = np.where(val > 0.0, xi, hi[idx])
+        lo[idx], hi[idx] = lo_i, hi_i
+        # a zero residual is a root, also where the slope vanishes with it
+        step = -np.divide(val, slope, out=np.zeros_like(val), where=val != 0.0)
+        newton = xi + step
+        inside = (newton >= lo_i) & (newton <= hi_i)
+        x[idx] = np.where(inside, newton, 0.5 * (lo_i + hi_i))
+        tiny = np.abs(step) <= 1e-7 * np.abs(xi)
+        done = tiny & small[idx]
+        small[idx] = tiny
+        idx = idx[~done]
+        if idx.size == 0:
+            break
+    return x
+
+
 @dataclass(frozen=True)
 class GasModel:
     """Polytropic gas with a near-sonic truncation of the density relation.
 
     Parameters
     ----------
-    gamma : adiabatic exponent, > 1.
+    gamma : adiabatic exponent, at least 1 + sqrt(machine epsilon) ~ 1 + 1.5e-8.
     m_tilde : momentum threshold in (0, 1) where the truncation starts.
     """
 
@@ -78,8 +122,9 @@ class GasModel:
     m_tilde: float = 0.98
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ValueError(f"GasModel: gamma must exceed 1, got {self.gamma}")
+        if not self.gamma - 1.0 >= _GAMMA_MIN_EXCESS:
+            raise ValueError(f"GasModel: gamma must exceed 1 by at least "
+                             f"{_GAMMA_MIN_EXCESS:.1e}, got {self.gamma!r}")
         if not 0.0 < self.m_tilde < 1.0:
             raise ValueError(f"GasModel: m_tilde must lie in (0, 1), got {self.m_tilde}")
 
@@ -128,48 +173,24 @@ class GasModel:
         ulps there, which matters because the map flattens at its sonic
         maximum and inversions divide by the slope.
         """
-        q_sq = np.asarray(q_sq, dtype=float)
-        rho = self.density_from_speed(q_sq)
-        out = np.asarray(np.asarray(rho) ** 2 * q_sq)
+        q = np.atleast_1d(np.asarray(q_sq, dtype=float))
+        out = self.density_from_speed(q) ** 2 * q
         g = self.gamma
-        w = 1.0 - q_sq
-        near = np.asarray((w < 0.25) & (w > 0.0))
+        w = 1.0 - q
+        near = (w < 0.25) & (w > 0.0)
         if np.any(near):
-            wn = np.atleast_1d(np.asarray(w))[np.atleast_1d(near)]
-            expo = (2.0 / (g - 1.0)) * np.log1p(0.5 * (g - 1.0) * wn) + np.log1p(-wn)
-            if out.ndim == 0:
-                out = np.asarray(float(np.exp(expo[0])))
-            else:
-                out[near] = np.exp(expo)
-        return float(out) if out.ndim == 0 else out
+            wn = w[near]
+            out[near] = np.exp((2.0 / (g - 1.0)) * np.log1p(0.5 * (g - 1.0) * wn) + np.log1p(-wn))
+        return _like_input(q_sq, out)
 
     def speed_from_momentum(self, s):
-        """Inverse of momentum_from_speed on [0, 1] (squared speed)."""
-        s = np.asarray(s, dtype=float)
-        if np.any(s < 0.0) or np.any(s > 1.0):
-            raise ValueError("speed_from_momentum: s must lie in [0, 1]")
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        lo = np.zeros_like(s)
-        hi = np.ones_like(s)
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(self.momentum_from_speed(mid)) < s
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
-        out[s == 0.0] = 0.0
-        out[s == 1.0] = 1.0
-        return float(out[0]) if scalar else out
+        """Inverse of momentum_from_speed on [0, 1]: q^2 = s / rho(s)^2."""
+        arr = np.atleast_1d(np.asarray(s, dtype=float))
+        return _like_input(s, arr / self.density_from_momentum(arr) ** 2)
 
     # ------------------------------------------------------------------
     # density-momentum relation H and its truncation
     # ------------------------------------------------------------------
-
-    def _momentum_sq_of_rho(self, rho):
-        """Squared momentum along the subsonic branch, as a function of rho."""
-        g = self.gamma
-        return rho**2 * (g + 1.0 - 2.0 * rho ** (g - 1.0)) / (g - 1.0)
 
     def _dmomentum_sq_drho(self, rho):
         g = self.gamma
@@ -180,49 +201,35 @@ class GasModel:
         return 2.0 * (g + 1.0) * (1.0 - g * rho ** (g - 1.0)) / (g - 1.0)
 
     def _density_root(self, s):
-        """Bisect the subsonic branch rho in [1, rho_stag] at squared momentum s."""
-        lo = np.full_like(s, 1.0)
-        hi = np.full_like(s, self.rho_stag)
-        # momentum decreases in rho on the subsonic branch
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            above = self._momentum_sq_of_rho(mid) > s
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        out = 0.5 * (lo + hi)
-        out = np.where(s == 0.0, self.rho_stag, out)
-        return np.where(s == 1.0, 1.0, out)
+        """Subsonic-branch density in [1, rho_stag] at squared momenta s.
 
-    def _density_fold(self, u):
-        """Subsonic density at squared momentum 1 - u for small u > 0.
-
-        Newton in e = rho - 1 on the residual written with expm1/log1p so
-        that no term cancels; with it the density keeps close to full
-        precision right up to the sonic fold, where the plain bisection
-        loses half the digits to the vanishing slope of the momentum map.
+        Newton in e = rho - 1 on the increasing residual s - M(1 + e), with
+        M the squared momentum along the branch, written through expm1 and
+        log1p so that no term cancels and the density keeps close to full
+        precision right up to the sonic fold, where the slope of M vanishes.
+        M is concave in e, and the fold asymptote sqrt(2 (1 - s) / (gamma+1))
+        overestimates the root, so the iterates approach it from above.
         """
         g = self.gamma
         gp1 = g + 1.0
-        e = np.sqrt(2.0 * u / gp1)
-        for _ in range(4):
-            resid = (gp1 * (2.0 + e) * e
-                     - 2.0 * np.expm1(gp1 * np.log1p(e))) / (g - 1.0) + u
-            slope = 2.0 * gp1 / (g - 1.0) * (e - np.expm1(g * np.log1p(e)))
-            e = np.maximum(e - resid / slope, 0.0)
-        return 1.0 + e
+        u = np.ravel(1.0 - s)
+        top = self.rho_stag - 1.0
+
+        def residual(e, idx):
+            val = -u[idx] - (gp1 * (2.0 + e) * e - 2.0 * np.expm1(gp1 * np.log1p(e))) / (g - 1.0)
+            slope = 2.0 * gp1 / (g - 1.0) * (np.expm1(g * np.log1p(e)) - e)
+            return val, slope
+
+        e = _bracketed_newton(residual, np.minimum(np.sqrt(2.0 * u / gp1), top), 0.0, top)
+        # the stagnation end is pinned so that the coenergy vanishes at rest
+        return np.where(s == 0.0, self.rho_stag, 1.0 + e.reshape(np.shape(s)))
 
     def density_from_momentum(self, s):
         """Subsonic-branch density at squared momentum s in [0, 1]."""
         s = np.asarray(s, dtype=float)
         if np.any(s < 0.0) or np.any(s > 1.0):
             raise ValueError("density_from_momentum: s must lie in [0, 1]")
-        scalar = s.ndim == 0
-        arr = np.atleast_1d(s)
-        out = self._density_root(arr)
-        near = (arr > 1.0 - 1e-4) & (arr < 1.0)
-        if np.any(near):
-            out[near] = self._density_fold(1.0 - arr[near])
-        return float(out[0]) if scalar else out
+        return _like_input(s, self._density_root(np.atleast_1d(s)))
 
     def _branch_derivatives(self, rho):
         """dH/ds and d2H/ds2 on the exact subsonic branch, given its density rho."""
@@ -406,22 +413,13 @@ class GasModel:
         mid = ~below & (q < qsq_hi)
         if np.any(mid):
             target = q[mid]
-            lo = np.full_like(target, self.s_lo)
-            hi = np.full_like(target, self.s_hi)
-            s = self.s_lo + (target - qsq_lo) / (qsq_hi - qsq_lo) * (self.s_hi - self.s_lo)
-            for _ in range(_BISECT_STEPS):  # even all-bisection steps reach full precision
+
+            def residual(s, idx):
                 e = self._evaluate(s, "momentum_from_speed_truncated")
-                val = s / e.rho**2 - target  # increasing in s
-                lo = np.where(val < 0.0, s, lo)
-                hi = np.where(val < 0.0, hi, s)
-                dval = (e.rho - 2.0 * e.slope * s) / e.rho**3
-                newton = s - val / dval
-                # a Newton point outside the bracket falls back to bisection
-                step = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi)) - s
-                s = s + step
-                if np.abs(step).max() <= 4.0 * np.finfo(float).eps * self.s_hi:
-                    break
-            out[mid] = s
+                return s / e.rho**2 - target[idx], (e.rho - 2.0 * e.slope * s) / e.rho**3
+
+            chord = self.s_lo + (target - qsq_lo) / (qsq_hi - qsq_lo) * (self.s_hi - self.s_lo)
+            out[mid] = _bracketed_newton(residual, chord, self.s_lo, self.s_hi)
         return _like_input(q_sq, out)
 
     def truncated_density_from_speed(self, q_sq) -> SpeedDensity:
