@@ -46,6 +46,7 @@ from .fields import (
 )
 from .continuation import (
     CriticalFluxEstimate,
+    CriticalProbe,
     ExtensionResult,
     ShrinkResult,
     SonicLimitStudy,
@@ -64,6 +65,7 @@ __all__ = [
     "AngleCheck",
     "CoenergyBundle",
     "CriticalFluxEstimate",
+    "CriticalProbe",
     "DiagnosticsReport",
     "EntropyResiduals",
     "ExtensionResult",

@@ -12,8 +12,9 @@ certificates instead of extrapolation.
 The mass flux enters as the three-dimensional flux m0 = 2 pi m. Increasing
 m0 raises the speed everywhere; past a critical value the subsonic branch
 ceases to exist and the solver reports the momentum cutoff engaging. The
-critical flux is bracketed by bisection on that signal, and the approach to
-the sonic state is studied on a geometric sequence of fluxes below it.
+critical flux is bracketed by Illinois regula falsi on the distance of the
+peak squared momentum to the cutoff, and the approach to the sonic state is
+studied on a geometric sequence of fluxes below it.
 """
 
 from __future__ import annotations
@@ -205,15 +206,24 @@ def mass_flux_sweep(grid: MappedGrid, gas: GasModel, m0_values,
     return SweepResult(points, grid)
 
 
+class CriticalProbe(NamedTuple):
+    """One probe of the critical-flux bracket; no solution is kept."""
+
+    m0: float
+    max_momentum_sq: float
+    reason: str        # subcritical, non_convergence, cutoff or mach
+
+
 @dataclass
 class CriticalFluxEstimate:
-    """Bisection bracket [lo, hi] for the critical three-dimensional flux."""
+    """Regula falsi bracket [lo, hi] for the critical three-dimensional flux."""
 
     lo: float
     hi: float
     iterations: int
     open_upper_bound: bool
     solution_lo: StreamSolution | None = None
+    probes: tuple[CriticalProbe, ...] = ()
 
     @property
     def width(self) -> float:
@@ -224,21 +234,21 @@ class CriticalFluxEstimate:
         return 0.5 * (self.lo + self.hi)
 
 
-def _critical_signal(solution: StreamSolution, gas: GasModel) -> bool:
-    """True once the subsonic continuation past this flux is barred."""
+def _critical_signal(solution: StreamSolution, gas: GasModel) -> str:
+    """Why the subsonic continuation past this flux is barred, or subcritical."""
     if not solution.converged:
-        return True
+        return "non_convergence"
     if solution.cutoff_active:
-        return True
+        return "cutoff"
     flow = velocity_from_stream(solution, gas)
-    return bool(flow.mach.max() >= gas.m_tilde)
+    return "mach" if flow.mach.max() >= gas.m_tilde else "subcritical"
 
 
 def find_critical_flux(grid: MappedGrid, gas: GasModel,
                        tol: float | None = None,
                        lo: float | None = None, hi: float | None = None,
                        hi_cap: float | None = None,
-                       max_bisect: int = 60) -> CriticalFluxEstimate:
+                       max_probes: int = 70) -> CriticalFluxEstimate:
     """Bracket the largest flux carrying a strictly subsonic solve.
 
     The supercritical signal is the momentum cutoff engaging anywhere (or
@@ -246,6 +256,13 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
     throat of radius b passes at most pi b^2 in these units, so the
     upward search is capped near that bound; if even the cap shows no
     signal the bracket is reported open.
+
+    Each probe is classified by that signal alone, so lo is a certified
+    subcritical solve and hi a flagged one.  The next probe goes where
+    Illinois regula falsi (Dowell and Jarratt 1971) on the monotone distance
+    g = max_momentum_sq - s_lo to the cutoff puts it, at least tol/4 inside
+    the bracket; it is the midpoint while an end has no g (a failed solve,
+    or one flagged only by the Mach number).  max_probes caps all solves.
     """
     area = np.pi * grid.profile.b ** 2
     if tol is None:
@@ -259,47 +276,60 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
     if not 0.0 <= lo < hi:
         raise ValueError("find_critical_flux: need 0 <= lo < hi")
 
-    def probe(m0: float, init=None) -> tuple[bool, StreamSolution]:
-        solution = newton_solve(grid, gas, m0 / TWO_PI, init=init)
-        return _critical_signal(solution, gas), solution
+    probes: list[CriticalProbe] = []
 
-    iterations = 0
+    def probe(m0: float, init=None) -> tuple[bool, float | None, StreamSolution]:
+        """Solve at m0; True if subcritical, and g where the probe carries one."""
+        solution = newton_solve(grid, gas, m0 / TWO_PI, init=init)
+        reason = _critical_signal(solution, gas)
+        probes.append(CriticalProbe(m0, solution.max_momentum_sq, reason))
+        has_g = reason in ("subcritical", "cutoff")  # where g <= 0 and g > 0
+        return (reason == "subcritical",
+                solution.max_momentum_sq - gas.s_lo if has_g else None, solution)
+
     best_sub: StreamSolution | None = None
+    g_lo = g_hi = None
 
     # push lo down until it is genuinely subcritical
     while lo > 0.0:
-        bad, sol = probe(lo)
-        iterations += 1
-        if not bad:
-            best_sub = sol
+        ok, g, sol = probe(lo)
+        if ok:
+            best_sub, g_lo = sol, g
             break
-        hi = lo
+        hi, g_hi = lo, g
         lo *= 0.5
-        if iterations > 60:
+        if len(probes) >= max_probes:
             raise RuntimeError("find_critical_flux: no subcritical flux found")
 
     # push hi up until the signal fires, within the physical cap
     while True:
-        bad, sol = probe(hi, init=_scaled(best_sub, hi))
-        iterations += 1
-        if bad:
+        ok, g, sol = probe(hi, init=_scaled(best_sub, hi))
+        if not ok:
+            g_hi = g
             break
-        best_sub = sol
-        lo = hi
+        best_sub, lo, g_lo = sol, hi, g
         if hi >= hi_cap:
-            return CriticalFluxEstimate(lo, hi, iterations, True, best_sub)
+            return CriticalFluxEstimate(lo, hi, len(probes), True, best_sub, tuple(probes))
         hi = min(2.0 * hi, hi_cap)
 
-    while hi - lo > tol and iterations < max_bisect + 10:
-        mid = 0.5 * (lo + hi)
-        bad, sol = probe(mid, init=_scaled(best_sub, mid))
-        iterations += 1
-        if bad:
-            hi = mid
+    moved = None  # the end the last probe replaced
+    while hi - lo > tol and len(probes) < max_probes:
+        if g_lo is not None and g_hi is not None:
+            m0 = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+            m0 = min(max(m0, lo + 0.25 * tol), hi - 0.25 * tol)
         else:
-            lo = mid
-            best_sub = sol
-    return CriticalFluxEstimate(lo, hi, iterations, False, best_sub)
+            m0 = 0.5 * (lo + hi)
+        ok, g, sol = probe(m0, init=_scaled(best_sub, m0))
+        if ok:
+            best_sub, lo, g_lo = sol, m0, g
+            if moved == "lo" and g_hi is not None:
+                g_hi *= 0.5  # Illinois: the end kept twice in a row counts half
+        else:
+            hi, g_hi = m0, g
+            if moved == "hi" and g_lo is not None:
+                g_lo *= 0.5
+        moved = "lo" if ok else "hi"
+    return CriticalFluxEstimate(lo, hi, len(probes), False, best_sub, tuple(probes))
 
 
 def _scaled(solution: StreamSolution | None, m0: float):

@@ -158,12 +158,11 @@ class GasModel:
 
     def density_from_speed(self, q_sq):
         """Subsonic density at squared speed q_sq in [0, 1]."""
-        q_sq = np.asarray(q_sq, dtype=float)
-        if np.any(q_sq < 0.0) or np.any(q_sq > 1.0):
+        q = np.atleast_1d(np.asarray(q_sq, dtype=float))
+        if np.any(q < 0.0) or np.any(q > 1.0):
             raise ValueError("density_from_speed: q_sq must lie in [0, 1]")
         g = self.gamma
-        out = ((g + 1.0 - (g - 1.0) * q_sq) / 2.0) ** (1.0 / (g - 1.0))
-        return float(out) if out.ndim == 0 else out
+        return _like_input(q_sq, ((g + 1.0 - (g - 1.0) * q) / 2.0) ** (1.0 / (g - 1.0)))
 
     def momentum_from_speed(self, q_sq):
         """Squared momentum (rho*q)**2 at squared speed q_sq in [0, 1].
@@ -456,16 +455,14 @@ class GasModel:
 
     def pressure(self, rho):
         """Polytropic pressure rho**gamma / gamma."""
-        rho = np.asarray(rho, dtype=float)
-        if np.any(rho <= 0.0):
+        arr = np.atleast_1d(np.asarray(rho, dtype=float))
+        if np.any(arr <= 0.0):
             raise ValueError("pressure: rho must be positive")
-        out = rho**self.gamma / self.gamma
-        return float(out) if out.ndim == 0 else out
+        return _like_input(rho, arr**self.gamma / self.gamma)
 
     def sound_speed_sq(self, rho):
         """Squared sound speed rho**(gamma - 1)."""
-        rho = np.asarray(rho, dtype=float)
-        if np.any(rho <= 0.0):
+        arr = np.atleast_1d(np.asarray(rho, dtype=float))
+        if np.any(arr <= 0.0):
             raise ValueError("sound_speed_sq: rho must be positive")
-        out = rho ** (self.gamma - 1.0)
-        return float(out) if out.ndim == 0 else out
+        return _like_input(rho, arr ** (self.gamma - 1.0))

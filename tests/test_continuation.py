@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axinozzle import (
     GasModel,
@@ -155,6 +156,38 @@ def test_find_critical_flux_scales_with_radius():
     est = find_critical_flux(grid, GAS)
     oracle = np.pi * 0.64 * GAS.m_tilde
     assert abs(est.midpoint - oracle) / oracle < 2e-3
+
+
+def test_find_critical_flux_probe_count():
+    # regula falsi on the distance to the cutoff; bisection needed 16 probes
+    grid = build_grid(make_profile("tanh_step", a=0.8, ell=2.0), length=16.0,
+                      nx=32, nr=8, delta=1e-6)
+    est = find_critical_flux(grid, GAS)
+    assert not est.open_upper_bound
+    assert est.iterations == len(est.probes) <= 8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=st.floats(0.5, 1.5), gamma=st.floats(1.05, 3.0),
+       m_tilde=st.floats(0.9, 0.99))
+def test_find_critical_flux_brackets_cylinder_oracle(a, gamma, m_tilde):
+    # the discrete pipe flow is exact, so the cutoff engages at pi a^2 m_tilde
+    gas = GasModel(gamma=gamma, m_tilde=m_tilde)
+    est = find_critical_flux(cylinder_grid(nx=8, nr=4, a=a, length=1.0), gas)
+    oracle = np.pi * a**2 * m_tilde
+    assert not est.open_upper_bound
+    assert est.lo <= oracle <= est.hi
+    assert est.width <= 1e-4 * oracle  # the default tol
+    # the record agrees with the bracket: lo is the largest subcritical
+    # probe and hi the smallest flagged one
+    assert est.iterations == len(est.probes) <= 8
+    sub = [p.m0 for p in est.probes if p.reason == "subcritical"]
+    flagged = [p.m0 for p in est.probes if p.reason != "subcritical"]
+    assert max(sub) == est.lo and min(flagged) == est.hi
+    for p in est.probes:
+        assert p.reason in ("subcritical", "non_convergence", "cutoff", "mach")
+        if p.reason != "non_convergence":
+            assert (p.reason == "cutoff") == (p.max_momentum_sq > gas.s_lo)
 
 
 def test_sonic_limit_study_certifies():

@@ -33,38 +33,38 @@ def test_validation():
 
 def test_stagnation_density():
     # ((gamma + 1) / 2) ** (1 / (gamma - 1)), mpmath 40 digits
-    assert GAS.rho_stag == pytest.approx(1.5774409656148784, rel=1e-15)
+    assert GAS.rho_stag == pytest.approx(1.5774409656148784, rel=1e-15, abs=0.0)
     # gamma = 1.2 gives the exact value 1.1 ** 5
-    assert GasModel(gamma=1.2).rho_stag == pytest.approx(1.1**5, rel=1e-15)
+    assert GasModel(gamma=1.2).rho_stag == pytest.approx(1.1**5, rel=1e-15, abs=0.0)
     assert GasModel(gamma=5.0 / 3.0).rho_stag == pytest.approx(
-        1.5396007178390020, rel=1e-14)
+        1.5396007178390020, rel=1e-14, abs=0.0)
 
 
 def test_truncation_knots():
-    assert GAS.s_lo == pytest.approx(0.98**2, rel=1e-15)
-    assert GAS.s_hi == pytest.approx(0.99**2, rel=1e-15)
+    assert GAS.s_lo == pytest.approx(0.98**2, rel=1e-15, abs=0.0)
+    assert GAS.s_hi == pytest.approx(0.99**2, rel=1e-15, abs=0.0)
     assert 1.0 < GAS.rho_hi < GAS.rho_stag
 
 
 def test_density_from_speed_reference():
     # mpmath: ((gamma + 1 - (gamma - 1) q^2) / 2) ** (1 / (gamma - 1)) at q^2 = 1/4
-    assert GAS.density_from_speed(0.25) == pytest.approx(1.4182232502324872, rel=1e-15)
-    assert GAS.density_from_speed(0.0) == pytest.approx(GAS.rho_stag, rel=1e-15)
-    assert GAS.density_from_speed(1.0) == pytest.approx(1.0, rel=1e-15)
+    assert GAS.density_from_speed(0.25) == pytest.approx(1.4182232502324872, rel=1e-15, abs=0.0)
+    assert GAS.density_from_speed(0.0) == pytest.approx(GAS.rho_stag, rel=1e-15, abs=0.0)
+    assert GAS.density_from_speed(1.0) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
 def test_momentum_from_speed_reference():
     # exact rationals for gamma = 1.4: 1.15**5 / 4 and 1.1**5 / 2
-    assert GAS.momentum_from_speed(0.25) == pytest.approx(0.502839296875, rel=1e-15)
-    assert GAS.momentum_from_speed(0.5) == pytest.approx(0.805255, rel=1e-15)
-    assert GAS.momentum_from_speed(1.0) == pytest.approx(1.0, rel=1e-14)
+    assert GAS.momentum_from_speed(0.25) == pytest.approx(0.502839296875, rel=1e-15, abs=0.0)
+    assert GAS.momentum_from_speed(0.5) == pytest.approx(0.805255, rel=1e-15, abs=0.0)
+    assert GAS.momentum_from_speed(1.0) == pytest.approx(1.0, rel=1e-14, abs=0.0)
     assert GAS.momentum_from_speed(0.0) == 0.0
 
 
 def test_speed_from_momentum_reference():
     # mpmath bisection on the subsonic branch
-    assert GAS.speed_from_momentum(0.25) == pytest.approx(0.11022959257491243, rel=1e-13)
-    assert GAS.speed_from_momentum(0.5) == pytest.approx(0.24819953835270634, rel=1e-13)
+    assert GAS.speed_from_momentum(0.25) == pytest.approx(0.11022959257491243, rel=1e-13, abs=0.0)
+    assert GAS.speed_from_momentum(0.5) == pytest.approx(0.24819953835270634, rel=1e-13, abs=0.0)
     assert GAS.speed_from_momentum(0.0) == 0.0
     # near the sonic fold, q^2 = s / rho^2 at the mpmath root
     for s, q_sq in ((1.0 - 2e-4, 0.9818307603610535), (1.0 - 1e-8, 0.9998709049989931)):
@@ -86,8 +86,8 @@ def test_momentum_of_speed_monotone():
 
 def test_density_from_momentum_reference():
     # mpmath: subsonic root of s = rho^2 (gamma + 1 - 2 rho^(gamma-1)) / (gamma - 1)
-    assert GAS.density_from_momentum(0.5) == pytest.approx(1.4193337094766558, rel=1e-13)
-    assert GAS.density_from_momentum(0.0) == pytest.approx(GAS.rho_stag, rel=1e-13)
+    assert GAS.density_from_momentum(0.5) == pytest.approx(1.4193337094766558, rel=1e-13, abs=0.0)
+    assert GAS.density_from_momentum(0.0) == pytest.approx(GAS.rho_stag, rel=1e-13, abs=0.0)
     assert GAS.density_from_momentum(1.0) == pytest.approx(1.0, abs=1e-10)
     # near the sonic fold, where the slope of the momentum map vanishes
     for s, rho in ((1.0 - 2e-4, 1.0091093939029798), (1.0 - 1e-8, 1.0000645487504227)):
@@ -134,7 +134,7 @@ def test_truncated_relation_monotone_everywhere():
 def test_blend_is_twice_differentiable_at_knots():
     # value, slope, curvature from mpmath at the lower knot
     assert GAS.truncated_density_from_momentum(GAS.s_lo) == pytest.approx(
-        1.1249262083661680, rel=1e-13)
+        1.1249262083661680, rel=1e-13, abs=0.0)
     assert GAS.truncated_density_slope(GAS.s_lo) == pytest.approx(
         -1.5364873451402236, rel=1e-11)
     assert GAS.truncated_density_curvature(GAS.s_lo) == pytest.approx(
@@ -162,7 +162,7 @@ def test_blend_monotone_for_parameter_grid():
 
 def test_coenergy_reference_value():
     # mpmath adaptive quadrature of the inverse truncated relation
-    assert GAS.coenergy(0.3) == pytest.approx(0.19545988821658587, rel=1e-13)
+    assert GAS.coenergy(0.3) == pytest.approx(0.19545988821658587, rel=1e-13, abs=0.0)
     assert GAS.coenergy(0.0) == 0.0
 
 
@@ -236,12 +236,23 @@ def test_bernoulli_residual():
 
 
 def test_pressure_and_sound_speed():
-    assert GAS.pressure(1.0) == pytest.approx(1.0 / 1.4, rel=1e-15)
+    assert GAS.pressure(1.0) == pytest.approx(1.0 / 1.4, rel=1e-15, abs=0.0)
     assert GAS.sound_speed_sq(1.0) == 1.0
     rho = np.linspace(0.5, 1.6, 300)
     assert np.all(np.diff(GAS.pressure(rho)) > 0.0)
     with pytest.raises(ValueError):
         GAS.pressure(-1.0)
+
+
+def test_scalar_equals_array_entry():
+    # a scalar takes the array path, so it matches its array entry bitwise
+    q_sq = np.random.default_rng(29).uniform(0.0, 1.0, 2000)
+    rho = GAS.density_from_speed(q_sq)
+    for k, q in enumerate(q_sq):
+        assert GAS.density_from_speed(float(q)) == rho[k]
+        r = float(rho[k])
+        assert GAS.pressure(r) == GAS.pressure(np.array([r]))[0]
+        assert GAS.sound_speed_sq(r) == GAS.sound_speed_sq(np.array([r]))[0]
 
 
 def test_other_gammas_sane():
