@@ -7,7 +7,10 @@ delta -> 0 and L -> infinity. The shield regularizes the theory, not the
 discrete problem: midpoint quadrature never evaluates 1/r on the axis, so
 the discrete problem is also solved directly at delta = 0. The drivers here
 approach both limits by warm-started continuation with explicit Cauchy
-certificates instead of extrapolation.
+certificates. Shield shrinking starts each solve from the Lagrange
+extrapolation in delta of the last three solutions; a start already within
+the gradient tolerance takes 0 Newton iterations and is still certified by
+that check at its own delta.
 
 The mass flux enters as the three-dimensional flux m0 = 2 pi m. Increasing
 m0 raises the speed everywhere; past a critical value the subsonic branch
@@ -65,12 +68,16 @@ def shrink_delta(grid: MappedGrid, gas: GasModel, m: float,
                  bc=None) -> ShrinkResult:
     """Solve along a geometric shield schedule until the iterates settle.
 
-    Starts at delta0 (default b/10) and multiplies by factor each step,
-    warm starting from the previous solution; the nodes do not move when
-    delta changes, so states transfer directly.  Stops once the sup
-    difference between consecutive solutions drops below tol (default
-    1e-8 * max(1, m)); the differences themselves shrink like delta, so
-    the schedule certifies its own limit.
+    Starts at delta0 (default b/10) and multiplies by factor each step.
+    Each solve starts from the Lagrange extrapolation in delta through the
+    last (up to) three solutions, a predictor-corrector continuation; the
+    second step starts from the first solution alone.  The nodes do not
+    move when delta changes, so states transfer directly.  A step may take
+    0 Newton iterations when its start already meets newton_solve's
+    gradient tolerance; it is still certified by that check at its own
+    delta.  Stops once the sup difference between consecutive solutions
+    drops below tol (default 1e-8 * max(1, m)); the differences themselves
+    shrink like delta, so the schedule certifies its own limit.
     """
     if not 0.0 < factor < 1.0:
         raise ValueError("shrink_delta: factor must lie in (0, 1)")
@@ -80,20 +87,38 @@ def shrink_delta(grid: MappedGrid, gas: GasModel, m: float,
         tol = 1e-8 * max(1.0, m)
     delta = float(delta0)
     steps: list[DeltaStep] = []
-    prev_psi = None
+    recent: list[np.ndarray] = []  # the last three solutions, oldest first
     solution = None
     for _ in range(max_steps):
         work = grid.with_delta(delta)
-        solution = newton_solve(work, gas, m, init=prev_psi, bc=bc)
+        init = _extrapolated_start(recent, factor) if recent else None
+        solution = newton_solve(work, gas, m, init=init, bc=bc)
         if not solution.converged:
             return ShrinkResult(solution, steps, False, tol)
-        diff = float("nan") if prev_psi is None else float(np.abs(solution.psi - prev_psi).max())
+        diff = float("nan") if not recent else float(np.abs(solution.psi - recent[-1]).max())
         steps.append(DeltaStep(delta, diff, solution.iterations))
-        if prev_psi is not None and diff <= tol:
+        if recent and diff <= tol:
             return ShrinkResult(solution, steps, True, tol)
-        prev_psi = solution.psi
+        recent = recent[-2:] + [solution.psi]
         delta *= factor
     return ShrinkResult(solution, steps, False, tol)
+
+
+def _extrapolated_start(recent: list[np.ndarray], factor: float) -> np.ndarray:
+    """Lagrange extrapolation to the next shield through the recent solutions.
+
+    recent[-k] was solved at delta / factor**k for the next delta, so in
+    units of that delta its node is t_k = factor**-k and the weight of
+    recent[-k] at t = 1 is prod_{j != k} (1 - t_j) / (t_k - t_j).  Exact
+    when psi is a polynomial in delta of degree len(recent) - 1; a single
+    solution is returned unchanged.
+    """
+    nodes = [factor ** -k for k in range(1, len(recent) + 1)]
+    start = np.zeros_like(recent[-1])
+    for k, t_k in enumerate(nodes):
+        weight = np.prod([(1.0 - t_j) / (t_k - t_j) for j, t_j in enumerate(nodes) if j != k])
+        start += weight * recent[-1 - k]
+    return start
 
 
 @dataclass

@@ -15,6 +15,7 @@ from axinozzle import (
     shrink_delta,
     sonic_limit_study,
 )
+from axinozzle.continuation import _extrapolated_start
 
 GAS = GasModel()
 
@@ -59,6 +60,50 @@ def test_shrink_delta_schedule_independent():
     b = shrink_delta(grid, GAS, m, factor=0.35)
     assert a.converged and b.converged
     assert np.abs(a.solution.psi - b.solution.psi).max() < 20.0 * a.tol
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.35])
+def test_extrapolated_start_is_exact_on_polynomials(factor):
+    rng = np.random.default_rng(3)
+    A, B, C = rng.standard_normal((3, 5, 4))
+    delta = 0.02  # the next shield; the stored ones are delta / factor**k
+    olds = [delta / factor**k for k in (3, 2, 1)]  # oldest first
+    quad = [A + B * d + C * d**2 for d in olds]
+    assert np.abs(_extrapolated_start(quad, factor)
+                  - (A + B * delta + C * delta**2)).max() < 1e-13
+    line = [A + B * d for d in olds[1:]]
+    assert np.abs(_extrapolated_start(line, factor) - (A + B * delta)).max() < 1e-13
+    assert np.array_equal(_extrapolated_start([A], factor), A)
+
+
+def test_shrink_delta_extrapolated_starts_halve_iterations():
+    # starting each step from the previous solution alone takes 49 Newton
+    # iterations over these 22 steps
+    prof = make_profile("tanh_step", a=0.8, ell=2.0)
+    grid = build_grid(prof, length=16.0, nx=32, nr=8)
+    res = shrink_delta(grid, GAS, 0.25 * prof.b**2)
+    assert res.converged
+    assert len(res.steps) == 22
+    assert sum(step.iterations for step in res.steps) <= 30
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["tanh_step", "bump"]), radius=st.floats(0.6, 1.4),
+       shape=st.floats(0.5, 3.0), bump=st.floats(-0.3, 0.3), f=st.floats(0.05, 0.6))
+def test_shrink_delta_limit_matches_unshielded_solve(kind, radius, shape, bump, f):
+    # the last step moved by at most tol and later ones would shrink like
+    # delta, so the chain sits within factor / (1 - factor) * tol = tol of
+    # its limit; twice that leaves room for the two gradient tolerances
+    if kind == "tanh_step":
+        prof = make_profile(kind, a=radius, ell=shape)
+    else:
+        prof = make_profile(kind, a0=radius, h=bump, w=shape)
+    grid = build_grid(prof, length=8.0, nx=24, nr=6)
+    m = 0.5 * f * prof.b**2  # m0 = f pi b^2
+    res = shrink_delta(grid, GAS, m)
+    direct = newton_solve(grid, GAS, m)
+    assert res.converged and direct.converged and not direct.cutoff_active
+    assert np.abs(res.solution.psi - direct.psi).max() <= 2.0 * res.tol
 
 
 def test_shrink_delta_validation():

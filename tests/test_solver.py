@@ -303,6 +303,17 @@ def test_energy_history_decreases():
     assert sol.iterations <= 12
 
 
+def test_newton_takes_full_step_below_energy_rounding():
+    # after one step the predicted decrease (2.3e-15) sits below the energy's
+    # rounding (about 5e-15 here); energy backtracking alone then accepts
+    # roundoff-size steps for all 50 iterations, stalling at gradient 1.9e-7
+    prof = make_profile("bump", a0=1.230736063874653, h=-0.16443750006526298,
+                        w=1.7548240095016205)
+    grid = build_grid(prof, length=8.0, nx=24, nr=6)
+    sol = newton_solve(grid, GAS, 0.5 * 0.10189196373799178 * prof.b**2)
+    assert sol.converged and sol.iterations <= 3
+
+
 def test_independent_starts_agree():
     grid = cylinder_grid(nx=32, nr=12, delta=0.02)
     m = 0.5
