@@ -37,6 +37,7 @@ TWO_PI = 2.0 * np.pi
 
 FIELD_HEADER = "x,r,psi,U,V,rho,mach,omega"
 SWEEP_HEADER = "m0,M,q_min,cutoff_active,flux_drift,farfield_left,farfield_right"
+_CSV_BLOCK_STATIONS = 32  # stations of field.csv formatted per write
 
 # Annotation of a key that also accepts the value 'auto' (parsed to None).
 AutoFloat = float | None
@@ -256,12 +257,17 @@ def _write_text(path: Path, lines: list[str]) -> None:
 def write_field_csv(path: Path, flow) -> None:
     """Row-major field table: stations outer, radii inner."""
     grid = flow.grid
-    table = np.stack((grid.x_nodes, grid.r_nodes, flow.psi, flow.U, flow.V,
-                      flow.rho, flow.mach, flow.omega), axis=-1).reshape(-1, 8)
-    lines = [FIELD_HEADER]
-    # one row at a time: a whole-table tolist() would hold every node as Python floats
-    lines.extend(",".join(map(repr, row.tolist())) for row in table)
-    _write_text(path, lines)
+    columns = (grid.r_nodes, flow.psi, flow.U, flow.V, flow.rho, flow.mach, flow.omega)
+    width = grid.nr + 1
+    with open(path, "w", newline="\n") as handle:
+        handle.write(FIELD_HEADER + "\n")
+        # format one block of stations at a time to bound peak memory: the
+        # whole table at once keeps every node's eight floats and strings alive
+        for start in range(0, grid.nx + 1, _CSV_BLOCK_STATIONS):
+            block = slice(start, start + _CSV_BLOCK_STATIONS)
+            x = [text for text in map(repr, grid.xi[block].tolist()) for _ in range(width)]
+            texts = [map(repr, column[block].ravel().tolist()) for column in columns]
+            handle.write("".join(",".join(row) + "\n" for row in zip(x, *texts)))
 
 
 def write_sweep_csv(path: Path, points: list[SweepPoint]) -> None:

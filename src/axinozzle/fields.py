@@ -81,9 +81,11 @@ class FlowField:
 def velocity_from_stream(solution: StreamSolution, gas: GasModel) -> FlowField:
     """Reconstruct the meridian velocity field from a stream solution.
 
-    Raises if the squared momentum exceeds 1 while the solution is not
-    flagged cutoff_active; for flagged near-sonic solutions the momentum
-    is clamped to the sonic value (such fields are diagnostic only).
+    The density comes from the truncated density-momentum relation the
+    solve minimized, so a solution flagged cutoff_active yields a field of
+    that truncated problem, not a subsonic flow (diagnostic only); no
+    momentum is clamped.  Raises if the squared momentum off the axis
+    exceeds 1 while the solution is not flagged cutoff_active.
     """
     grid = solution.grid
     psi_x, psi_r = nodal_gradients(solution.psi, grid)
@@ -239,6 +241,14 @@ def entropy_pair_residual(flow: FlowField, gas: GasModel,
     chi is |integral eta chi_x + lam chi_r + source chi| after integrating
     the divergence by parts.  Returns the worst value over five bump
     placements for each pair.
+
+    Each bump vanishes exactly off its own station range, so the
+    quadrature runs only over the full radial rows of the stations where
+    the bump is nonzero; the per-station integrals are scattered into a
+    zero array of all nx + 1 stations and integrated over x as before.
+    On a finite field this equals the full-grid sum bit for bit: off the
+    support every integrand is an exact +-0, every summed array keeps its
+    length, and a bump that misses every station contributes 0.
     """
     grid = flow.grid
     if rect is None:
@@ -249,7 +259,7 @@ def entropy_pair_residual(flow: FlowField, gas: GasModel,
     if x_lo < -grid.length or x_hi > grid.length or r_hi > grid.profile.b:
         raise ValueError("entropy_pair_residual: rectangle not inside the nozzle")
 
-    x = grid.x_nodes
+    xi = grid.xi
     r = grid.r_nodes
     r_safe = np.where(r > 1e-12, r, 1.0)
     p = gas.pressure(flow.rho.ravel()).reshape(flow.rho.shape)
@@ -260,9 +270,10 @@ def entropy_pair_residual(flow: FlowField, gas: GasModel,
     source_plus = -flow.rho * flow.U * flow.V / r_safe
     source_minus = -flow.rho * flow.V**2 / r_safe
 
-    def integral(integrand):
-        per_station = np.trapezoid(integrand, x=r, axis=1)
-        return abs(float(np.trapezoid(per_station, x=grid.xi)))
+    def integral(integrand, rows):
+        per_station = np.zeros(grid.nx + 1)
+        per_station[rows] = np.trapezoid(integrand, x=r[rows], axis=1)
+        return abs(float(np.trapezoid(per_station, x=xi)))
 
     cx0 = 0.5 * (x_lo + x_hi)
     cr0 = 0.5 * (r_lo + r_hi)
@@ -275,15 +286,22 @@ def entropy_pair_residual(flow: FlowField, gas: GasModel,
         cr = cr0 + orr * 2.0 * wr0
         wx = scale * wx0
         wr = scale * wr0
-        tx = (x - cx) / wx
-        tr = (r - cr) / wr
-        chi = _bump(tx) * _bump(tr)
-        chi_x = _bump_prime(tx) * _bump(tr) / wx
-        chi_r = _bump(tx) * _bump_prime(tr) / wr
-        plus = eta_plus * chi_x + lam_plus * chi_r + source_plus * chi
-        minus = eta_minus * chi_x + lam_minus * chi_r + source_minus * chi
-        worst_plus = max(worst_plus, integral(plus))
-        worst_minus = max(worst_minus, integral(minus))
+        tx = (xi - cx) / wx  # x_nodes is xi broadcast over the radii
+        inside = np.flatnonzero(np.abs(tx) < 1.0)
+        if inside.size == 0:
+            continue  # the bump misses every station
+        rows = slice(inside[0], inside[-1] + 1)
+        bump_x = _bump(tx)[rows, None]
+        bump_x_prime = _bump_prime(tx)[rows, None]
+        tr = (r[rows] - cr) / wr
+        bump_r = _bump(tr)
+        chi = bump_x * bump_r
+        chi_x = bump_x_prime * bump_r / wx
+        chi_r = bump_x * _bump_prime(tr) / wr
+        plus = eta_plus[rows] * chi_x + lam_plus[rows] * chi_r + source_plus[rows] * chi
+        minus = eta_minus[rows] * chi_x + lam_minus[rows] * chi_r + source_minus[rows] * chi
+        worst_plus = max(worst_plus, integral(plus, rows))
+        worst_minus = max(worst_minus, integral(minus, rows))
     return EntropyResiduals(worst_plus, worst_minus)
 
 

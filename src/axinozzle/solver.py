@@ -29,11 +29,12 @@ accepted line-search trial also give the next gradient and Hessian.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import lapack
 
 from .gas import CoenergyBundle, GasModel
 from .nozzle import MappedGrid, NozzleProfile
@@ -175,7 +176,8 @@ def _hessian(state: _CellState, grid: MappedGrid) -> np.ndarray:
     ax, ar = _geometry(grid)
     proj = state.psi_x * ax + state.psi_r * ar  # (4, nx, nr)
     nx, nr = grid.nx, grid.nr
-    band = np.zeros((nr + 1, nx - 1, nr - 1))  # [nr - offset, target station, target radius]
+    # band row nr - offset -> its values by target (station, radius)
+    rows = defaultdict(lambda: np.zeros((nx - 1, nr - 1)))
     for k, l in _UPPER_PAIRS:
         (ik, jk), (il, jl) = _CORNER_NODE[k], _CORNER_NODE[l]
         offset = (il - ik) * (nr - 1) + jl - jk
@@ -184,9 +186,14 @@ def _hessian(state: _CellState, grid: MappedGrid) -> np.ndarray:
         cj = slice(1 - min(jk, jl), nr - max(jk, jl))
         block = (w1[ci, cj] * (ax[k, ci, cj] * ax[l, ci, cj] + ar[k, ci, cj] * ar[l, ci, cj])
                  + w2[ci, cj] * proj[k, ci, cj] * proj[l, ci, cj])
-        band[nr - offset, ci.start + il - 1:ci.stop + il - 1,
-             cj.start + jl - 1:cj.stop + jl - 1] += block
-    return band.reshape(nr + 1, -1)
+        rows[nr - offset][ci.start + il - 1:ci.stop + il - 1,
+                          cj.start + jl - 1:cj.stop + jl - 1] += block
+    band = np.zeros((nx - 1, nr - 1, nr + 1))  # [target station, target radius, band row]
+    for index, row in rows.items():
+        band[:, :, index] = row
+    # C order over (unknown, band row) is the column-major (band row, unknown)
+    # storage LAPACK reads, so the factorization works in place without a copy
+    return band.reshape(-1, nr + 1).T
 
 
 def assemble_hessian(psi, grid: MappedGrid, gas: GasModel) -> np.ndarray:
@@ -195,7 +202,8 @@ def assemble_hessian(psi, grid: MappedGrid, gas: GasModel) -> np.ndarray:
     Unknown (i, j), 1 <= i < nx, 1 <= j < nr, has index
     q = (i-1)(nr-1) + (j-1).  The matrix is symmetric positive definite with
     half-width nr; entry (p, q), p <= q, is at band[nr + p - q, q] of the
-    returned (nr + 1, (nx-1)(nr-1)) array, the layout cholesky_banded reads.
+    returned Fortran-ordered (nr + 1, (nx-1)(nr-1)) array, the layout LAPACK
+    pbtrf reads.
     """
     return _hessian(_cell_state(psi, grid, gas), grid)
 
@@ -205,12 +213,21 @@ class LinearSolveError(RuntimeError):
 
 
 def _solve_spd(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Exact solve by banded Cholesky; raises LinearSolveError unless SPD."""
-    try:
-        factor = cholesky_banded(band, overwrite_ab=True)
-        return cho_solve_banded((factor, False), rhs)
-    except (LinAlgError, ValueError) as err:
-        raise LinearSolveError(f"banded Cholesky of the Hessian failed: {err}") from err
+    """Exact solve by banded Cholesky; raises LinearSolveError unless SPD.
+
+    The band is overwritten by its factor; a Fortran-ordered band (as
+    _hessian returns it) is factored in place, any other is copied first.
+    """
+    if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
+        raise LinearSolveError("banded Cholesky of the Hessian failed: non-finite entries")
+    factor, info = lapack.dpbtrf(band, overwrite_ab=1)
+    if info == 0:
+        step, info = lapack.dpbtrs(factor, rhs)
+    if info != 0:
+        raise LinearSolveError(
+            f"banded Cholesky of the Hessian failed: LAPACK info {info} (a positive "
+            "value is the order of a leading minor that is not positive definite)")
+    return step
 
 
 def apply_boundary(psi: np.ndarray, grid: MappedGrid, m: float,

@@ -7,13 +7,16 @@ import pytest
 
 from axinozzle import GasModel, build_grid, diagnostics_report, make_profile, newton_solve
 from axinozzle.cli import (
+    _CSV_BLOCK_STATIONS,
     ConfigError,
     FIELD_HEADER,
     SWEEP_HEADER,
     main,
     parse_config,
+    write_field_csv,
     write_report,
 )
+from axinozzle.fields import FlowField
 
 
 BASE = """
@@ -144,6 +147,36 @@ def test_solve_deterministic_bytes(tmp_path):
     assert (out1 / "field.csv").read_bytes() == (out2 / "field.csv").read_bytes()
     assert (out1 / "diagnostics.txt").read_bytes() == (out2 / "diagnostics.txt").read_bytes()
     assert b"\r" not in (out1 / "field.csv").read_bytes()
+
+
+def row_wise_field_csv(path, flow):
+    """Reference writer: one repr-joined line per node, stations outer."""
+    grid = flow.grid
+    table = np.stack((grid.x_nodes, grid.r_nodes, flow.psi, flow.U, flow.V,
+                      flow.rho, flow.mach, flow.omega), axis=-1).reshape(-1, 8)
+    lines = [FIELD_HEADER] + [",".join(map(repr, row.tolist())) for row in table]
+    with open(path, "w", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def test_field_csv_matches_row_wise_writer(tmp_path):
+    # 41 stations: one full block of stations and a partial last one
+    grid = build_grid(make_profile("cylinder", a=1.0), length=4.0, nx=40, nr=3)
+    assert grid.nx + 1 > _CSV_BLOCK_STATIONS and (grid.nx + 1) % _CSV_BLOCK_STATIONS
+    special = np.array([0.0, -0.0, 1e16, 1e-05, 5e-324, 1.0 / 3.0, -2.5, 123456.789])
+    rng = np.random.default_rng(5)
+    columns = []
+    for shift in range(7):  # every special value lands in every column
+        values = rng.standard_normal(grid.shape) * 10.0 ** rng.integers(-8, 8, grid.shape)
+        values.ravel()[shift::7][:special.size] = special
+        columns.append(values)
+    flow = FlowField(grid, 0.5, *columns[:6], psi=columns[6])
+    write_field_csv(tmp_path / "blocks.csv", flow)
+    row_wise_field_csv(tmp_path / "rows.csv", flow)
+    written = (tmp_path / "blocks.csv").read_bytes()
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    assert written.count(b"\n") == 1 + 41 * 4
+    assert b",-0.0," in written and b"5e-324" in written and b"1e+16" in written
 
 
 def test_zero_flux_solve(tmp_path):

@@ -1,9 +1,11 @@
 """Velocity reconstruction and the physical diagnostics suite."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axinozzle import (
     FlowAngleError,
@@ -24,6 +26,7 @@ from axinozzle import (
     to_3d_sample,
     velocity_from_stream,
 )
+from axinozzle.fields import _PLACEMENTS, _bump, _bump_prime, default_compact
 
 GAS = GasModel()
 
@@ -161,6 +164,96 @@ def test_entropy_residual_rejects_bad_window(cylinder_flow):
         entropy_pair_residual(flow, GAS, rect=(-2.0, 2.0, 0.5, 0.2))
     with pytest.raises(ValueError):
         entropy_pair_residual(flow, GAS, rect=(-2.0, 2.0, 0.2, 5.0))
+
+
+def full_grid_entropy_residual(flow, gas, rect=None):
+    """Reference: every bump placement evaluated on every node of the grid."""
+    grid = flow.grid
+    x_lo, x_hi, r_lo, r_hi = default_compact(grid) if rect is None else rect
+    x = grid.x_nodes
+    r = grid.r_nodes
+    r_safe = np.where(r > 1e-12, r, 1.0)
+    p = gas.pressure(flow.rho.ravel()).reshape(flow.rho.shape)
+    eta_plus = flow.rho * flow.U**2 + p
+    lam_plus = flow.rho * flow.U * flow.V
+    eta_minus = lam_plus
+    lam_minus = flow.rho * flow.V**2 + p
+    source_plus = -flow.rho * flow.U * flow.V / r_safe
+    source_minus = -flow.rho * flow.V**2 / r_safe
+
+    def integral(integrand):
+        per_station = np.trapezoid(integrand, x=r, axis=1)
+        return abs(float(np.trapezoid(per_station, x=grid.xi)))
+
+    cx0, cr0 = 0.5 * (x_lo + x_hi), 0.5 * (r_lo + r_hi)
+    wx0, wr0 = 0.5 * (x_hi - x_lo), 0.5 * (r_hi - r_lo)
+    worst_plus = worst_minus = 0.0
+    for ox, orr, scale in _PLACEMENTS:
+        cx, cr = cx0 + ox * 2.0 * wx0, cr0 + orr * 2.0 * wr0
+        wx, wr = scale * wx0, scale * wr0
+        tx, tr = (x - cx) / wx, (r - cr) / wr
+        chi = _bump(tx) * _bump(tr)
+        chi_x = _bump_prime(tx) * _bump(tr) / wx
+        chi_r = _bump(tx) * _bump_prime(tr) / wr
+        plus = eta_plus * chi_x + lam_plus * chi_r + source_plus * chi
+        minus = eta_minus * chi_x + lam_minus * chi_r + source_minus * chi
+        worst_plus = max(worst_plus, integral(plus))
+        worst_minus = max(worst_minus, integral(minus))
+    return worst_plus, worst_minus
+
+
+ORACLE_LENGTH, ORACLE_NX = 6.0, 40
+
+
+@functools.cache
+def oracle_flows():
+    """Small solved tanh, bump and cylinder flows on one set of stations."""
+    walls = (make_profile("tanh_step", a=0.8, ell=2.0),
+             make_profile("bump", a0=1.0, h=-0.2, w=1.5),
+             make_profile("cylinder", a=1.0))
+    flows = []
+    for profile in walls:
+        grid = build_grid(profile, length=ORACLE_LENGTH, nx=ORACLE_NX, nr=10, delta=1e-6)
+        sol = newton_solve(grid, GAS, 0.2 * grid.f_nodes.min() ** 2)
+        assert sol.converged
+        flows.append(velocity_from_stream(sol, GAS))
+    return tuple(flows)
+
+
+STATION = st.integers(0, ORACLE_NX).map(  # the grid's own station values
+    lambda k: -ORACLE_LENGTH + k * (2.0 * ORACLE_LENGTH / ORACLE_NX))
+X_EDGES = st.tuples(*[st.one_of(STATION, st.floats(-ORACLE_LENGTH, ORACLE_LENGTH))] * 2)
+R_EDGES = st.tuples(*[st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))] * 2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(which=st.integers(0, 2),
+       x_edges=X_EDGES.filter(lambda pair: abs(pair[0] - pair[1]) > 1e-9),
+       r_fractions=R_EDGES.filter(lambda pair: abs(pair[0] - pair[1]) > 1e-9))
+def test_entropy_residual_equals_full_grid_quadrature(which, x_edges, r_fractions):
+    # the quadrature over each bump's station support is the full-grid sum bit for bit
+    flow = oracle_flows()[which]
+    assert np.array_equal(flow.grid.xi[[0, -1]], [-ORACLE_LENGTH, ORACLE_LENGTH])
+    b = flow.grid.profile.b
+    rect = (*sorted(x_edges), *(b * f for f in sorted(r_fractions)))
+    assert tuple(entropy_pair_residual(flow, GAS, rect=rect)) == \
+        full_grid_entropy_residual(flow, GAS, rect)
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["tanh", "bump", "cylinder"])
+def test_entropy_residual_equals_full_grid_on_edge_rectangles(which):
+    flow = oracle_flows()[which]
+    grid = flow.grid
+    b = grid.profile.b
+    inside_one_cell = (grid.xi[7] + 0.2 * grid.dxi, grid.xi[7] + 0.6 * grid.dxi, 0.1 * b, 0.9 * b)
+    for rect in (None,                                             # the default compact
+                 (-grid.length, grid.length, 0.3 * b, 0.7 * b),     # touching +-L
+                 (-1.0, 2.5, 0.0, 0.6 * b),                         # r_lo on the axis
+                 (-grid.length, grid.length, 0.0, b),              # the whole nozzle
+                 inside_one_cell):                                  # misses every station
+        expected = full_grid_entropy_residual(flow, GAS, rect)
+        assert tuple(entropy_pair_residual(flow, GAS, rect=rect)) == expected
+    assert expected == (0.0, 0.0)
 
 
 def test_irrotationality(cylinder_flow, tanh_flow):

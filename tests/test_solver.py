@@ -255,6 +255,24 @@ def test_linear_solve_rejects_non_finite_matrix():
         _solve_spd(band, rhs)
 
 
+def test_linear_solve_rejects_non_finite_rhs():
+    band, rhs = cold_tanh_system(8, 6)
+    rhs[5] = np.inf
+    with pytest.raises(LinearSolveError):
+        _solve_spd(band, rhs)
+
+
+def test_band_is_factored_in_place():
+    # a Fortran-ordered band is what LAPACK reads, so no copy is made per Newton step
+    band, rhs = cold_tanh_system(16, 6)
+    assert band.flags.f_contiguous
+    diagonal = band[-1].copy()
+    _solve_spd(band, rhs)
+    # the factor overwrote the band: its first pivot is the square root of a_00
+    assert band[-1, 0] == np.sqrt(diagonal[0])
+    assert not np.array_equal(band[-1], diagonal)
+
+
 def test_cylinder_solved_exactly_with_matching_datum():
     # the shielded quadratic is a discrete critical point, so Newton must
     # reproduce it to rounding at any resolution
