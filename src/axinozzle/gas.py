@@ -25,10 +25,14 @@ One root solver, _bracketed_newton, serves every inversion: the branch
 density rho(s) (Newton in rho - 1, accurate up to the sonic fold), and
 through it the closed form q^2 = s / rho(s)^2 of speed_from_momentum, and
 the blend of the truncated speed relation in momentum_from_speed_truncated.
+The branch density starts from a cubic Hermite table of rho - 1 against
+sqrt(1 - s), cached per gas, so each point stops after two residual
+evaluations; the table itself is solved once from above the fold asymptote.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -36,6 +40,12 @@ from typing import NamedTuple
 import numpy as np
 
 _BISECT_STEPS = 64  # step cap; even all-bisection steps reach full precision
+# Nodes of the density-root start table (GasModel._start_table): the fewest
+# 2^k + 1 that keep the start within 1e-9 relative of the root for gamma in
+# [1 + 1e-4, 3], 100x inside the 1e-7 stopping threshold of _bracketed_newton.
+# The worst error sits in the first interval at the fold and shrinks like
+# h^3: 4e-8, 6e-9, 7e-10 at 65, 129, 257 nodes.
+_START_NODES = 257
 # The relations raise to the power 1/(gamma - 1), which multiplies rounding
 # errors by that factor; a gamma closer to 1 than this loses over half the digits.
 _GAMMA_MIN_EXCESS = float(np.sqrt(np.finfo(float).eps))
@@ -134,8 +144,13 @@ class GasModel:
 
     @cached_property
     def rho_stag(self) -> float:
-        """Stagnation density ((gamma+1)/2)**(1/(gamma-1))."""
-        return ((self.gamma + 1.0) / 2.0) ** (1.0 / (self.gamma - 1.0))
+        """Stagnation density ((gamma+1)/2)**(1/(gamma-1)).
+
+        Formed as exp(log1p((gamma-1)/2) / (gamma-1)): the power form rounds
+        (gamma+1)/2 first and raises that error to the power 1/(gamma-1).
+        """
+        g = self.gamma
+        return math.exp(math.log1p(0.5 * (g - 1.0)) / (g - 1.0))
 
     @cached_property
     def s_lo(self) -> float:
@@ -191,49 +206,96 @@ class GasModel:
     # density-momentum relation H and its truncation
     # ------------------------------------------------------------------
 
-    def _dmomentum_sq_drho(self, rho):
-        g = self.gamma
-        return 2.0 * (g + 1.0) * rho * (1.0 - rho ** (g - 1.0)) / (g - 1.0)
+    def _fold_gap(self, e):
+        """1 - M(1 + e) and its e-derivative, M the squared momentum on the branch.
 
-    def _d2momentum_sq_drho2(self, rho):
-        g = self.gamma
-        return 2.0 * (g + 1.0) * (1.0 - g * rho ** (g - 1.0)) / (g - 1.0)
-
-    def _density_root(self, s):
-        """Subsonic-branch density in [1, rho_stag] at squared momenta s.
-
-        Newton in e = rho - 1 on the increasing residual s - M(1 + e), with
-        M the squared momentum along the branch, written through expm1 and
-        log1p so that no term cancels and the density keeps close to full
-        precision right up to the sonic fold, where the slope of M vanishes.
-        M is concave in e, and the fold asymptote sqrt(2 (1 - s) / (gamma+1))
-        overestimates the root, so the iterates approach it from above.
+        With X = expm1((gamma - 1) log1p(e)) the gap is
+        2 rho^2 X / (gamma - 1) - e (2 + e) and its derivative
+        2 (gamma + 1) rho X / (gamma - 1), rho = 1 + e.  The two terms of the
+        gap agree to leading order 2e and leave (gamma + 1) e^2, so its
+        relative error stays a few eps / e however close gamma is to 1;
+        nothing cancelled is divided by gamma - 1.
         """
         g = self.gamma
-        gp1 = g + 1.0
-        u = np.ravel(1.0 - s)
-        top = self.rho_stag - 1.0
+        x = np.expm1((g - 1.0) * np.log1p(e)) * (2.0 / (g - 1.0)) * (1.0 + e)
+        return x * (1.0 + e) - e * (2.0 + e), (g + 1.0) * x
+
+    def _branch_root(self, u, e0):
+        """Branch density e = rho - 1 in [0, rho_stag - 1] at gaps u = 1 - s.
+
+        Newton from e0 inside the bracket on the increasing residual
+        _fold_gap(e) - u, which keeps the density close to full precision
+        right up to the sonic fold, where the slope of M vanishes.
+        """
 
         def residual(e, idx):
-            val = -u[idx] - (gp1 * (2.0 + e) * e - 2.0 * np.expm1(gp1 * np.log1p(e))) / (g - 1.0)
-            slope = 2.0 * gp1 / (g - 1.0) * (np.expm1(g * np.log1p(e)) - e)
-            return val, slope
+            gap, slope = self._fold_gap(e)
+            gap -= u[idx]
+            return gap, slope
 
-        e = _bracketed_newton(residual, np.minimum(np.sqrt(2.0 * u / gp1), top), 0.0, top)
+        return _bracketed_newton(residual, e0, 0.0, self.rho_stag - 1.0)
+
+    @cached_property
+    def _start_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes of the cubic Hermite start of _density_root.
+
+        The branch density e = rho - 1 is tabulated against v = sqrt(1 - s)
+        at _START_NODES equispaced nodes on [0, 1]; in v the square-root
+        fold at s = 1 becomes a smooth curve through e = 0 with slope
+        1 / sqrt(gamma + 1).  The nodes are solved from sqrt(2 / (gamma + 1)) v,
+        above the root and its fold asymptote v / sqrt(gamma + 1), and their
+        slopes de/dv = 2 v / (d gap / de) come from the residual's own
+        derivative.  Returns e and h * de/dv at the nodes, h the spacing.
+        """
+        v = np.linspace(0.0, 1.0, _START_NODES)
+        above = np.minimum(np.sqrt(2.0 / (self.gamma + 1.0)) * v, self.rho_stag - 1.0)
+        e = self._branch_root(v * v, above)
+        dgap_de = self._fold_gap(e[1:])[1]
+        slope = np.concatenate([[1.0 / np.sqrt(self.gamma + 1.0)], 2.0 * v[1:] / dgap_de])
+        return e, slope * v[1]
+
+    def _table_start(self, u):
+        """Hermite interpolant of _start_table at v = sqrt(u), clamped into the bracket."""
+        e_k, de_k = self._start_table
+        x = np.sqrt(u) * (_START_NODES - 1)
+        k = np.minimum(x.astype(np.intp), _START_NODES - 2)
+        t = x - k
+        w = 1.0 - t
+        e0 = (e_k[k] + t * t * (3.0 - 2.0 * t) * (e_k[k + 1] - e_k[k])
+              + t * w * (w * de_k[k] - t * de_k[k + 1]))
+        return np.clip(e0, 0.0, self.rho_stag - 1.0, out=e0)
+
+    def _density_root(self, s):
+        """Subsonic-branch density in [1, rho_stag] at squared momenta s in [0, 1].
+
+        Newton in e = rho - 1 (see _branch_root), started from the cubic
+        Hermite interpolant of _start_table at v = sqrt(1 - s).  The start
+        is within 1e-9 relative of the root, so the first Newton correction
+        lands at roundoff and the second confirms it: every point stops
+        after two residual evaluations.
+        """
+        u = np.ravel(1.0 - s)
+        # the start is formed in its own call, so that its temporaries are
+        # freed before the Newton iteration reaches its peak memory
+        e = self._branch_root(u, self._table_start(u))
         # the stagnation end is pinned so that the coenergy vanishes at rest
         return np.where(s == 0.0, self.rho_stag, 1.0 + e.reshape(np.shape(s)))
 
     def density_from_momentum(self, s):
         """Subsonic-branch density at squared momentum s in [0, 1]."""
         s = np.asarray(s, dtype=float)
-        if np.any(s < 0.0) or np.any(s > 1.0):
+        if not np.all((s >= 0.0) & (s <= 1.0)):  # NaN fails too
             raise ValueError("density_from_momentum: s must lie in [0, 1]")
         return _like_input(s, self._density_root(np.atleast_1d(s)))
 
     def _branch_derivatives(self, rho):
         """dH/ds and d2H/ds2 on the exact subsonic branch, given its density rho."""
-        d = self._dmomentum_sq_drho(rho)
-        return 1.0 / d, -self._d2momentum_sq_drho2(rho) / d**3
+        g = self.gamma
+        c = 2.0 * (g + 1.0) / (g - 1.0)
+        p = rho ** (g - 1.0)
+        d = c * rho * (1.0 - p)  # dM/drho < 0 on the branch
+        # products, not d**3: NumPy powers of a negative base take a slow scalar path
+        return 1.0 / d, -c * (1.0 - g * p) / (d * d * d)
 
     @cached_property
     def _blend_coeffs(self) -> np.ndarray:
@@ -290,13 +352,17 @@ class GasModel:
         """Closed-form coenergy below the truncation, at branch density rho.
 
         Substituting the branch parametrization turns 1/H into the exact
-        antiderivative 2(gamma+1)/(gamma-1) * (rho - rho**gamma/gamma).
+        antiderivative 2(gamma+1)/(gamma-1) * (rho - rho**gamma/gamma),
+        taken from rho_stag.  In r = rho / rho_stag = 1 + delta and
+        X = expm1((gamma - 1) log1p(delta)) that difference is
+        (gamma+1) rho_stag / gamma * (delta - (gamma+1) r X / (gamma-1)),
+        whose two terms cancel by at most a factor 3 whatever gamma, so F
+        carries the rounding of rho and not that of O(1) terms.
         """
         g = self.gamma
-        c0 = 2.0 * (g + 1.0) / (g - 1.0)
-        anti = rho - rho**g / g
-        anti0 = self.rho_stag - self.rho_stag**g / g
-        return c0 * (anti - anti0)
+        delta = (rho - self.rho_stag) / self.rho_stag
+        x = np.expm1((g - 1.0) * np.log1p(delta))
+        return (g + 1.0) * self.rho_stag / g * (delta - (g + 1.0) / (g - 1.0) * (1.0 + delta) * x)
 
     def _coenergy_blend_tail(self, s):
         """Quadrature of 1/Htilde from s_lo to s, for s inside the blend."""

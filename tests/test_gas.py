@@ -5,15 +5,18 @@ The frozen constants below were produced by a separate mpmath script at
 solved there by bisection on the exact algebraic forms, and the coenergy
 integral by adaptive quadrature.  The near-fold densities and speeds at
 s = 1 - 2e-4 and s = 1 - 1e-8 were recomputed the same way with mpmath
-(q^2 = s / rho^2 at the mpmath root).  Everything else is checked through
-identities, dense deterministic sampling, and a derandomized property test
-over gamma and m_tilde.
+(q^2 = s / rho^2 at the mpmath root).  The branch density and the coenergy
+are also checked against mpmath directly, over dense s.  Everything else is
+checked through identities, dense deterministic sampling, and a
+derandomized property test over gamma and m_tilde.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import axinozzle.gas as gas_module
 from axinozzle import GasModel
 
 
@@ -29,6 +32,9 @@ def test_validation():
         GasModel(m_tilde=0.0)
     with pytest.raises(ValueError):  # the relations would lose over half the digits
         GasModel(gamma=1.0 + 1e-9)
+    for s in (-1e-3, 1.0 + 1e-12, np.nan):
+        with pytest.raises(ValueError):
+            GAS.density_from_momentum(s)
 
 
 def test_stagnation_density():
@@ -308,3 +314,97 @@ def test_gas_round_trips(gamma, m_tilde):
     rho = gas.density_from_momentum(s)
     assert rho.min() >= 1.0 and rho.max() <= gas.rho_stag
     assert np.diff(rho).max() <= tol
+
+
+def mp_branch_density(gamma, s, start):
+    """Subsonic-branch density at squared momentum s, by Newton at 40 digits.
+
+    Solves rho^2 (gamma + 1 - 2 rho^(gamma-1)) / (gamma - 1) = s in
+    e = rho - 1 from the double-precision root start; mpmath's own power
+    and a 40-digit working precision leave the cancellations near the
+    fold far below double rounding.
+    """
+    if s == 1.0:
+        return mpmath.mpf(1)
+    with mpmath.workdps(40):
+        g, s = mpmath.mpf(gamma), mpmath.mpf(s)
+        e = mpmath.mpf(start) - 1
+        for _ in range(6):
+            rho = 1 + e
+            val = rho**2 * (g + 1 - 2 * rho ** (g - 1)) / (g - 1) - s
+            slope = 2 * (g + 1) * rho * (1 - rho ** (g - 1)) / (g - 1)
+            e -= val / slope
+        return 1 + e
+
+
+def test_density_root_two_residual_evaluations_per_point(monkeypatch):
+    # the Hermite start is within 1e-9 relative of the root, so the first
+    # Newton correction is already below the 1e-7 stopping threshold and
+    # the second confirms it; the start above the fold asymptote that the
+    # table replaced, sqrt(2 (1 - s) / (gamma + 1)), takes 4 to 6 here
+    s = np.sort(np.concatenate([np.linspace(0.0, 1.0, 2001), 1.0 - np.logspace(-16, -2, 200)]))
+    newton = gas_module._bracketed_newton
+    counts = []
+
+    def counting(residual, x0, lo, hi):
+        calls = np.zeros(np.size(x0), dtype=int)
+
+        def counted(x, idx):
+            calls[idx] += 1
+            return residual(x, idx)
+
+        counts.append(calls)
+        return newton(counted, x0, lo, hi)
+
+    for gamma in (1.0 + 1e-4, 1.001, 1.05, 1.2, 1.4, 5.0 / 3.0, 2.0, 3.0):
+        gas = GasModel(gamma=gamma)
+        gas.density_from_momentum(0.5)  # builds the start table
+        counts.clear()
+        monkeypatch.setattr(gas_module, "_bracketed_newton", counting)
+        gas.density_from_momentum(s)
+        monkeypatch.setattr(gas_module, "_bracketed_newton", newton)
+        assert len(counts) == 1
+        assert np.all(counts[0] == 2), (gamma, s[counts[0] != 2])
+
+
+# The branch density lies within DENSITY_ULPS units in the last place of
+# the 40-digit root, up to the fold.  A root of a residual with relative
+# error a few eps / e lands within about an ulp, and the residual's own
+# rounding adds about one more.
+DENSITY_ULPS = 4
+
+
+@pytest.mark.parametrize("gamma", [1.05, 1.4, 5.0 / 3.0, 3.0])
+def test_density_from_momentum_matches_mpmath(gamma):
+    gas = GasModel(gamma=gamma)
+    s = np.concatenate([np.linspace(0.0, 1.0, 201)[1:], 1.0 - np.logspace(-12, -2, 61)])
+    rho = gas.density_from_momentum(s)
+    ulps = [float(abs(mpmath.mpf(r) - mp_branch_density(gamma, x, r))) / np.spacing(r)
+            for x, r in zip(s, rho)]
+    assert max(ulps) <= DENSITY_ULPS
+
+
+# Below the truncation the coenergy lies within COENERGY_EPS * (gamma + 1)
+# * eps of the 40-digit value, in absolute terms.  dF/drho = -(gamma + 1)
+# at rest, so the density's rounding alone costs about (gamma + 1) ulps of
+# rho there; cancelling O(1) terms would cost 2 (gamma + 1) / (gamma - 1)
+# times the rounding of rho_stag instead.
+COENERGY_EPS = 4
+
+
+@pytest.mark.parametrize("gamma", [1.05, 1.4, 3.0])
+def test_coenergy_matches_mpmath(gamma):
+    gas = GasModel(gamma=gamma)
+    s = np.linspace(0.002, 0.03, 57)
+    value = gas.coenergy(s)
+    rho = gas.density_from_momentum(s)
+    with mpmath.workdps(40):
+        g = mpmath.mpf(gamma)
+        rho_stag = ((g + 1) / 2) ** (1 / (g - 1))
+        anti0 = rho_stag - rho_stag**g / g
+        worst = 0.0
+        for x, f, r in zip(s, value, rho):
+            ref = mp_branch_density(gamma, x, r)
+            exact = 2 * (g + 1) / (g - 1) * (ref - ref**g / g - anti0)
+            worst = max(worst, float(abs(f - exact)))
+    assert worst <= COENERGY_EPS * (gamma + 1.0) * np.finfo(float).eps

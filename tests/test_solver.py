@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from axinozzle import (
     GasModel,
@@ -25,6 +25,7 @@ from axinozzle import (
     make_profile,
     newton_solve,
     pde_residual,
+    velocity_from_stream,
 )
 from axinozzle.solver import _cell_state, _geometry, _solve_spd, apply_boundary
 
@@ -219,6 +220,26 @@ def test_band_hessian_matches_cell_blocks(profile, nx, nr, delta, flux, seed):
     quad = float(v_int @ (band_to_sparse(band) @ v_int))
     fd = energy_second_derivative(psi, v, grid)
     assert fd == pytest.approx(quad, rel=1e-6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(profile=WALLS, gamma=st.floats(1.0, 3.0, exclude_min=True),
+       m_tilde=st.floats(0.9, 0.99), f=st.floats(0.05, 0.3))
+def test_max_mach_nondecreasing_in_flux(profile, gamma, m_tilde, f):
+    # three subcritical fluxes m0 = f pi b^2, 1.5 f pi b^2 and 2 f pi b^2;
+    # psi keeps within its boundary values to the tolerance of criterion 03
+    assume(gamma - 1.0 >= np.sqrt(np.finfo(float).eps))  # GasModel refuses the rest
+    gas = GasModel(gamma=gamma, m_tilde=m_tilde)
+    grid = build_grid(profile, length=8.0, nx=24, nr=6)
+    machs = []
+    for scale in (1.0, 1.5, 2.0):
+        m = 0.5 * scale * f * profile.b**2
+        sol = newton_solve(grid, gas, m)
+        assert sol.converged and not sol.cutoff_active
+        slack = 1e-10 * max(1.0, m)
+        assert sol.psi.min() >= -slack and sol.psi.max() <= m + slack
+        machs.append(float(velocity_from_stream(sol, gas).mach.max()))
+    assert machs[0] <= machs[1] <= machs[2], machs
 
 
 def cold_tanh_system(nx, nr, m=0.25):
