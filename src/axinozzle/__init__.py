@@ -32,6 +32,7 @@ from .fields import (
     EntropyResiduals,
     FlowAngleError,
     FlowField,
+    SonicOvershootError,
     diagnostics_report,
     entropy_pair_residual,
     far_field_error,
@@ -78,6 +79,7 @@ __all__ = [
     "ResidualNorms",
     "ShrinkResult",
     "SonicLimitStudy",
+    "SonicOvershootError",
     "SpeedDensity",
     "StreamSolution",
     "SweepPoint",

@@ -208,6 +208,10 @@ def parse_config(text: str) -> RunConfig:
         if name not in _SECTIONS and name != "flux":
             raise ConfigError(f"unknown section [{name}]")
     sections = {name: _read_section(parser, name) for name in _SECTIONS}
+    for key in ("newton", "critical"):
+        value = getattr(sections["tolerances"], key)
+        if value is not None and value <= 0.0:
+            raise ConfigError(f"tolerances: {key} must be > 0 or 'auto'")
     return RunConfig(flux=_read_flux(parser), **sections)
 
 

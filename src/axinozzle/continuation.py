@@ -15,9 +15,12 @@ that check at its own delta.
 The mass flux enters as the three-dimensional flux m0 = 2 pi m. Increasing
 m0 raises the speed everywhere; past a critical value the subsonic branch
 ceases to exist and the solver reports the momentum cutoff engaging. The
-critical flux is bracketed by Illinois regula falsi on the distance of the
-peak squared momentum to the cutoff, and the approach to the sonic state is
-studied on a geometric sequence of fluxes below it.
+critical flux is at most the throat bound pi b^2 m_tilde (in its discrete
+form), so its bracket starts from a pair of probes straddling that bound,
+which closes it on pipes and tanh steps; otherwise Illinois regula falsi on
+the distance of the peak squared momentum to the cutoff narrows it. The
+approach to the sonic state is studied on a geometric sequence of fluxes
+below it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .nozzle import MappedGrid, NozzleProfile, build_grid
 from .solver import StreamSolution, newton_solve
 from .fields import (
     FlowField,
+    SonicOvershootError,
     default_compact,
     entropy_pair_residual,
     far_field_error,
@@ -265,7 +269,10 @@ def _critical_signal(solution: StreamSolution, gas: GasModel) -> str:
         return "non_convergence"
     if solution.cutoff_active:
         return "cutoff"
-    flow = velocity_from_stream(solution, gas)
+    try:
+        flow = velocity_from_stream(solution, gas)
+    except SonicOvershootError:  # a node past sonic is past the Mach onset too
+        return "mach"
     return "mach" if flow.mach.max() >= gas.m_tilde else "subcritical"
 
 
@@ -277,27 +284,46 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
     """Bracket the largest flux carrying a strictly subsonic solve.
 
     The supercritical signal is the momentum cutoff engaging anywhere (or
-    the Mach number reaching the truncation onset, or a failed solve).  A
-    throat of radius b passes at most pi b^2 in these units, so the
-    upward search is capped near that bound; if even the cap shows no
-    signal the bracket is reported open.
-
+    the Mach number reaching the truncation onset, or a failed solve).
     Each probe is classified by that signal alone, so lo is a certified
-    subcritical solve and hi a flagged one.  The next probe goes where
-    Illinois regula falsi (Dowell and Jarratt 1971) on the monotone distance
-    g = max_momentum_sq - s_lo to the cutoff puts it, at least tol/4 inside
-    the bracket; it is the midpoint while an end has no g (a failed solve,
-    or one flagged only by the Mach number).  max_probes caps all solves.
+    subcritical solve and hi a flagged one, and probes records every solve.
+
+    The default start straddles the discrete throat bound B.  Across each
+    column of cells psi rises from 0 on the axis to m on the wall, so
+    m0 = 2 pi m = 2 pi sum_j psi_r f_c dsigma, with f_c the wall radius at
+    the column's centre, and |psi_r| <= sqrt(s) (r + delta) in every cell.
+    A solve whose squared momentum s stays at or below s_lo = m_tilde^2
+    therefore carries m0 <= B = pi m_tilde min_columns f_c (f_c + 2 delta).
+    This is the discrete form of the bound pi b^2 m_tilde on the flux
+    rho U 2 pi r dr through a throat of radius b, which a straight pipe
+    attains.  lo and hi default to 0.45 tol below and above B, so a start
+    that lands on its expected sides closes the bracket in two solves and
+    at most tol wide after rounding.  The start is probed, not assumed:
+    lo must be a certified solve, the critical flux can lie well below B
+    (1-2 per cent on bumps) or the Mach signal fire first, and hi is
+    recorded as a flagged solve like every other end.  A flagged lo steps
+    3 per cent down, then halves; a subcritical hi doubles up to hi_cap
+    (default 4 pi b^2), and if even the cap shows no signal the bracket
+    is reported open.
+
+    Between the ends the next probe goes where Illinois regula falsi
+    (Dowell and Jarratt 1971) on the monotone distance g = max_momentum_sq
+    - s_lo to the cutoff puts it, at least tol/4 inside the bracket; it is
+    the midpoint while an end has no g (a failed solve, or one flagged only
+    by the Mach number).  max_probes caps all solves.
     """
-    area = np.pi * grid.profile.b ** 2
+    bound = np.pi * gas.m_tilde * float((grid.fc * (grid.fc + 2.0 * grid.delta)).min())
     if tol is None:
-        tol = 1e-4 * area * gas.m_tilde
-    if lo is None:
-        lo = 0.1 * area * gas.m_tilde
+        tol = 1e-4 * bound
+    if not tol > 0.0:  # NaN fails too
+        raise ValueError("find_critical_flux: tol must be > 0")
+    start = 0.45 * tol  # not tol/2: the pair must be at most tol wide after rounding
     if hi is None:
-        hi = area
+        hi = max(bound + start, (lo or 0.0) + 2.0 * start)
+    if lo is None:
+        lo = max(min(bound - start, hi - 2.0 * start), 0.0)
     if hi_cap is None:
-        hi_cap = 4.0 * area
+        hi_cap = 4.0 * np.pi * grid.profile.b ** 2
     if not 0.0 <= lo < hi:
         raise ValueError("find_critical_flux: need 0 <= lo < hi")
 
@@ -316,18 +342,19 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
     g_lo = g_hi = None
 
     # push lo down until it is genuinely subcritical
+    hi_flagged = False
     while lo > 0.0:
         ok, g, sol = probe(lo)
         if ok:
             best_sub, g_lo = sol, g
             break
-        hi, g_hi = lo, g
-        lo *= 0.5
+        hi, g_hi, hi_flagged = lo, g, True
+        lo *= 0.97 if len(probes) == 1 else 0.5  # bump roots lie 1-3% below B
         if len(probes) >= max_probes:
             raise RuntimeError("find_critical_flux: no subcritical flux found")
 
     # push hi up until the signal fires, within the physical cap
-    while True:
+    while not hi_flagged:
         ok, g, sol = probe(hi, init=_scaled(best_sub, hi))
         if not ok:
             g_hi = g

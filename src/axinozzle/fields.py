@@ -38,6 +38,10 @@ class FlowAngleError(ValueError):
     """Raised when the flow angle is requested with a nonpositive axial speed."""
 
 
+class SonicOvershootError(ValueError):
+    """Raised when a solve not flagged cutoff_active has a supersonic node."""
+
+
 class AngleCheck(NamedTuple):
     omega: np.ndarray
     measured: tuple[float, float]  # (min, max) over the nodes
@@ -84,8 +88,9 @@ def velocity_from_stream(solution: StreamSolution, gas: GasModel) -> FlowField:
     The density comes from the truncated density-momentum relation the
     solve minimized, so a solution flagged cutoff_active yields a field of
     that truncated problem, not a subsonic flow (diagnostic only); no
-    momentum is clamped.  Raises if the squared momentum off the axis
-    exceeds 1 while the solution is not flagged cutoff_active.
+    momentum is clamped.  Raises SonicOvershootError if the squared
+    momentum off the axis exceeds 1 while the solution is not flagged
+    cutoff_active, which coarse grids allow near a throat.
     """
     grid = solution.grid
     psi_x, psi_r = nodal_gradients(solution.psi, grid)
@@ -98,12 +103,14 @@ def velocity_from_stream(solution: StreamSolution, gas: GasModel) -> FlowField:
     # dominated by the 1/(r + delta) factor and must not trip the check
     overshoot = float(s[:, 1:].max()) - 1.0
     if overshoot > 1e-10 and not solution.cutoff_active:
-        raise ValueError(
+        raise SonicOvershootError(
             "velocity_from_stream: momentum exceeds the sonic value "
             f"by {overshoot:.3e} on a solve without the truncation flag"
         )
     # use the same truncated relation the solve minimized, so flagged
-    # near-sonic fields stay interpretable instead of erroring out
+    # near-sonic fields stay interpretable instead of erroring out; the
+    # raw axis row (NaN at a zero shield) is replaced before it is rebuilt
+    s[:, 0] = 0.0
     rho = gas.truncated_density_from_momentum(s.ravel()).reshape(s.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         U = psi_r / (r_shield * rho)

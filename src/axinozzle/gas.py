@@ -391,10 +391,10 @@ class GasModel:
         s_lo the branch root is solved once and every quantity is read
         from it, on the blend the quintic is evaluated, and beyond s_hi
         the density is constant.  Returns arrays of at least one dimension;
-        a negative s raises ValueError naming the public caller.
+        a negative or NaN s raises ValueError naming the public caller.
         """
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(s < 0.0):
+        if not np.all(s >= 0.0):  # NaN fails too
             raise ValueError(f"{name}: s must be >= 0")
         f_lo, f_hi = self._coenergy_knots
         value = f_hi + (s - self.s_hi) / self.rho_hi
@@ -466,9 +466,12 @@ class GasModel:
         started from the chord between the knots and safeguarded by the
         bracket kept from the residual signs.
         """
+        return self._momentum_from_speed(q_sq, "momentum_from_speed_truncated")
+
+    def _momentum_from_speed(self, q_sq, name):
         q = np.atleast_1d(np.asarray(q_sq, dtype=float))
-        if np.any(q < 0.0):
-            raise ValueError("momentum_from_speed_truncated: q_sq must be >= 0")
+        if not np.all(q >= 0.0):  # NaN fails too
+            raise ValueError(f"{name}: q_sq must be >= 0")
         out = self.rho_hi**2 * q
         qsq_lo = self.s_lo / self._blend_coeffs[0] ** 2  # the blend starts at H(s_lo)
         qsq_hi = self.s_hi / self.rho_hi**2
@@ -480,7 +483,7 @@ class GasModel:
             target = q[mid]
 
             def residual(s, idx):
-                e = self._evaluate(s, "momentum_from_speed_truncated")
+                e = self._evaluate(s, name)
                 return s / e.rho**2 - target[idx], (e.rho - 2.0 * e.slope * s) / e.rho**3
 
             chord = self.s_lo + (target - qsq_lo) / (qsq_hi - qsq_lo) * (self.s_hi - self.s_lo)
@@ -494,7 +497,7 @@ class GasModel:
         Htilde(s)^2 / (Htilde(s) - 2 Htilde'(s) s) at s inverted from q^2;
         it is pinched between the returned positive bounds (nu, lam).
         """
-        s = self.momentum_from_speed_truncated(q_sq)
+        s = self._momentum_from_speed(q_sq, "truncated_density_from_speed")
         e = self._evaluate(s, "truncated_density_from_speed")
         coeff = e.rho**2 / (e.rho - 2.0 * e.slope * s)
         nu, lam = self.ellipticity_bounds

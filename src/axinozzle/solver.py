@@ -291,6 +291,8 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         raise ValueError("newton_solve: m must be >= 0")
     if tol is None:
         tol = 1e-10 * max(1.0, m)
+    if not tol > 0.0:  # NaN fails too
+        raise ValueError("newton_solve: tol must be > 0")
     if init is None:
         init = m * np.broadcast_to(grid.sigma[None, :] ** 2, grid.shape)
     elif init.shape != grid.shape:

@@ -282,6 +282,23 @@ def test_critical_report(tmp_path):
     assert hi - lo == pytest.approx(float(report["width"]), abs=1e-15)
 
 
+@pytest.mark.parametrize("command, flux, key, value", [
+    ("critical", "critical = yes", "critical", "-0.5"),
+    ("critical", "critical = yes", "critical", "0"),
+    ("critical", "critical = yes", "newton", "-1"),
+    ("solve", "m0 = 1.0", "newton", "-1"),
+    ("solve", "m0 = 1.0", "newton", "0"),
+    ("solve", "m0 = 1.0", "critical", "-0.5"),
+])
+def test_non_positive_tolerances_exit_2(tmp_path, capsys, command, flux, key, value):
+    # before, critical ran all 70 probes and exited 0, and solve exited 3
+    text = BASE.replace("m0 = 1.0", flux) + f"\n[tolerances]\n{key} = {value}\n"
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert f"{key} must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_command_config_consistency(tmp_path):
     cfg = write(tmp_path, BASE)
     out = tmp_path / "x"

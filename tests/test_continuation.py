@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from axinozzle import (
     GasModel,
@@ -233,6 +233,93 @@ def test_find_critical_flux_brackets_cylinder_oracle(a, gamma, m_tilde):
         assert p.reason in ("subcritical", "non_convergence", "cutoff", "mach")
         if p.reason != "non_convergence":
             assert (p.reason == "cutoff") == (p.max_momentum_sq > gas.s_lo)
+
+
+def throat_bound(grid, gas):
+    """pi m_tilde min f_c (f_c + 2 delta): no subcritical solve carries more."""
+    return np.pi * gas.m_tilde * float((grid.fc * (grid.fc + 2.0 * grid.delta)).min())
+
+
+def test_find_critical_flux_start_closes_tanh_bracket():
+    # the start pair straddles the throat bound, which a tanh step meets to
+    # within the tolerance, so the two start probes close the bracket
+    grid = build_grid(make_profile("tanh_step", a=0.8, ell=2.0), length=16.0,
+                      nx=32, nr=8, delta=1e-6)
+    est = find_critical_flux(grid, GAS)
+    bound = throat_bound(grid, GAS)
+    assert not est.open_upper_bound
+    assert est.iterations == len(est.probes) <= 3
+    assert est.lo < bound < est.hi and est.width <= 1e-4 * bound
+    assert est.probes[-1].m0 == est.hi and est.probes[-1].reason == "cutoff"
+
+
+def test_find_critical_flux_illinois_saves_a_probe():
+    # the root lies 1-2% below the bound, so regula falsi runs; halving the
+    # g of the end kept twice closes this bracket in 5 probes, plain regula
+    # falsi needs 6
+    grid = build_grid(make_profile("bump", a0=1.0, h=-0.1, w=1.0), length=8.0,
+                      nx=48, nr=12)
+    est = find_critical_flux(grid, GAS)
+    assert not est.open_upper_bound and est.width <= 1e-4 * throat_bound(grid, GAS)
+    assert [p.reason for p in est.probes].count("cutoff") >= 3
+    assert len(est.probes) <= 5
+
+
+def test_find_critical_flux_classifies_supersonic_nodes_as_mach():
+    # on a coarse bump the nodal momentum passes sonic before the cell
+    # momentum reaches the cutoff; that probe is flagged, not an error
+    grid = build_grid(make_profile("bump", a0=1.0, h=-0.2, w=1.0), length=8.0,
+                      nx=24, nr=6)
+    est = find_critical_flux(grid, GAS)
+    assert not est.open_upper_bound
+    assert "mach" in [p.reason for p in est.probes]
+    assert max(p.m0 for p in est.probes if p.reason == "subcritical") == est.lo
+
+
+@pytest.mark.parametrize("tol", [0.0, -0.5, float("nan")])
+def test_find_critical_flux_rejects_non_positive_tol(tol):
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        find_critical_flux(cylinder_grid(nx=8, nr=4, length=1.0), GAS, tol=tol)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
+def test_find_critical_flux_tol_comparable_to_bound(scale):
+    grid = cylinder_grid(nx=8, nr=4, length=1.0)
+    tol = scale * throat_bound(grid, GAS)
+    est = find_critical_flux(grid, GAS, tol=tol)
+    assert 0.0 <= est.lo < est.hi and est.width <= tol
+    assert not est.open_upper_bound
+
+
+THROAT_WALLS = st.one_of(
+    st.builds(lambda a, ell: make_profile("tanh_step", a=a, ell=ell),
+              st.floats(0.5, 1.0), st.floats(0.5, 3.0)),
+    st.builds(lambda h, w: make_profile("bump", a0=1.0, h=h, w=w),
+              st.floats(-0.3, 0.3), st.floats(1.0, 2.0)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(profile=THROAT_WALLS, gamma=st.floats(1.0, 3.0, exclude_min=True),
+       m_tilde=st.floats(0.9, 0.99), nx=st.sampled_from([16, 24, 32, 48]),
+       delta=st.sampled_from([0.0, 1e-6, 1e-2]))
+def test_critical_bracket_respects_throat_bound(profile, gamma, m_tilde, nx, delta):
+    # no subcritical solve carries more than the throat bound, the start
+    # pair straddles it, and every bracket end is a recorded solve
+    assume(gamma - 1.0 >= np.sqrt(np.finfo(float).eps))  # GasModel refuses the rest
+    gas = GasModel(gamma=gamma, m_tilde=m_tilde)
+    grid = build_grid(profile, length=8.0, nx=nx, nr=nx // 4, delta=delta)
+    est = find_critical_flux(grid, gas)
+    bound = throat_bound(grid, gas)
+    assert not est.open_upper_bound
+    assert est.lo <= bound * (1.0 + 1e-6)
+    assert est.width <= 1e-4 * bound  # the default tol
+    sub = [p.m0 for p in est.probes if p.reason == "subcritical"]
+    flagged = [p.m0 for p in est.probes if p.reason != "subcritical"]
+    assert max(sub) == est.lo and min(flagged) == est.hi
+    # a Mach-flagged end carries no g, and the bracket then bisects
+    if all(p.reason in ("subcritical", "cutoff") for p in est.probes):
+        assert est.iterations == len(est.probes) <= 8
 
 
 def test_sonic_limit_study_certifies():

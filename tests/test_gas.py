@@ -37,6 +37,18 @@ def test_validation():
             GAS.density_from_momentum(s)
 
 
+@pytest.mark.parametrize("name", [
+    "truncated_density_from_momentum", "truncated_density_slope",
+    "truncated_density_curvature", "coenergy", "coenergy_prime",
+    "coenergy_second", "coenergy_bundle", "momentum_from_speed_truncated",
+    "truncated_density_from_speed",
+])
+def test_truncated_views_refuse_nan(name):
+    # s < 0 is False for NaN, so the evaluator tests s >= 0 instead
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        getattr(GAS, name)(np.array([np.nan, 0.5]))
+
+
 def test_stagnation_density():
     # ((gamma + 1) / 2) ** (1 / (gamma - 1)), mpmath 40 digits
     assert GAS.rho_stag == pytest.approx(1.5774409656148784, rel=1e-15, abs=0.0)

@@ -63,6 +63,12 @@ def test_dirichlet_data():
         dirichlet_data(0.0, prof.wall(0.0) * 1.5, 0.7, prof)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_newton_solve_rejects_non_positive_tol(tol):
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        newton_solve(cylinder_grid(), GAS, 0.5, tol=tol)
+
+
 def test_zero_flux_solution_is_zero():
     grid = cylinder_grid()
     sol = newton_solve(grid, GAS, 0.0)
