@@ -7,8 +7,11 @@ Commands:
     sweep      a list of fluxes, write the sweep table
     critical   bracket the critical flux, write the bracket report
 
-All output files use repr floats and LF line endings, so a rerun with the
-same configuration produces byte-identical files.
+All output files use repr floats (the shortest digits that read back to
+the same double) and LF line endings, so a rerun with the same
+configuration produces byte-identical files.  field.csv gets those digits
+from a vectorized kernel (_reprfmt), which falls back to repr value by
+value; the other files call repr directly.
 
 Exit codes: 0 success, 1 diagnostics failed (or, for solve with
 diagnostics off, the momentum cutoff engaged), 2 configuration error,
@@ -26,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._reprfmt import repr_csv
 from .gas import GasModel
 from .nozzle import NozzleProfile, build_grid, make_profile, pick_domain_length
 from .solver import newton_solve
@@ -37,7 +41,7 @@ TWO_PI = 2.0 * np.pi
 
 FIELD_HEADER = "x,r,psi,U,V,rho,mach,omega"
 SWEEP_HEADER = "m0,M,q_min,cutoff_active,flux_drift,farfield_left,farfield_right"
-_CSV_BLOCK_STATIONS = 32  # stations of field.csv formatted per write
+_CSV_BLOCK_STATIONS = 8  # stations of field.csv formatted per write
 
 # Annotation of a key that also accepts the value 'auto' (parsed to None).
 AutoFloat = float | None
@@ -259,19 +263,23 @@ def _write_text(path: Path, lines: list[str]) -> None:
 
 
 def write_field_csv(path: Path, flow) -> None:
-    """Row-major field table: stations outer, radii inner."""
+    """Row-major field table: stations outer, radii inner.
+
+    Each row is ",".join(map(repr, row)): the digits come from the
+    vectorized kernel _reprfmt.repr_csv, which writes the values outside
+    its window, and any it cannot decide exactly, with repr itself.
+    """
     grid = flow.grid
-    columns = (grid.r_nodes, flow.psi, flow.U, flow.V, flow.rho, flow.mach, flow.omega)
-    width = grid.nr + 1
-    with open(path, "w", newline="\n") as handle:
-        handle.write(FIELD_HEADER + "\n")
-        # format one block of stations at a time to bound peak memory: the
-        # whole table at once keeps every node's eight floats and strings alive
+    columns = (grid.x_nodes, grid.r_nodes, flow.psi, flow.U, flow.V, flow.rho,
+               flow.mach, flow.omega)
+    with open(path, "wb") as handle:
+        handle.write(FIELD_HEADER.encode() + b"\n")
+        # a few stations at a time keep the kernel's arrays in cache and
+        # bound its byte templates
         for start in range(0, grid.nx + 1, _CSV_BLOCK_STATIONS):
             block = slice(start, start + _CSV_BLOCK_STATIONS)
-            x = [text for text in map(repr, grid.xi[block].tolist()) for _ in range(width)]
-            texts = [map(repr, column[block].ravel().tolist()) for column in columns]
-            handle.write("".join(",".join(row) + "\n" for row in zip(x, *texts)))
+            handle.write(repr_csv(np.stack([column[block] for column in columns], axis=-1)
+                                  .reshape(-1, len(columns))))
 
 
 def write_sweep_csv(path: Path, points: list[SweepPoint]) -> None:

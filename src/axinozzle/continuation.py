@@ -68,8 +68,7 @@ class ShrinkResult:
 
 def shrink_delta(grid: MappedGrid, gas: GasModel, m: float,
                  delta0: float | None = None, factor: float = 0.5,
-                 tol: float | None = None, max_steps: int = 60,
-                 bc=None) -> ShrinkResult:
+                 tol: float | None = None, max_steps: int = 60) -> ShrinkResult:
     """Solve along a geometric shield schedule until the iterates settle.
 
     Starts at delta0 (default b/10) and multiplies by factor each step.
@@ -81,7 +80,9 @@ def shrink_delta(grid: MappedGrid, gas: GasModel, m: float,
     gradient tolerance; it is still certified by that check at its own
     delta.  Stops once the sup difference between consecutive solutions
     drops below tol (default 1e-8 * max(1, m)); the differences themselves
-    shrink like delta, so the schedule certifies its own limit.
+    shrink like delta, so the schedule certifies its own limit.  Every solve
+    takes the nozzle's boundary values (0 on the axis, m on the wall, the
+    sigma^2 profile at the far ends); newton_solve's bc is not exposed here.
     """
     if not 0.0 < factor < 1.0:
         raise ValueError("shrink_delta: factor must lie in (0, 1)")
@@ -96,7 +97,7 @@ def shrink_delta(grid: MappedGrid, gas: GasModel, m: float,
     for _ in range(max_steps):
         work = grid.with_delta(delta)
         init = _extrapolated_start(recent, factor) if recent else None
-        solution = newton_solve(work, gas, m, init=init, bc=bc)
+        solution = newton_solve(work, gas, m, init=init)
         if not solution.converged:
             return ShrinkResult(solution, steps, False, tol)
         diff = float("nan") if not recent else float(np.abs(solution.psi - recent[-1]).max())

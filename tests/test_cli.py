@@ -1,9 +1,11 @@
 """Configuration parsing, file outputs, determinism, and exit codes."""
 
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axinozzle import GasModel, build_grid, diagnostics_report, make_profile, newton_solve
 from axinozzle.cli import (
@@ -16,6 +18,7 @@ from axinozzle.cli import (
     write_field_csv,
     write_report,
 )
+from axinozzle._reprfmt import _format, repr_csv
 from axinozzle.fields import FlowField
 
 
@@ -163,7 +166,8 @@ def test_field_csv_matches_row_wise_writer(tmp_path):
     # 41 stations: one full block of stations and a partial last one
     grid = build_grid(make_profile("cylinder", a=1.0), length=4.0, nx=40, nr=3)
     assert grid.nx + 1 > _CSV_BLOCK_STATIONS and (grid.nx + 1) % _CSV_BLOCK_STATIONS
-    special = np.array([0.0, -0.0, 1e16, 1e-05, 5e-324, 1.0 / 3.0, -2.5, 123456.789])
+    special = np.array([0.0, -0.0, 1e16, 1e-05, 5e-324, 1.0 / 3.0, -2.5, 123456.789,
+                        np.nan, np.inf, -np.inf, 1e-4, 1e15, 1e-07])
     rng = np.random.default_rng(5)
     columns = []
     for shift in range(7):  # every special value lands in every column
@@ -177,6 +181,69 @@ def test_field_csv_matches_row_wise_writer(tmp_path):
     assert written == (tmp_path / "rows.csv").read_bytes()
     assert written.count(b"\n") == 1 + 41 * 4
     assert b",-0.0," in written and b"5e-324" in written and b"1e+16" in written
+    assert b"nan" in written and b"-inf" in written and b"1e-07" in written
+
+
+def repr_rows(table):
+    """The bytes repr_csv must produce: repr-joined rows, LF-terminated."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()).encode()
+
+
+def assert_repr_csv(values, cols=8):
+    table = np.array(values, dtype=float)
+    table = table[:table.size // cols * cols].reshape(-1, cols)
+    assert repr_csv(table) == repr_rows(table)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=8, max_size=64))
+def test_repr_csv_matches_repr_on_all_doubles(values):
+    # mostly the fallback path: nan, inf, subnormals and values outside
+    # the window all go through repr of that value alone
+    assert_repr_csv(values)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(2**52, 2**53 - 1), st.integers(-190, 2), st.booleans(),
+                          st.integers(-6 * 10**5, 6 * 10**5), st.integers(-42, 10)),
+                min_size=8, max_size=64))
+def test_repr_csv_matches_repr_in_window(draws):
+    # random 53-bit significands and binary exponents over the window of
+    # the array path (and a little past both ends), and short decimals
+    binary = [math.ldexp(-m if neg else m, e) for m, e, neg, _, _ in draws]
+    decimal = [float(f"{k}e{p}") for _, _, _, k, p in draws]
+    assert_repr_csv(binary)
+    assert_repr_csv(decimal, cols=4)
+
+
+def ulp_neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate((np.nextafter(values, 0.0), values, np.nextafter(values, np.inf)))
+
+
+def test_repr_csv_matches_repr_on_edges():
+    # powers of two (the half interval below), of ten (the carry and the
+    # fixed/exponent switch) and the ends of the double range
+    edges = np.concatenate((
+        [0.0, 9999999999999998.0, 2.0**53, 0.1, 1.0 / 3.0, 5e-324,
+         2.2250738585072014e-308, 1.7976931348623157e308],
+        ulp_neighbours(2.0 ** np.arange(-140, 60)),
+        ulp_neighbours([float(f"1e{k}") for k in range(-45, 23)]),
+        ulp_neighbours(10.0 ** np.arange(-45, 23)),
+        ulp_neighbours([1e-5, 1e-4, 1e15, 1e16]),
+    ))
+    assert_repr_csv(np.concatenate((edges, -edges)))
+    assert repr_csv(np.array([[1e-7, -0.0, 2.0**-98]])) == b"1e-07,-0.0,3.1554436208840472e-30\n"
+
+
+def test_repr_csv_decides_uniform_values_without_repr():
+    # the array path, not the per-value fallback, writes at least 99% of
+    # uniform values in (0, 1)
+    values = np.random.default_rng(12).random(10**5)
+    _, slow = _format(values)
+    assert slow.size <= 10**3
+    assert repr_csv(values.reshape(-1, 8)) == repr_rows(values.reshape(-1, 8))
 
 
 def test_zero_flux_solve(tmp_path):

@@ -22,6 +22,7 @@ from axinozzle import (
     assemble_hessian,
     build_grid,
     dirichlet_data,
+    flux_drift,
     make_profile,
     newton_solve,
     pde_residual,
@@ -246,6 +247,28 @@ def test_max_mach_nondecreasing_in_flux(profile, gamma, m_tilde, f):
         assert sol.psi.min() >= -slack and sol.psi.max() <= m + slack
         machs.append(float(velocity_from_stream(sol, gas).mach.max()))
     assert machs[0] <= machs[1] <= machs[2], machs
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(profile=WALLS, gamma=st.floats(1.0, 3.0, exclude_min=True),
+       m_tilde=st.floats(0.9, 0.99), nx=st.sampled_from([16, 24, 32]),
+       delta=st.sampled_from([0.0, 1e-6]), f=st.floats(0.0, 0.7))
+def test_maximum_principle_barrier_and_station_flux(profile, gamma, m_tilde, nx, delta, f):
+    # a flux below the discrete throat bound gives a certified flow with
+    # 0 <= psi <= m, under criterion 03's quadratic barrier, whose station
+    # fluxes keep m0 to second order in the mesh (the default flux_drift
+    # gate of 1e-3 needs finer grids than these)
+    assume(gamma - 1.0 >= np.sqrt(np.finfo(float).eps))  # GasModel refuses the rest
+    gas = GasModel(gamma=gamma, m_tilde=m_tilde)
+    grid = build_grid(profile, length=8.0, nx=nx, nr=nx // 4, delta=delta)
+    bound = np.pi * m_tilde * float((grid.fc * (grid.fc + 2.0 * grid.delta)).min())
+    m = f * bound / (2.0 * np.pi)
+    sol = newton_solve(grid, gas, m)
+    assert sol.converged and not sol.cutoff_active
+    assert sol.psi.min() >= -1e-10 * max(1.0, m) and sol.psi.max() <= m + 1e-10 * max(1.0, m)
+    barrier = m * (grid.r_nodes + grid.delta) ** 2 / profile.b**2
+    assert (sol.psi - barrier).max() <= 10.0 * grid.h_max**2
+    assert flux_drift(velocity_from_stream(sol, gas)) <= 0.05 * grid.h_max**2
 
 
 def cold_tanh_system(nx, nr, m=0.25):
