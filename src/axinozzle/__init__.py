@@ -2,9 +2,9 @@
 
 The flow is computed from a stream function minimizing a convex energy on
 a body-fitted grid, with an axis shield and a momentum cutoff making the
-problem uniformly elliptic.  Continuation drives the shield to zero, the
-truncated domain to the full nozzle, and the mass flux to its critical
-value, with diagnostics certifying each limit.
+problem uniformly elliptic.  Continuation drives the shield to zero and
+the mass flux to its critical value, with diagnostics certifying each
+limit.
 """
 
 from .gas import CoenergyBundle, GasModel, SpeedDensity
@@ -48,12 +48,11 @@ from .fields import (
 from .continuation import (
     CriticalFluxEstimate,
     CriticalProbe,
-    ExtensionResult,
+    CriticalToleranceError,
     ShrinkResult,
     SonicLimitStudy,
     SweepPoint,
     SweepResult,
-    extend_domain,
     find_critical_flux,
     mass_flux_sweep,
     shrink_delta,
@@ -67,9 +66,9 @@ __all__ = [
     "CoenergyBundle",
     "CriticalFluxEstimate",
     "CriticalProbe",
+    "CriticalToleranceError",
     "DiagnosticsReport",
     "EntropyResiduals",
-    "ExtensionResult",
     "FlowAngleError",
     "FlowField",
     "GasModel",
@@ -91,7 +90,6 @@ __all__ = [
     "diagnostics_report",
     "dirichlet_data",
     "entropy_pair_residual",
-    "extend_domain",
     "far_field_error",
     "find_critical_flux",
     "flow_angle",

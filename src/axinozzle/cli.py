@@ -35,7 +35,7 @@ from .nozzle import NozzleProfile, build_grid, make_profile, pick_domain_length
 from .solver import newton_solve
 from .fields import (DEFAULT_THRESHOLDS, MIN_DIAGNOSTIC_CELLS, diagnostics_report,
                      velocity_from_stream)
-from .continuation import find_critical_flux, mass_flux_sweep, SweepPoint
+from .continuation import CriticalToleranceError, find_critical_flux, mass_flux_sweep, SweepPoint
 
 TWO_PI = 2.0 * np.pi
 
@@ -77,7 +77,7 @@ class NozzleConfig:
 class GridConfig:
     nx: int = 96
     nr: int = 24
-    delta: float = 1e-6
+    delta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -346,7 +346,10 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
               f"{sum(p.cutoff_active for p in points)} hit the momentum cutoff")
         return 0
 
-    estimate = find_critical_flux(grid, gas, tol=cfg.tolerances.critical)
+    try:
+        estimate = find_critical_flux(grid, gas, tol=cfg.tolerances.critical)
+    except CriticalToleranceError as exc:  # raised before the first probe
+        raise ConfigError(f"tolerances: critical: {exc}") from exc
     pairs = [
         ("m0_lo", estimate.lo),
         ("m0_hi", estimate.hi),

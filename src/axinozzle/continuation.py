@@ -1,16 +1,17 @@
-"""Parameter continuation: shield shrinking, domain extension, flux sweeps.
+"""Parameter continuation: shield shrinking, flux sweeps, the critical flux.
 
 The solves in this package carry two regularizations besides the grid: the
 axis shield delta > 0 that keeps the 1/(r + delta) weights bounded, and the
 finite truncation length L of the nozzle. Physical answers are limits
 delta -> 0 and L -> infinity. The shield regularizes the theory, not the
 discrete problem: midpoint quadrature never evaluates 1/r on the axis, so
-the discrete problem is also solved directly at delta = 0. The drivers here
-approach both limits by warm-started continuation with explicit Cauchy
-certificates. Shield shrinking starts each solve from the Lagrange
-extrapolation in delta of the last three solutions; a start already within
-the gradient tolerance takes 0 Newton iterations and is still certified by
-that check at its own delta.
+the discrete problem is also solved directly at delta = 0. No driver takes
+the L limit: nozzle.pick_domain_length picks L and fields.far_field_error
+checks it. Shield shrinking approaches delta -> 0 by warm-started
+continuation with an explicit Cauchy certificate. It starts each solve
+from the Lagrange extrapolation in delta of the last three solutions; a
+start already within the gradient tolerance takes 0 Newton iterations and
+is still certified by that check at its own delta.
 
 The mass flux enters as the three-dimensional flux m0 = 2 pi m. Increasing
 m0 raises the speed everywhere; past a critical value the subsonic branch
@@ -31,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gas import GasModel
-from .nozzle import MappedGrid, NozzleProfile, build_grid
+from .nozzle import MappedGrid
 from .solver import StreamSolution, newton_solve
 from .fields import (
     FlowField,
@@ -44,6 +45,10 @@ from .fields import (
     wall_speed_max,
     TWO_PI,
 )
+
+_SHRINK_MAX_STEPS = 60     # cap on the solves of one shield schedule
+_CRITICAL_MAX_PROBES = 70  # cap on the solves of one critical-flux bracket
+_SONIC_GAP_FACTOR = 10.0   # certified 1 - M is within this many 1 - m_tilde
 
 
 class DeltaStep(NamedTuple):
@@ -66,12 +71,11 @@ class ShrinkResult:
         return self.solution.grid.delta
 
 
-def shrink_delta(grid: MappedGrid, gas: GasModel, m: float,
-                 delta0: float | None = None, factor: float = 0.5,
-                 tol: float | None = None, max_steps: int = 60) -> ShrinkResult:
+def shrink_delta(grid: MappedGrid, gas: GasModel, m: float, factor: float = 0.5,
+                 tol: float | None = None) -> ShrinkResult:
     """Solve along a geometric shield schedule until the iterates settle.
 
-    Starts at delta0 (default b/10) and multiplies by factor each step.
+    Starts at delta = b/10 and multiplies by factor each step.
     Each solve starts from the Lagrange extrapolation in delta through the
     last (up to) three solutions, a predictor-corrector continuation; the
     second step starts from the first solution alone.  The nodes do not
@@ -80,21 +84,17 @@ def shrink_delta(grid: MappedGrid, gas: GasModel, m: float,
     gradient tolerance; it is still certified by that check at its own
     delta.  Stops once the sup difference between consecutive solutions
     drops below tol (default 1e-8 * max(1, m)); the differences themselves
-    shrink like delta, so the schedule certifies its own limit.  Every solve
-    takes the nozzle's boundary values (0 on the axis, m on the wall, the
-    sigma^2 profile at the far ends); newton_solve's bc is not exposed here.
+    shrink like delta, so the schedule certifies its own limit.
     """
     if not 0.0 < factor < 1.0:
         raise ValueError("shrink_delta: factor must lie in (0, 1)")
-    if delta0 is None:
-        delta0 = 0.1 * grid.profile.b
     if tol is None:
         tol = 1e-8 * max(1.0, m)
-    delta = float(delta0)
+    delta = 0.1 * grid.profile.b
     steps: list[DeltaStep] = []
     recent: list[np.ndarray] = []  # the last three solutions, oldest first
     solution = None
-    for _ in range(max_steps):
+    for _ in range(_SHRINK_MAX_STEPS):
         work = grid.with_delta(delta)
         init = _extrapolated_start(recent, factor) if recent else None
         solution = newton_solve(work, gas, m, init=init)
@@ -124,54 +124,6 @@ def _extrapolated_start(recent: list[np.ndarray], factor: float) -> np.ndarray:
         weight = np.prod([(1.0 - t_j) / (t_k - t_j) for j, t_j in enumerate(nodes) if j != k])
         start += weight * recent[-1 - k]
     return start
-
-
-@dataclass
-class ExtensionResult:
-    """Outcome of doubling the truncation length until solutions agree."""
-
-    solution: StreamSolution
-    lengths: list[float]
-    diffs: list[float]   # sup over the previous domain's nodes
-    certified: bool
-    tol: float
-
-
-def extend_domain(profile: NozzleProfile, gas: GasModel, m: float,
-                  length: float, nx: int, nr: int, delta: float,
-                  tol: float | None = None, max_doublings: int = 6) -> ExtensionResult:
-    """Double the truncation length until the solution stops moving.
-
-    Doubling length and nx together keeps the axial spacing fixed, so the
-    nodes of each domain are a subset of the next; the sup difference on
-    the common nodes measures the truncation error directly.  Certified
-    once that difference falls below tol (default 1e-6 * max(1, m)).
-    """
-    if tol is None:
-        tol = 1e-6 * max(1.0, m)
-    grid = build_grid(profile, length=length, nx=nx, nr=nr, delta=delta)
-    solution = newton_solve(grid, gas, m)
-    lengths = [float(length)]
-    diffs: list[float] = []
-    for _ in range(max_doublings):
-        if not solution.converged:
-            return ExtensionResult(solution, lengths, diffs, False, tol)
-        new_length = 2.0 * lengths[-1]
-        new_nx = 2 * solution.grid.nx
-        big = build_grid(profile, length=new_length, nx=new_nx, nr=nr, delta=delta)
-        # warm start: copy the old interior, keep the datum elsewhere
-        offset = (new_nx - solution.grid.nx) // 2
-        init = m * grid.sigma[None, :] ** 2 * np.ones((new_nx + 1, 1))
-        init[offset:offset + solution.grid.nx + 1, :] = solution.psi
-        new_solution = newton_solve(big, gas, m, init=init)
-        sub = new_solution.psi[offset:offset + solution.grid.nx + 1, :]
-        diff = float(np.abs(sub - solution.psi).max())
-        lengths.append(new_length)
-        diffs.append(diff)
-        solution = new_solution
-        if new_solution.converged and diff <= tol:
-            return ExtensionResult(solution, lengths, diffs, True, tol)
-    return ExtensionResult(solution, lengths, diffs, False, tol)
 
 
 @dataclass
@@ -213,27 +165,33 @@ def _survey(solution: StreamSolution, gas: GasModel) -> SweepPoint:
     )
 
 
-def mass_flux_sweep(grid: MappedGrid, gas: GasModel, m0_values,
-                    warm: bool = True) -> SweepResult:
+def _scaled(solution: StreamSolution | None, m0: float):
+    """Warm start at flux m0: a converged solution rescaled by the flux ratio."""
+    if solution is None or not solution.converged or solution.m <= 0.0:
+        return None
+    return solution.psi * (m0 / (TWO_PI * solution.m))
+
+
+def mass_flux_sweep(grid: MappedGrid, gas: GasModel, m0_values) -> SweepResult:
     """Solve a sequence of mass fluxes on one grid, warm starting in order.
 
-    Each start state is the previous solution rescaled by the flux ratio,
-    which is exact for the linear small-flux regime and close elsewhere.
-    Failures are recorded, not raised.
+    Each start state is the previous converged solution rescaled by the
+    flux ratio, which is exact for the linear small-flux regime and close
+    elsewhere.  Failures are recorded, not raised.
     """
     points: list[SweepPoint] = []
     prev: StreamSolution | None = None
     for m0 in np.asarray(m0_values, dtype=float):
         if m0 < 0.0:
             raise ValueError("mass_flux_sweep: fluxes must be >= 0")
-        m = m0 / TWO_PI
-        init = None
-        if warm and prev is not None and prev.converged and prev.m > 0.0:
-            init = prev.psi * (m / prev.m)
-        solution = newton_solve(grid, gas, m, init=init)
+        solution = newton_solve(grid, gas, m0 / TWO_PI, init=_scaled(prev, m0))
         points.append(_survey(solution, gas))
         prev = solution
     return SweepResult(points, grid)
+
+
+class CriticalToleranceError(ValueError):
+    """A critical-flux tol the bracket cannot work to; raised before any probe."""
 
 
 class CriticalProbe(NamedTuple):
@@ -277,11 +235,9 @@ def _critical_signal(solution: StreamSolution, gas: GasModel) -> str:
     return "mach" if flow.mach.max() >= gas.m_tilde else "subcritical"
 
 
-def find_critical_flux(grid: MappedGrid, gas: GasModel,
-                       tol: float | None = None,
-                       lo: float | None = None, hi: float | None = None,
-                       hi_cap: float | None = None,
-                       max_probes: int = 70) -> CriticalFluxEstimate:
+def find_critical_flux(grid: MappedGrid, gas: GasModel, tol: float | None = None,
+                       hi: float | None = None,
+                       hi_cap: float | None = None) -> CriticalFluxEstimate:
     """Bracket the largest flux carrying a strictly subsonic solve.
 
     The supercritical signal is the momentum cutoff engaging anywhere (or
@@ -297,9 +253,11 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
     therefore carries m0 <= B = pi m_tilde min_columns f_c (f_c + 2 delta).
     This is the discrete form of the bound pi b^2 m_tilde on the flux
     rho U 2 pi r dr through a throat of radius b, which a straight pipe
-    attains.  lo and hi default to 0.45 tol below and above B, so a start
-    that lands on its expected sides closes the bracket in two solves and
-    at most tol wide after rounding.  The start is probed, not assumed:
+    attains.  The bracket starts 0.45 tol below and above B (hi, when
+    given, replaces the upper end), so a start that lands on its expected
+    sides closes it in two solves and at most tol wide after rounding; a
+    tol too small to move B in floating point raises
+    CriticalToleranceError.  The start is probed, not assumed:
     lo must be a certified solve, the critical flux can lie well below B
     (1-2 per cent on bumps) or the Mach signal fire first, and hi is
     recorded as a flagged solve like every other end.  A flagged lo steps
@@ -311,18 +269,19 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
     (Dowell and Jarratt 1971) on the monotone distance g = max_momentum_sq
     - s_lo to the cutoff puts it, at least tol/4 inside the bracket; it is
     the midpoint while an end has no g (a failed solve, or one flagged only
-    by the Mach number).  max_probes caps all solves.
+    by the Mach number).  _CRITICAL_MAX_PROBES caps all solves.
     """
     bound = np.pi * gas.m_tilde * float((grid.fc * (grid.fc + 2.0 * grid.delta)).min())
     if tol is None:
         tol = 1e-4 * bound
-    if not tol > 0.0:  # NaN fails too
-        raise ValueError("find_critical_flux: tol must be > 0")
     start = 0.45 * tol  # not tol/2: the pair must be at most tol wide after rounding
+    if not bound - start < bound < bound + start:  # tol <= 0 and NaN fail too
+        raise CriticalToleranceError(
+            f"find_critical_flux: tol must be > 0 and large enough that B -+ 0.45 tol "
+            f"differ from the throat bound B = {bound!r}; got tol = {tol!r}")
     if hi is None:
-        hi = max(bound + start, (lo or 0.0) + 2.0 * start)
-    if lo is None:
-        lo = max(min(bound - start, hi - 2.0 * start), 0.0)
+        hi = max(bound + start, 2.0 * start)
+    lo = max(min(bound - start, hi - 2.0 * start), 0.0)
     if hi_cap is None:
         hi_cap = 4.0 * np.pi * grid.profile.b ** 2
     if not 0.0 <= lo < hi:
@@ -351,7 +310,7 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
             break
         hi, g_hi, hi_flagged = lo, g, True
         lo *= 0.97 if len(probes) == 1 else 0.5  # bump roots lie 1-3% below B
-        if len(probes) >= max_probes:
+        if len(probes) >= _CRITICAL_MAX_PROBES:
             raise RuntimeError("find_critical_flux: no subcritical flux found")
 
     # push hi up until the signal fires, within the physical cap
@@ -366,7 +325,7 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
         hi = min(2.0 * hi, hi_cap)
 
     moved = None  # the end the last probe replaced
-    while hi - lo > tol and len(probes) < max_probes:
+    while hi - lo > tol and len(probes) < _CRITICAL_MAX_PROBES:
         if g_lo is not None and g_hi is not None:
             m0 = hi - g_hi * (hi - lo) / (g_hi - g_lo)
             m0 = min(max(m0, lo + 0.25 * tol), hi - 0.25 * tol)
@@ -383,12 +342,6 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
                 g_lo *= 0.5
         moved = "lo" if ok else "hi"
     return CriticalFluxEstimate(lo, hi, len(probes), False, best_sub, tuple(probes))
-
-
-def _scaled(solution: StreamSolution | None, m0: float):
-    if solution is None or not solution.converged or solution.m <= 0.0:
-        return None
-    return solution.psi * (m0 / (TWO_PI * solution.m))
 
 
 @dataclass
@@ -410,8 +363,7 @@ class SonicLimitStudy:
 def sonic_limit_study(grid: MappedGrid, gas: GasModel,
                       m0_anchor: float | None = None,
                       n_terms: int = 6, ratio: float = 0.5,
-                      window: tuple[float, float, float, float] | None = None,
-                      gap_factor: float = 10.0) -> SonicLimitStudy:
+                      window: tuple[float, float, float, float] | None = None) -> SonicLimitStudy:
     """Drive the flux toward its critical value and certify the approach.
 
     Solves at m0_anchor * (1 - 0.5 * ratio**k); the anchor defaults to the
@@ -420,8 +372,8 @@ def sonic_limit_study(grid: MappedGrid, gas: GasModel,
     velocity and momentum differences are recorded in rms, together with
     the entropy pair residuals.  Certification requires the max Mach
     numbers to be nondecreasing, the window differences to shrink, and
-    the final sonic gap 1 - M to be within gap_factor times the
-    truncation gap 1 - m_tilde.
+    the final sonic gap 1 - M to be within ten times the truncation gap
+    1 - m_tilde.
     """
     if n_terms < 2:
         raise ValueError("sonic_limit_study: need at least two terms")
@@ -477,7 +429,7 @@ def sonic_limit_study(grid: MappedGrid, gas: GasModel,
         reasons["velocity_diffs_not_shrinking"] = vel_diffs
     if mom_diffs and not mom_diffs[-1] < mom_diffs[0]:
         reasons["momentum_diffs_not_shrinking"] = mom_diffs
-    if not gap <= gap_factor * (1.0 - gas.m_tilde):
+    if not gap <= _SONIC_GAP_FACTOR * (1.0 - gas.m_tilde):
         reasons["sonic_gap_too_wide"] = gap
     return SonicLimitStudy(m0s, machs, vel_diffs, mom_diffs, ent_plus,
                            ent_minus, window, gap, not reasons, reasons)

@@ -152,9 +152,14 @@ def _angle_range(flow: FlowField) -> AngleCheck:
 
 
 def station_fluxes(flow: FlowField) -> np.ndarray:
-    """Mass flux 2 pi * integral rho U r dr at every grid station."""
-    integrand = flow.rho * flow.U * flow.grid.r_nodes
-    return TWO_PI * np.trapezoid(integrand, x=flow.grid.r_nodes, axis=1)
+    """Mass flux 2 pi * integral rho U (r + delta) dr at every grid station.
+
+    The shielded problem has rho U (r + delta) = psi_r, so its conserved
+    flux carries the weight r + delta; at delta = 0 this is rho U r.
+    """
+    grid = flow.grid
+    integrand = flow.rho * flow.U * (grid.r_nodes + grid.delta)
+    return TWO_PI * np.trapezoid(integrand, x=grid.r_nodes, axis=1)
 
 
 def mass_flux_at_station(flow: FlowField, x: float) -> float:
@@ -162,9 +167,7 @@ def mass_flux_at_station(flow: FlowField, x: float) -> float:
     grid = flow.grid
     if not -grid.length <= x <= grid.length:
         raise ValueError(f"mass_flux_at_station: x = {x} outside [-L, L]")
-    i = int(np.argmin(np.abs(grid.xi - x)))
-    integrand = flow.rho[i] * flow.U[i] * grid.r_nodes[i]
-    return float(TWO_PI * np.trapezoid(integrand, x=grid.r_nodes[i]))
+    return float(station_fluxes(flow)[int(np.argmin(np.abs(grid.xi - x)))])
 
 
 def flux_drift(flow: FlowField) -> float:
@@ -180,18 +183,18 @@ def far_field_reference(gas: GasModel, m0: float, radius: float) -> float:
     return float(np.sqrt(gas.speed_from_momentum(min(momentum_sq, 1.0))))
 
 
-def far_field_error(flow: FlowField, gas: GasModel, margin: float = 2.0):
+def far_field_error(flow: FlowField, gas: GasModel):
     """Max deviation from the uniform asymptotic states near the two ends.
 
     Compares (U, V) with (sqrt(Ginv((m0 / (pi r_mp^2))^2)), 0) at the
-    stations nearest x = -(L - margin) and x = +(L - margin), where r_mp
-    is the asymptotic wall radius on that side.
+    stations nearest x = -(L - 2) and x = +(L - 2), where r_mp is the
+    asymptotic wall radius on that side.
     """
     grid = flow.grid
     prof = grid.profile
     out = []
     for sign, radius in ((-1.0, prof.r_minus), (1.0, prof.r_plus)):
-        x = sign * (grid.length - margin)
+        x = sign * (grid.length - 2.0)
         i = int(np.argmin(np.abs(grid.xi - x)))
         u_ref = far_field_reference(gas, flow.m0, radius)
         dev = np.hypot(flow.U[i] - u_ref, flow.V[i])

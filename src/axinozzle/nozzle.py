@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 _FAMILIES = ("cylinder", "tanh_step", "bump")
+_FLAT_TOL = 1e-6  # wall distance from its end radius that pick_domain_length calls flat
 
 
 @dataclass(frozen=True)
@@ -121,25 +122,20 @@ def make_profile(kind: str, **params) -> NozzleProfile:
     return profile
 
 
-def pick_domain_length(profile: NozzleProfile, tol_flat: float = 1e-6,
-                       l_min: float = 4.0, l_max: float = 512.0) -> float:
+def pick_domain_length(profile: NozzleProfile) -> float:
     """Smallest length on a doubling schedule where the wall looks flat.
 
-    Doubles L starting from l_min until both |f(-L) - r_minus| and
-    |f(L) - r_plus| drop below tol_flat.
+    Doubles L starting from 4 until both |f(-L) - r_minus| and
+    |f(L) - r_plus| drop below _FLAT_TOL, up to L = 512.
     """
-    if tol_flat <= 0.0:
-        raise ValueError("pick_domain_length: tol_flat must be positive")
-    length = float(l_min)
-    while length <= l_max:
-        flat_left = abs(float(profile.wall(-length)) - profile.r_minus) < tol_flat
-        flat_right = abs(float(profile.wall(length)) - profile.r_plus) < tol_flat
+    length = 4.0
+    while length <= 512.0:
+        flat_left = abs(float(profile.wall(-length)) - profile.r_minus) < _FLAT_TOL
+        flat_right = abs(float(profile.wall(length)) - profile.r_plus) < _FLAT_TOL
         if flat_left and flat_right:
             return length
         length *= 2.0
-    raise ValueError(
-        f"pick_domain_length: wall not flat to {tol_flat:g} within L <= {l_max:g}"
-    )
+    raise ValueError(f"pick_domain_length: wall not flat to {_FLAT_TOL:g} within L <= 512")
 
 
 class MappedGrid:

@@ -41,6 +41,7 @@ from .nozzle import MappedGrid, NozzleProfile
 
 _ARMIJO_SLOPE = 1e-4
 _ENERGY_NOISE = 1e-6  # relative energy rise the derivative form of Armijo tolerates
+_MAX_ITER = 50  # cap on the Newton iterations of one solve
 
 # corner order per cell: SW, SE, NW, NE
 _CXI = np.array([-1.0, 1.0, -1.0, 1.0])
@@ -266,7 +267,7 @@ def _armijo_by_derivative(trial_state: _CellState, grid: MappedGrid,
 
 def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
                  init: np.ndarray | None = None, tol: float | None = None,
-                 max_iter: int = 50, bc: Callable | None = None) -> StreamSolution:
+                 bc: Callable | None = None) -> StreamSolution:
     """Minimize the discrete energy by damped Newton iteration.
 
     Parameters
@@ -306,7 +307,7 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
     converged = False
     iterations = 0
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         grad = _gradient(state, grid)
         grad_int = grad[1:-1, 1:-1].ravel()
         grad_norm = float(np.linalg.norm(grad_int))

@@ -45,6 +45,7 @@ def test_parse_defaults():
     assert cfg.nozzle.kind == "cylinder"
     assert cfg.nozzle.length is None           # automatic
     assert cfg.grid.nx == 96 and cfg.grid.nr == 24
+    assert cfg.grid.delta == 0.0
     assert cfg.flux.mode == "single" and cfg.flux.m0 == 2.0
     assert cfg.tolerances.newton is None
     assert cfg.outputs.fields and cfg.outputs.diagnostics
@@ -364,6 +365,17 @@ def test_non_positive_tolerances_exit_2(tmp_path, capsys, command, flux, key, va
     assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
     assert f"{key} must be > 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unresolvable_critical_tolerance_exits_2(tmp_path, capsys):
+    # B -+ 0.45 tol round to B, so the bracket cannot start; it used to
+    # exit 1 with a ValueError traceback
+    text = BASE.replace("m0 = 1.0", "critical = yes") + "\n[tolerances]\ncritical = 1e-300\n"
+    out = tmp_path / "out"
+    assert main(["critical", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: tolerances: critical:") and "tol = 1e-300" in err
+    assert not (out / "critical.txt").exists()
 
 
 def test_command_config_consistency(tmp_path):

@@ -1,4 +1,4 @@
-"""Shield shrinking, domain extension, flux sweeps, and the sonic approach."""
+"""Shield shrinking, flux sweeps, the critical flux, and the sonic approach."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 from axinozzle import (
     GasModel,
     build_grid,
-    extend_domain,
     find_critical_flux,
     make_profile,
     mass_flux_sweep,
@@ -112,26 +111,6 @@ def test_shrink_delta_validation():
         shrink_delta(grid, GAS, 0.1, factor=1.5)
 
 
-def test_extend_domain_cylinder_certifies_immediately():
-    prof = make_profile("cylinder", a=1.0)
-    res = extend_domain(prof, GAS, 0.3, length=2.0, nx=16, nr=8, delta=1e-6)
-    assert res.certified
-    assert len(res.lengths) == 2
-    assert res.diffs[0] < 1e-6
-
-
-def test_extend_domain_tanh_truncation_decays():
-    # delta = 0 so the end-datum footprint (order m delta) cannot floor
-    # the decay of the genuine truncation error
-    prof = make_profile("tanh_step", a=0.8, ell=2.0)
-    res = extend_domain(prof, GAS, 0.25, length=8.0, nx=64, nr=16,
-                        delta=0.0, tol=1e-8)
-    assert len(res.diffs) >= 2
-    assert res.diffs[1] < res.diffs[0]
-    assert res.certified
-    assert res.solution.grid.length == res.lengths[-1]
-
-
 def test_mass_flux_sweep_matches_pipe_theory():
     grid = cylinder_grid(nx=32, nr=12, delta=1e-6)
     m0s = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
@@ -160,11 +139,12 @@ def test_mass_flux_sweep_flags_cutoff():
 
 
 def test_mass_flux_sweep_warm_equals_cold():
+    # a one-flux sweep starts from the datum, so it is the cold solve
     grid = cylinder_grid(nx=32, nr=12, delta=1e-6)
     m0s = [0.8, 1.6, 2.4]
-    warm = mass_flux_sweep(grid, GAS, m0s, warm=True)
-    cold = mass_flux_sweep(grid, GAS, m0s, warm=False)
-    for a, b in zip(warm.points, cold.points):
+    warm = mass_flux_sweep(grid, GAS, m0s)
+    cold = [mass_flux_sweep(grid, GAS, [m0]).points[0] for m0 in m0s]
+    for a, b in zip(warm.points, cold):
         assert a.mach_max == pytest.approx(b.mach_max, abs=1e-8)
         assert a.wall_speed == pytest.approx(b.wall_speed, abs=1e-8)
 
