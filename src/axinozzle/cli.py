@@ -297,7 +297,11 @@ def write_report(path: Path, pairs) -> None:
 
 
 def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
-    """Execute one command; returns the process exit code."""
+    """Execute one command; returns the process exit code.
+
+    out_dir is created just before the first output is written, so a
+    configuration rejected with ConfigError leaves no directory behind.
+    """
     if command in ("solve", "diagnose") and cfg.flux.mode != "single":
         raise ConfigError(f"{command} needs [flux] m0")
     if command == "sweep" and cfg.flux.mode != "sweep":
@@ -310,7 +314,6 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
                           "set [outputs] diagnostics = no or refine the grid")
 
     gas, grid = _build(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if command in ("solve", "diagnose"):
         solution = newton_solve(grid, gas, cfg.flux.m0 / TWO_PI,
@@ -323,6 +326,7 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
                   "field.csv not written", file=sys.stderr)
             return 1
         flow = velocity_from_stream(solution, gas)
+        out_dir.mkdir(parents=True, exist_ok=True)
         if cfg.outputs.fields:
             write_field_csv(out_dir / "field.csv", flow)
         code = 0
@@ -341,6 +345,7 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
 
     if command == "sweep":
         points = mass_flux_sweep(grid, gas, cfg.flux.sweep).points
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_sweep_csv(out_dir / "sweep.csv", points)
         print(f"swept {len(points)} fluxes; "
               f"{sum(p.cutoff_active for p in points)} hit the momentum cutoff")
@@ -350,6 +355,7 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
         estimate = find_critical_flux(grid, gas, tol=cfg.tolerances.critical)
     except CriticalToleranceError as exc:  # raised before the first probe
         raise ConfigError(f"tolerances: critical: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
     pairs = [
         ("m0_lo", estimate.lo),
         ("m0_hi", estimate.hi),

@@ -11,7 +11,11 @@ checks it. Shield shrinking approaches delta -> 0 by warm-started
 continuation with an explicit Cauchy certificate. It starts each solve
 from the Lagrange extrapolation in delta of the last three solutions; a
 start already within the gradient tolerance takes 0 Newton iterations and
-is still certified by that check at its own delta.
+is still certified by that check at its own delta. Every warm start
+carries the banded Cholesky factor its solution ended with, so a solve
+whose chord steps contract with it factors no Hessian of its own; the
+line search and the gradient tolerance certify it all the same. A
+returned solution does not hold that factor.
 
 The mass flux enters as the three-dimensional flux m0 = 2 pi m. Increasing
 m0 raises the speed everywhere; past a critical value the subsonic branch
@@ -54,7 +58,8 @@ _SONIC_GAP_FACTOR = 10.0   # certified 1 - M is within this many 1 - m_tilde
 class DeltaStep(NamedTuple):
     delta: float
     diff: float        # sup |psi - psi at previous delta|
-    iterations: int
+    iterations: int    # accepted steps, chord steps included
+    factorizations: int
 
 
 @dataclass
@@ -78,7 +83,8 @@ def shrink_delta(grid: MappedGrid, gas: GasModel, m: float, factor: float = 0.5,
     Starts at delta = b/10 and multiplies by factor each step.
     Each solve starts from the Lagrange extrapolation in delta through the
     last (up to) three solutions, a predictor-corrector continuation; the
-    second step starts from the first solution alone.  The nodes do not
+    second step starts from the first solution alone, and each step from
+    the Cholesky factor the previous solve ended with.  The nodes do not
     move when delta changes, so states transfer directly.  A step may take
     0 Newton iterations when its start already meets newton_solve's
     gradient tolerance; it is still certified by that check at its own
@@ -97,16 +103,27 @@ def shrink_delta(grid: MappedGrid, gas: GasModel, m: float, factor: float = 0.5,
     for _ in range(_SHRINK_MAX_STEPS):
         work = grid.with_delta(delta)
         init = _extrapolated_start(recent, factor) if recent else None
-        solution = newton_solve(work, gas, m, init=init)
+        solution = newton_solve(work, gas, m, init=init,
+                                factor=solution.factor if recent else None)
         if not solution.converged:
-            return ShrinkResult(solution, steps, False, tol)
+            return ShrinkResult(_released(solution), steps, False, tol)
         diff = float("nan") if not recent else float(np.abs(solution.psi - recent[-1]).max())
-        steps.append(DeltaStep(delta, diff, solution.iterations))
+        steps.append(DeltaStep(delta, diff, solution.iterations, solution.factorizations))
         if recent and diff <= tol:
-            return ShrinkResult(solution, steps, True, tol)
+            return ShrinkResult(_released(solution), steps, True, tol)
         recent = recent[-2:] + [solution.psi]
         delta *= factor
-    return ShrinkResult(solution, steps, False, tol)
+    return ShrinkResult(_released(solution), steps, False, tol)
+
+
+def _released(solution: StreamSolution | None) -> StreamSolution | None:
+    """A solution returned from a continuation, without the factor its solves shared.
+
+    A kept result would otherwise hold a whole band (67 MB at 512x128).
+    """
+    if solution is not None:
+        solution.factor = None
+    return solution
 
 
 def _extrapolated_start(recent: list[np.ndarray], factor: float) -> np.ndarray:
@@ -165,11 +182,12 @@ def _survey(solution: StreamSolution, gas: GasModel) -> SweepPoint:
     )
 
 
-def _scaled(solution: StreamSolution | None, m0: float):
-    """Warm start at flux m0: a converged solution rescaled by the flux ratio."""
+def _warm_start(solution: StreamSolution | None, m0: float) -> dict:
+    """newton_solve keywords of the warm start at flux m0: a converged solution
+    rescaled by the flux ratio, and the Cholesky factor it ended with."""
     if solution is None or not solution.converged or solution.m <= 0.0:
-        return None
-    return solution.psi * (m0 / (TWO_PI * solution.m))
+        return {}
+    return {"init": solution.psi * (m0 / (TWO_PI * solution.m)), "factor": solution.factor}
 
 
 def mass_flux_sweep(grid: MappedGrid, gas: GasModel, m0_values) -> SweepResult:
@@ -177,14 +195,15 @@ def mass_flux_sweep(grid: MappedGrid, gas: GasModel, m0_values) -> SweepResult:
 
     Each start state is the previous converged solution rescaled by the
     flux ratio, which is exact for the linear small-flux regime and close
-    elsewhere.  Failures are recorded, not raised.
+    elsewhere, with the previous Cholesky factor.  Failures are recorded,
+    not raised.
     """
     points: list[SweepPoint] = []
     prev: StreamSolution | None = None
     for m0 in np.asarray(m0_values, dtype=float):
         if m0 < 0.0:
             raise ValueError("mass_flux_sweep: fluxes must be >= 0")
-        solution = newton_solve(grid, gas, m0 / TWO_PI, init=_scaled(prev, m0))
+        solution = newton_solve(grid, gas, m0 / TWO_PI, **_warm_start(prev, m0))
         points.append(_survey(solution, gas))
         prev = solution
     return SweepResult(points, grid)
@@ -289,9 +308,10 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel, tol: float | None = None
 
     probes: list[CriticalProbe] = []
 
-    def probe(m0: float, init=None) -> tuple[bool, float | None, StreamSolution]:
-        """Solve at m0; True if subcritical, and g where the probe carries one."""
-        solution = newton_solve(grid, gas, m0 / TWO_PI, init=init)
+    def probe(m0: float, warm=None) -> tuple[bool, float | None, StreamSolution]:
+        """Solve at m0, warm started from warm; True if subcritical, and g
+        where the probe carries one."""
+        solution = newton_solve(grid, gas, m0 / TWO_PI, **_warm_start(warm, m0))
         reason = _critical_signal(solution, gas)
         probes.append(CriticalProbe(m0, solution.max_momentum_sq, reason))
         has_g = reason in ("subcritical", "cutoff")  # where g <= 0 and g > 0
@@ -315,13 +335,14 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel, tol: float | None = None
 
     # push hi up until the signal fires, within the physical cap
     while not hi_flagged:
-        ok, g, sol = probe(hi, init=_scaled(best_sub, hi))
+        ok, g, sol = probe(hi, best_sub)
         if not ok:
             g_hi = g
             break
         best_sub, lo, g_lo = sol, hi, g
         if hi >= hi_cap:
-            return CriticalFluxEstimate(lo, hi, len(probes), True, best_sub, tuple(probes))
+            return CriticalFluxEstimate(lo, hi, len(probes), True, _released(best_sub),
+                                        tuple(probes))
         hi = min(2.0 * hi, hi_cap)
 
     moved = None  # the end the last probe replaced
@@ -331,7 +352,7 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel, tol: float | None = None
             m0 = min(max(m0, lo + 0.25 * tol), hi - 0.25 * tol)
         else:
             m0 = 0.5 * (lo + hi)
-        ok, g, sol = probe(m0, init=_scaled(best_sub, m0))
+        ok, g, sol = probe(m0, best_sub)
         if ok:
             best_sub, lo, g_lo = sol, m0, g
             if moved == "lo" and g_hi is not None:
@@ -341,7 +362,7 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel, tol: float | None = None
             if moved == "hi" and g_lo is not None:
                 g_lo *= 0.5
         moved = "lo" if ok else "hi"
-    return CriticalFluxEstimate(lo, hi, len(probes), False, best_sub, tuple(probes))
+    return CriticalFluxEstimate(lo, hi, len(probes), False, _released(best_sub), tuple(probes))
 
 
 @dataclass
@@ -401,7 +422,7 @@ def sonic_limit_study(grid: MappedGrid, gas: GasModel,
     prev_flow: FlowField | None = None
     prev_solution: StreamSolution | None = None
     for m0 in m0s:
-        solution = newton_solve(grid, gas, m0 / TWO_PI, init=_scaled(prev_solution, m0))
+        solution = newton_solve(grid, gas, m0 / TWO_PI, **_warm_start(prev_solution, m0))
         if not solution.converged:
             return SonicLimitStudy(m0s, machs, vel_diffs, mom_diffs, ent_plus,
                                    ent_minus, window, float("nan"), False,

@@ -19,12 +19,18 @@ midpoint quadrature point per cell.  Energy, gradient, and Hessian are
 exact derivatives of the same discrete functional, so the Hessian is
 symmetric positive definite and damped Newton iterations converge
 globally.  The unknown numbering i*(nr-1)+j makes the Hessian banded with
-half-width nr; it is assembled directly in LAPACK upper band storage, and
-each Newton system is solved exactly by one banded Cholesky factorization
-(LAPACK pbtrf).  A failed factorization means the Hessian is not SPD and
-raises LinearSolveError.  newton_solve evaluates the gas relation once
-per energy evaluation: the cell gradients and coenergy bundle of the
-accepted line-search trial also give the next gradient and Hessian.
+half-width nr; it is assembled directly in LAPACK upper band storage and
+factored by banded Cholesky (LAPACK pbtrf).  A failed factorization means
+the Hessian is not SPD and raises LinearSolveError.  A factor is kept and
+reused: while it keeps shrinking the gradient tenfold per step, each step
+is one back-solve (LAPACK pbtrs) with it, a chord step, and the Hessian
+is factored again, into the same buffer, only when a step contracts less
+or a full chord step fails the Armijo test.  Any SPD factor gives a
+descent direction, so the line search and the gradient tolerance certify
+a solve whichever factor its steps used.  newton_solve evaluates the gas
+relation once per energy evaluation: the cell gradients and coenergy
+bundle of the accepted line-search trial also give the next gradient and
+Hessian.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ from .nozzle import MappedGrid, NozzleProfile
 
 _ARMIJO_SLOPE = 1e-4
 _ENERGY_NOISE = 1e-6  # relative energy rise the derivative form of Armijo tolerates
-_MAX_ITER = 50  # cap on the Newton iterations of one solve
+_MAX_ITER = 50  # cap on the accepted steps of one solve
+_CHORD_CONTRACTION = 0.1  # a step must shrink the gradient norm this much to reuse its factor
 
 # corner order per cell: SW, SE, NW, NE
 _CXI = np.array([-1.0, 1.0, -1.0, 1.0])
@@ -66,11 +73,15 @@ class StreamSolution:
     m: float
     energy: float
     grad_norm: float
-    iterations: int
+    iterations: int  # accepted steps, chord steps included
+    factorizations: int
     cutoff_active: bool
     converged: bool
     max_momentum_sq: float
     energy_history: list = field(default_factory=list)
+    # banded Cholesky factor the last step solved with; a solve passed it
+    # as factor= refactors into this buffer, so it may change afterwards
+    factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def delta(self) -> float:
@@ -169,7 +180,7 @@ def assemble_gradient(psi, grid: MappedGrid, gas: GasModel) -> np.ndarray:
     return _gradient(_cell_state(psi, grid, gas), grid)
 
 
-def _hessian(state: _CellState, grid: MappedGrid) -> np.ndarray:
+def _hessian(state: _CellState, grid: MappedGrid, out: np.ndarray | None = None) -> np.ndarray:
     prime = state.coenergy.prime.reshape(state.s.shape)
     second = state.coenergy.second.reshape(state.s.shape)
     w1 = 2.0 * grid.measure * prime / grid.r_shield
@@ -189,12 +200,13 @@ def _hessian(state: _CellState, grid: MappedGrid) -> np.ndarray:
                  + w2[ci, cj] * proj[k, ci, cj] * proj[l, ci, cj])
         rows[nr - offset][ci.start + il - 1:ci.stop + il - 1,
                           cj.start + jl - 1:cj.stop + jl - 1] += block
-    band = np.zeros((nx - 1, nr - 1, nr + 1))  # [target station, target radius, band row]
+    # Fortran order is the column-major storage LAPACK reads, so the
+    # factorization works in place; out (a factor) is overwritten
+    band = np.empty((nr + 1, (nx - 1) * (nr - 1)), order="F") if out is None else out
+    band.fill(0.0)
     for index, row in rows.items():
-        band[:, :, index] = row
-    # C order over (unknown, band row) is the column-major (band row, unknown)
-    # storage LAPACK reads, so the factorization works in place without a copy
-    return band.reshape(-1, nr + 1).T
+        band[index] = row.ravel()
+    return band
 
 
 def assemble_hessian(psi, grid: MappedGrid, gas: GasModel) -> np.ndarray:
@@ -213,22 +225,33 @@ class LinearSolveError(RuntimeError):
     pass
 
 
-def _solve_spd(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Exact solve by banded Cholesky; raises LinearSolveError unless SPD.
+def _cholesky(band: np.ndarray) -> np.ndarray:
+    """Banded Cholesky factor; raises LinearSolveError unless SPD.
 
     The band is overwritten by its factor; a Fortran-ordered band (as
     _hessian returns it) is factored in place, any other is copied first.
     """
-    if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
+    if not np.isfinite(band).all():
         raise LinearSolveError("banded Cholesky of the Hessian failed: non-finite entries")
     factor, info = lapack.dpbtrf(band, overwrite_ab=1)
-    if info == 0:
-        step, info = lapack.dpbtrs(factor, rhs)
+    _check_info(info)
+    return factor
+
+
+def _back_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a banded Cholesky factor; raises LinearSolveError on bad input."""
+    if not np.isfinite(rhs).all():
+        raise LinearSolveError("banded Cholesky of the Hessian failed: non-finite entries")
+    step, info = lapack.dpbtrs(factor, rhs)
+    _check_info(info)
+    return step
+
+
+def _check_info(info: int) -> None:
     if info != 0:
         raise LinearSolveError(
             f"banded Cholesky of the Hessian failed: LAPACK info {info} (a positive "
             "value is the order of a leading minor that is not positive definite)")
-    return step
 
 
 def apply_boundary(psi: np.ndarray, grid: MappedGrid, m: float,
@@ -267,8 +290,9 @@ def _armijo_by_derivative(trial_state: _CellState, grid: MappedGrid,
 
 def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
                  init: np.ndarray | None = None, tol: float | None = None,
-                 bc: Callable | None = None) -> StreamSolution:
-    """Minimize the discrete energy by damped Newton iteration.
+                 bc: Callable | None = None,
+                 factor: np.ndarray | None = None) -> StreamSolution:
+    """Minimize the discrete energy by damped Newton and chord iteration.
 
     Parameters
     ----------
@@ -280,13 +304,21 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
     tol : gradient 2-norm target, default 1e-10 * max(1, m).
     bc : optional boundary datum callable (x, r) -> psi, replacing the
         default m r^2/f(x)^2 (used for manufactured-solution studies).
+    factor : optional banded Cholesky factor of a Hessian on a grid of
+        this shape, such as the factor of a previous solution; the first
+        step solves with it, and a refactorization overwrites it.
 
-    Backtracking line search enforces energy decrease, so the energy
-    history is nonincreasing up to rounding: a full Newton step whose
-    decrease the energy cannot resolve is accepted on the derivative form
-    of the Armijo test.  A solution flagged cutoff_active touched
-    momenta above the truncation threshold and is not a certified
-    subsonic flow.
+    Each step solves with the factor in hand, a chord step, and the
+    Hessian at the current iterate is factored again when there is none,
+    when the last step shrank the gradient norm by less than
+    _CHORD_CONTRACTION, or when a chord step fails the Armijo test; a
+    chord step is tried at full length only, and only a failed line
+    search on a fresh factor stops the solve.  Backtracking line search
+    enforces energy decrease, so the energy history is nonincreasing up
+    to rounding: a full step whose decrease the energy cannot resolve is
+    accepted on the derivative form of the Armijo test.  A solution
+    flagged cutoff_active touched momenta above the truncation threshold
+    and is not a certified subsonic flow.
     """
     if m < 0.0:
         raise ValueError("newton_solve: m must be >= 0")
@@ -298,48 +330,61 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         init = m * np.broadcast_to(grid.sigma[None, :] ** 2, grid.shape)
     elif init.shape != grid.shape:
         raise ValueError(f"newton_solve: init shape {init.shape} != grid {grid.shape}")
+    band_shape = (grid.nr + 1, (grid.nx - 1) * (grid.nr - 1))
+    if factor is not None and factor.shape != band_shape:
+        raise ValueError(f"newton_solve: factor shape {factor.shape} != band {band_shape}")
     psi = apply_boundary(init, grid, m, bc)
 
     state = _cell_state(psi, grid, gas)  # of the accepted point; feeds gradient and Hessian
     energy = _energy(state, grid)
     history = [energy]
-    grad_norm = np.inf
+    grad_norm = last_norm = np.inf
     converged = False
-    iterations = 0
+    iterations = factorizations = 0
 
-    for _ in range(_MAX_ITER):
+    while iterations < _MAX_ITER:
         grad = _gradient(state, grid)
         grad_int = grad[1:-1, 1:-1].ravel()
         grad_norm = float(np.linalg.norm(grad_int))
         if grad_norm <= tol:
             converged = True
             break
-        step_int = _solve_spd(_hessian(state, grid), -grad_int)
-        step = np.zeros_like(psi)
-        step[1:-1, 1:-1] = step_int.reshape(grid.nx - 1, grid.nr - 1)
-        slope = float(grad_int @ step_int)
-        if slope >= 0.0:  # not a descent direction: fall back to steepest descent
-            step[1:-1, 1:-1] = -grad_int.reshape(grid.nx - 1, grid.nr - 1)
-            slope = -grad_norm**2
+        # a chord step with the factor in hand first, while the last step
+        # contracted enough; a fresh factor if there is none or it fails
+        reuse = factor is not None and grad_norm <= _CHORD_CONTRACTION * last_norm
+        for fresh in (False, True) if reuse else (True,):
+            if fresh:
+                factor = _cholesky(_hessian(state, grid, out=factor))
+                factorizations += 1
+            step_int = _back_solve(factor, -grad_int)
+            step = np.zeros_like(psi)
+            step[1:-1, 1:-1] = step_int.reshape(grid.nx - 1, grid.nr - 1)
+            slope = float(grad_int @ step_int)
+            if slope >= 0.0:  # not a descent direction: fall back to steepest descent
+                step[1:-1, 1:-1] = -grad_int.reshape(grid.nx - 1, grid.nr - 1)
+                slope = -grad_norm**2
 
-        t = 1.0
-        accepted = False
-        for _ in range(45):
-            trial = psi + t * step
-            trial_state = _cell_state(trial, grid, gas)
-            trial_energy = _energy(trial_state, grid)
-            if (trial_energy <= energy + _ARMIJO_SLOPE * t * slope
-                    or t == 1.0
-                    and trial_energy - energy <= _ENERGY_NOISE * max(abs(energy), 1.0)
-                    and _armijo_by_derivative(trial_state, grid, step, slope)):
-                psi, state, energy = trial, trial_state, trial_energy
-                accepted = True
+            t = 1.0
+            accepted = False
+            for _ in range(45 if fresh else 1):  # a chord step is taken whole or not at all
+                trial = psi + t * step
+                trial_state = _cell_state(trial, grid, gas)
+                trial_energy = _energy(trial_state, grid)
+                if (trial_energy <= energy + _ARMIJO_SLOPE * t * slope
+                        or t == 1.0
+                        and trial_energy - energy <= _ENERGY_NOISE * max(abs(energy), 1.0)
+                        and _armijo_by_derivative(trial_state, grid, step, slope)):
+                    psi, state, energy = trial, trial_state, trial_energy
+                    accepted = True
+                    break
+                t *= 0.5
+            if accepted:
                 break
-            t *= 0.5
         if not accepted:
             break  # energy floor reached; leave flagged by the gradient check
         history.append(energy)
         iterations += 1
+        last_norm = grad_norm
 
     if not converged:  # re-measure after line-search exit or iteration cap
         grad = _gradient(state, grid)
@@ -354,10 +399,12 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         energy=energy,
         grad_norm=grad_norm,
         iterations=iterations,
+        factorizations=factorizations,
         cutoff_active=max_s > gas.s_lo,
         converged=converged,
         max_momentum_sq=max_s,
         energy_history=history,
+        factor=factor,
     )
 
 

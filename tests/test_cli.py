@@ -375,7 +375,7 @@ def test_unresolvable_critical_tolerance_exits_2(tmp_path, capsys):
     assert main(["critical", "--config", write(tmp_path, text), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: tolerances: critical:") and "tol = 1e-300" in err
-    assert not (out / "critical.txt").exists()
+    assert not out.exists()  # rejected before any probe
 
 
 def test_command_config_consistency(tmp_path):

@@ -75,15 +75,30 @@ def test_extrapolated_start_is_exact_on_polynomials(factor):
     assert np.array_equal(_extrapolated_start([A], factor), A)
 
 
-def test_shrink_delta_extrapolated_starts_halve_iterations():
-    # starting each step from the previous solution alone takes 49 Newton
-    # iterations over these 22 steps
+def tanh_chain():
     prof = make_profile("tanh_step", a=0.8, ell=2.0)
     grid = build_grid(prof, length=16.0, nx=32, nr=8)
-    res = shrink_delta(grid, GAS, 0.25 * prof.b**2)
+    return shrink_delta(grid, GAS, 0.25 * prof.b**2)
+
+
+def test_shrink_delta_extrapolated_starts_halve_iterations():
+    # these 22 steps take 51 accepted steps, chord steps included; starting
+    # each step from the previous solution alone takes 107
+    res = tanh_chain()
     assert res.converged
     assert len(res.steps) == 22
-    assert sum(step.iterations for step in res.steps) <= 30
+    assert sum(step.iterations for step in res.steps) <= 60
+
+
+def test_shrink_delta_reuses_cholesky_factors():
+    # a fresh factor per accepted step takes 27 factorizations over the chain;
+    # the carried factors take 6, and most steps factor nothing
+    res = tanh_chain()
+    assert res.converged
+    assert res.steps[0].factorizations >= 1  # a cold start has no factor
+    assert all(step.factorizations <= step.iterations for step in res.steps)
+    assert sum(step.factorizations for step in res.steps) <= 8
+    assert res.solution.factor is None  # a kept result holds no band
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -28,7 +28,7 @@ from axinozzle import (
     pde_residual,
     velocity_from_stream,
 )
-from axinozzle.solver import _cell_state, _geometry, _solve_spd, apply_boundary
+from axinozzle.solver import _back_solve, _cell_state, _cholesky, _geometry, apply_boundary
 
 GAS = GasModel()
 
@@ -271,6 +271,50 @@ def test_maximum_principle_barrier_and_station_flux(profile, gamma, m_tilde, nx,
     assert flux_drift(velocity_from_stream(sol, gas)) <= 0.05 * grid.h_max**2
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(profile=WALLS, gamma=st.floats(1.0, 3.0, exclude_min=True),
+       m_tilde=st.floats(0.9, 0.99), nx=st.sampled_from([16, 24, 32]),
+       delta=st.sampled_from([0.0, 1e-2]), f=st.floats(0.0, 0.7),
+       source=st.sampled_from(["flux", "delta", "gas"]), other=st.floats(0.0, 1.0))
+def test_solve_from_a_foreign_factor_matches_cold_solve(profile, gamma, m_tilde, nx, delta,
+                                                         f, source, other):
+    # a donor solve at another flux, shield or gas hands its psi (rescaled to
+    # the flux) and its Cholesky factor to the solve, as the continuation
+    # routines do.  Any SPD factor gives descent directions, so the solve is
+    # certified like the cold one; two points whose gradients are within tol
+    # of zero lie within 2 tol / lambda_min of each other in the 2-norm, with
+    # lambda_min the least Hessian eigenvalue, and twice that allows for the
+    # Hessian varying between them.  From another shield the full chord step
+    # often fails the Armijo test, so this also covers factoring again.
+    assume(gamma - 1.0 >= np.sqrt(np.finfo(float).eps))  # GasModel refuses the rest
+    gas = GasModel(gamma=gamma, m_tilde=m_tilde)
+    grid = build_grid(profile, length=8.0, nx=nx, nr=nx // 4, delta=delta)
+    bound = np.pi * m_tilde * float((grid.fc * (grid.fc + 2.0 * grid.delta)).min())
+    m = f * bound / (2.0 * np.pi)
+    if source == "flux":
+        donor = newton_solve(grid, gas, 0.7 * other * bound / (2.0 * np.pi))
+    elif source == "delta":
+        donor = newton_solve(grid.with_delta(0.5 * other * profile.b), gas, m)
+    else:
+        donor = newton_solve(grid, GasModel(gamma=1.05 + other, m_tilde=0.9 + 0.09 * other), m)
+    init = donor.psi * (m / donor.m) if donor.m > 0.0 else None
+    warm = newton_solve(grid, gas, m, init=init, factor=donor.factor)
+    cold = newton_solve(grid, gas, m)
+    assert warm.converged and cold.converged and not warm.cutoff_active
+    assert warm.factorizations <= warm.iterations
+    tol = 1e-10 * max(1.0, m)
+    lambda_min = np.linalg.eigvalsh(band_to_dense(assemble_hessian(cold.psi, grid, gas))).min()
+    assert np.linalg.norm(warm.psi - cold.psi) <= 4.0 * tol / lambda_min
+
+
+def test_newton_solve_rejects_factor_of_another_shape():
+    grid = cylinder_grid(nx=8, nr=4)
+    for nx, nr in ((8, 5), (9, 4)):  # another band width, another number of unknowns
+        factor = newton_solve(cylinder_grid(nx=nx, nr=nr), GAS, 0.1).factor
+        with pytest.raises(ValueError, match="factor shape"):
+            newton_solve(grid, GAS, 0.1, factor=factor)
+
+
 def cold_tanh_system(nx, nr, m=0.25):
     """Hessian band and Newton right-hand side at the default start m sigma^2."""
     grid = build_grid(make_profile("tanh_step", a=0.8, ell=2.0), length=8.0,
@@ -285,7 +329,7 @@ def test_banded_cholesky_matches_sparse_direct_solve(nx, nr):
     # nr = 2 leaves one unknown per station (a diagonal band), nx = 2 one station
     band, rhs = cold_tanh_system(nx, nr)
     expected = spla.spsolve(band_to_sparse(band), rhs)
-    step = _solve_spd(band, rhs)
+    step = _back_solve(_cholesky(band), rhs)
     assert np.linalg.norm(step - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -295,21 +339,21 @@ def test_linear_solve_rejects_indefinite_matrix():
     eigvals = np.linalg.eigvalsh(band_to_dense(band))
     assert eigvals.min() < 0.0 < eigvals.max()
     with pytest.raises(LinearSolveError):
-        _solve_spd(band, rhs)
+        _back_solve(_cholesky(band), rhs)
 
 
 def test_linear_solve_rejects_non_finite_matrix():
     band, rhs = cold_tanh_system(8, 6)
     band[-1, 3] = np.nan
     with pytest.raises(LinearSolveError):
-        _solve_spd(band, rhs)
+        _back_solve(_cholesky(band), rhs)
 
 
 def test_linear_solve_rejects_non_finite_rhs():
     band, rhs = cold_tanh_system(8, 6)
     rhs[5] = np.inf
     with pytest.raises(LinearSolveError):
-        _solve_spd(band, rhs)
+        _back_solve(_cholesky(band), rhs)
 
 
 def test_band_is_factored_in_place():
@@ -317,7 +361,7 @@ def test_band_is_factored_in_place():
     band, rhs = cold_tanh_system(16, 6)
     assert band.flags.f_contiguous
     diagonal = band[-1].copy()
-    _solve_spd(band, rhs)
+    _back_solve(_cholesky(band), rhs)
     # the factor overwrote the band: its first pivot is the square root of a_00
     assert band[-1, 0] == np.sqrt(diagonal[0])
     assert not np.array_equal(band[-1], diagonal)
