@@ -361,13 +361,12 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
         ("m0_hi", estimate.hi),
         ("width", estimate.width),
         ("midpoint", estimate.midpoint),
-        ("iterations", estimate.iterations),
-        ("open_upper_bound", estimate.open_upper_bound),
+        ("iterations", len(estimate.probes)),
+        ("open_upper_bound", False),  # the throat bound closes every bracket
         ("throat_bound", float(np.pi * grid.profile.b**2)),
     ]
     write_report(out_dir / "critical.txt", pairs)
-    print(f"critical flux bracket [{estimate.lo!r}, {estimate.hi!r}]"
-          + (" (open)" if estimate.open_upper_bound else ""))
+    print(f"critical flux bracket [{estimate.lo!r}, {estimate.hi!r}]")
     return 0
 
 

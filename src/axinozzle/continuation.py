@@ -21,11 +21,11 @@ The mass flux enters as the three-dimensional flux m0 = 2 pi m. Increasing
 m0 raises the speed everywhere; past a critical value the subsonic branch
 ceases to exist and the solver reports the momentum cutoff engaging. The
 critical flux is at most the throat bound pi b^2 m_tilde (in its discrete
-form), so its bracket starts from a pair of probes straddling that bound,
-which closes it on pipes and tanh steps; otherwise Illinois regula falsi on
-the distance of the peak squared momentum to the cutoff narrows it. The
-approach to the sonic state is studied on a geometric sequence of fluxes
-below it.
+form), so that bound is its bracket's upper end, with no solve there; one
+probe just below it closes the bracket on pipes and tanh steps, and
+otherwise Illinois regula falsi on the distance of the peak squared
+momentum to the cutoff narrows it. The approach to the sonic state is
+studied on a geometric sequence of fluxes below it.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .fields import (
 _SHRINK_MAX_STEPS = 60     # cap on the solves of one shield schedule
 _CRITICAL_MAX_PROBES = 70  # cap on the solves of one critical-flux bracket
 _SONIC_GAP_FACTOR = 10.0   # certified 1 - M is within this many 1 - m_tilde
+_SONIC_RATIO = 0.5         # the flux gaps to the anchor shrink by this factor
 
 
 class DeltaStep(NamedTuple):
@@ -223,12 +224,14 @@ class CriticalProbe(NamedTuple):
 
 @dataclass
 class CriticalFluxEstimate:
-    """Regula falsi bracket [lo, hi] for the critical three-dimensional flux."""
+    """Regula falsi bracket [lo, hi] for the critical three-dimensional flux.
+
+    len(probes) is the number of solves; hi is the smallest flagged probe,
+    or the throat bound plus 0.45 tol when no probe was flagged.
+    """
 
     lo: float
     hi: float
-    iterations: int
-    open_upper_bound: bool
     solution_lo: StreamSolution | None = None
     probes: tuple[CriticalProbe, ...] = ()
 
@@ -254,17 +257,17 @@ def _critical_signal(solution: StreamSolution, gas: GasModel) -> str:
     return "mach" if flow.mach.max() >= gas.m_tilde else "subcritical"
 
 
-def find_critical_flux(grid: MappedGrid, gas: GasModel, tol: float | None = None,
-                       hi: float | None = None,
-                       hi_cap: float | None = None) -> CriticalFluxEstimate:
+def find_critical_flux(grid: MappedGrid, gas: GasModel,
+                       tol: float | None = None) -> CriticalFluxEstimate:
     """Bracket the largest flux carrying a strictly subsonic solve.
 
     The supercritical signal is the momentum cutoff engaging anywhere (or
     the Mach number reaching the truncation onset, or a failed solve).
     Each probe is classified by that signal alone, so lo is a certified
-    subcritical solve and hi a flagged one, and probes records every solve.
+    subcritical solve and hi a flagged one or the throat bound, and probes
+    records every solve.
 
-    The default start straddles the discrete throat bound B.  Across each
+    The upper end comes from the discrete throat bound B.  Across each
     column of cells psi rises from 0 on the axis to m on the wall, so
     m0 = 2 pi m = 2 pi sum_j psi_r f_c dsigma, with f_c the wall radius at
     the column's centre, and |psi_r| <= sqrt(s) (r + delta) in every cell.
@@ -272,17 +275,14 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel, tol: float | None = None
     therefore carries m0 <= B = pi m_tilde min_columns f_c (f_c + 2 delta).
     This is the discrete form of the bound pi b^2 m_tilde on the flux
     rho U 2 pi r dr through a throat of radius b, which a straight pipe
-    attains.  The bracket starts 0.45 tol below and above B (hi, when
-    given, replaces the upper end), so a start that lands on its expected
-    sides closes it in two solves and at most tol wide after rounding; a
-    tol too small to move B in floating point raises
-    CriticalToleranceError.  The start is probed, not assumed:
-    lo must be a certified solve, the critical flux can lie well below B
-    (1-2 per cent on bumps) or the Mach signal fire first, and hi is
-    recorded as a flagged solve like every other end.  A flagged lo steps
-    3 per cent down, then halves; a subcritical hi doubles up to hi_cap
-    (default 4 pi b^2), and if even the cap shows no signal the bracket
-    is reported open.
+    attains.  So hi = B + 0.45 tol is an end without a solve, and one
+    probe at B - 0.45 tol that lands subcritical closes the bracket, at
+    most tol wide after rounding.  A tol below 1e-12 B raises
+    CriticalToleranceError; above that floor fl(B) + 0.45 tol lies above
+    the exact bound.  The lower start is probed, not assumed: the
+    critical flux can lie well below B (1-2 per cent on bumps) or the
+    Mach signal fire first.  A flagged lo becomes hi and steps 3 per cent
+    down, then halves.
 
     Between the ends the next probe goes where Illinois regula falsi
     (Dowell and Jarratt 1971) on the monotone distance g = max_momentum_sq
@@ -293,18 +293,13 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel, tol: float | None = None
     bound = np.pi * gas.m_tilde * float((grid.fc * (grid.fc + 2.0 * grid.delta)).min())
     if tol is None:
         tol = 1e-4 * bound
-    start = 0.45 * tol  # not tol/2: the pair must be at most tol wide after rounding
-    if not bound - start < bound < bound + start:  # tol <= 0 and NaN fail too
+    if not tol >= 1e-12 * bound:  # tol <= 0 and NaN fail too
         raise CriticalToleranceError(
-            f"find_critical_flux: tol must be > 0 and large enough that B -+ 0.45 tol "
-            f"differ from the throat bound B = {bound!r}; got tol = {tol!r}")
-    if hi is None:
-        hi = max(bound + start, 2.0 * start)
+            f"find_critical_flux: tol must be > 0 and at least 1e-12 times the throat "
+            f"bound B = {bound!r}; got tol = {tol!r}")
+    start = 0.45 * tol  # not tol/2: the ends must be at most tol apart after rounding
+    hi = max(bound + start, 2.0 * start)
     lo = max(min(bound - start, hi - 2.0 * start), 0.0)
-    if hi_cap is None:
-        hi_cap = 4.0 * np.pi * grid.profile.b ** 2
-    if not 0.0 <= lo < hi:
-        raise ValueError("find_critical_flux: need 0 <= lo < hi")
 
     probes: list[CriticalProbe] = []
 
@@ -322,28 +317,15 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel, tol: float | None = None
     g_lo = g_hi = None
 
     # push lo down until it is genuinely subcritical
-    hi_flagged = False
     while lo > 0.0:
         ok, g, sol = probe(lo)
         if ok:
             best_sub, g_lo = sol, g
             break
-        hi, g_hi, hi_flagged = lo, g, True
+        hi, g_hi = lo, g
         lo *= 0.97 if len(probes) == 1 else 0.5  # bump roots lie 1-3% below B
         if len(probes) >= _CRITICAL_MAX_PROBES:
             raise RuntimeError("find_critical_flux: no subcritical flux found")
-
-    # push hi up until the signal fires, within the physical cap
-    while not hi_flagged:
-        ok, g, sol = probe(hi, best_sub)
-        if not ok:
-            g_hi = g
-            break
-        best_sub, lo, g_lo = sol, hi, g
-        if hi >= hi_cap:
-            return CriticalFluxEstimate(lo, hi, len(probes), True, _released(best_sub),
-                                        tuple(probes))
-        hi = min(2.0 * hi, hi_cap)
 
     moved = None  # the end the last probe replaced
     while hi - lo > tol and len(probes) < _CRITICAL_MAX_PROBES:
@@ -362,7 +344,7 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel, tol: float | None = None
             if moved == "hi" and g_lo is not None:
                 g_lo *= 0.5
         moved = "lo" if ok else "hi"
-    return CriticalFluxEstimate(lo, hi, len(probes), False, _released(best_sub), tuple(probes))
+    return CriticalFluxEstimate(lo, hi, _released(best_sub), tuple(probes))
 
 
 @dataclass
@@ -381,39 +363,32 @@ class SonicLimitStudy:
     reasons: dict = field(default_factory=dict)
 
 
-def sonic_limit_study(grid: MappedGrid, gas: GasModel,
-                      m0_anchor: float | None = None,
-                      n_terms: int = 6, ratio: float = 0.5,
-                      window: tuple[float, float, float, float] | None = None) -> SonicLimitStudy:
+def sonic_limit_study(grid: MappedGrid, gas: GasModel, m0_anchor: float | None = None,
+                      n_terms: int = 6) -> SonicLimitStudy:
     """Drive the flux toward its critical value and certify the approach.
 
-    Solves at m0_anchor * (1 - 0.5 * ratio**k); the anchor defaults to the
-    certified subcritical end of a fresh critical-flux bracket.  On a
-    compact window away from the axis and the wall the consecutive
-    velocity and momentum differences are recorded in rms, together with
-    the entropy pair residuals.  Certification requires the max Mach
+    Solves at m0_anchor * (1 - 0.5 * _SONIC_RATIO**k); the anchor defaults
+    to the certified subcritical end of a fresh critical-flux bracket.  On
+    the compact window default_compact(grid), away from the axis and the
+    wall, the consecutive velocity and momentum differences are recorded
+    in rms, together with the entropy pair residuals.  A grid with no node
+    in that window raises ValueError.  Certification requires the max Mach
     numbers to be nondecreasing, the window differences to shrink, and
     the final sonic gap 1 - M to be within ten times the truncation gap
     1 - m_tilde.
     """
     if n_terms < 2:
         raise ValueError("sonic_limit_study: need at least two terms")
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("sonic_limit_study: ratio must lie in (0, 1)")
     if m0_anchor is None:
-        bracket = find_critical_flux(grid, gas)
-        if bracket.open_upper_bound:
-            raise RuntimeError("sonic_limit_study: no critical flux below the cap")
-        m0_anchor = bracket.lo
-    if window is None:
-        window = default_compact(grid)
+        m0_anchor = find_critical_flux(grid, gas).lo
+    window = default_compact(grid)
     x_lo, x_hi, r_lo, r_hi = window
     mask = ((grid.x_nodes >= x_lo) & (grid.x_nodes <= x_hi)
             & (grid.r_nodes >= r_lo) & (grid.r_nodes <= r_hi))
     if not mask.any():
         raise ValueError("sonic_limit_study: window contains no grid nodes")
 
-    m0s = [m0_anchor * (1.0 - 0.5 * ratio**k) for k in range(n_terms)]
+    m0s = [m0_anchor * (1.0 - 0.5 * _SONIC_RATIO**k) for k in range(n_terms)]
     machs: list[float] = []
     vel_diffs: list[float] = []
     mom_diffs: list[float] = []

@@ -347,6 +347,7 @@ def test_critical_report(tmp_path):
     oracle = np.pi * 0.98
     assert lo < oracle < hi or abs(hi - oracle) / oracle < 2e-3
     assert report["open_upper_bound"] == "false"
+    assert report["iterations"] == "1"  # one probe below the throat bound
     assert hi - lo == pytest.approx(float(report["width"]), abs=1e-15)
 
 
@@ -368,14 +369,17 @@ def test_non_positive_tolerances_exit_2(tmp_path, capsys, command, flux, key, va
 
 
 def test_unresolvable_critical_tolerance_exits_2(tmp_path, capsys):
-    # B -+ 0.45 tol round to B, so the bracket cannot start; it used to
-    # exit 1 with a ValueError traceback
-    text = BASE.replace("m0 = 1.0", "critical = yes") + "\n[tolerances]\ncritical = 1e-300\n"
-    out = tmp_path / "out"
-    assert main(["critical", "--config", write(tmp_path, text), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: tolerances: critical:") and "tol = 1e-300" in err
-    assert not out.exists()  # rejected before any probe
+    # a tol below 1e-12 B (B = pi 0.98 here) is refused before any probe:
+    # 1e-300 would not move B in floating point, and 1e-13 lies below the
+    # floor; 1e-300 used to exit 1 with a ValueError traceback
+    for value in ("1e-300", "1e-13"):
+        text = BASE.replace("m0 = 1.0", "critical = yes") + f"\n[tolerances]\ncritical = {value}\n"
+        out = tmp_path / f"out{value}"
+        assert main(["critical", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: tolerances: critical:")
+        assert f"tol = {value}" in err
+        assert not out.exists()
 
 
 def test_command_config_consistency(tmp_path):

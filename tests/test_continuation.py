@@ -175,20 +175,12 @@ def test_find_critical_flux_pipe_oracle():
     grid = cylinder_grid(nx=48, nr=12, delta=1e-6)
     est = find_critical_flux(grid, GAS)
     oracle = np.pi * GAS.m_tilde
-    assert not est.open_upper_bound
     assert est.width < 1e-3
     assert est.lo < oracle * 1.001
     assert est.hi > oracle * 0.999
     assert abs(est.midpoint - oracle) / oracle < 2e-3
     assert est.solution_lo is not None
     assert est.solution_lo.converged and not est.solution_lo.cutoff_active
-
-
-def test_find_critical_flux_respects_cap():
-    grid = cylinder_grid(nx=16, nr=8, length=2.0, delta=1e-6)
-    est = find_critical_flux(grid, GAS, hi=1.0, hi_cap=1.5)
-    assert est.open_upper_bound
-    assert est.lo == 1.5
 
 
 def test_find_critical_flux_scales_with_radius():
@@ -203,8 +195,7 @@ def test_find_critical_flux_probe_count():
     grid = build_grid(make_profile("tanh_step", a=0.8, ell=2.0), length=16.0,
                       nx=32, nr=8, delta=1e-6)
     est = find_critical_flux(grid, GAS)
-    assert not est.open_upper_bound
-    assert est.iterations == len(est.probes) <= 8
+    assert len(est.probes) <= 8
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -213,17 +204,19 @@ def test_find_critical_flux_probe_count():
 def test_find_critical_flux_brackets_cylinder_oracle(a, gamma, m_tilde):
     # the discrete pipe flow is exact, so the cutoff engages at pi a^2 m_tilde
     gas = GasModel(gamma=gamma, m_tilde=m_tilde)
-    est = find_critical_flux(cylinder_grid(nx=8, nr=4, a=a, length=1.0), gas)
+    grid = cylinder_grid(nx=8, nr=4, a=a, length=1.0)
+    est = find_critical_flux(grid, gas)
     oracle = np.pi * a**2 * m_tilde
-    assert not est.open_upper_bound
     assert est.lo <= oracle <= est.hi
     assert est.width <= 1e-4 * oracle  # the default tol
     # the record agrees with the bracket: lo is the largest subcritical
-    # probe and hi the smallest flagged one
-    assert est.iterations == len(est.probes) <= 8
+    # probe and hi the smallest flagged one, or the throat bound
+    assert len(est.probes) <= 8
     sub = [p.m0 for p in est.probes if p.reason == "subcritical"]
     flagged = [p.m0 for p in est.probes if p.reason != "subcritical"]
-    assert max(sub) == est.lo and min(flagged) == est.hi
+    bound = throat_bound(grid, gas)
+    assert max(sub) == est.lo
+    assert est.hi == min(flagged, default=bound + 0.45 * (1e-4 * bound))
     for p in est.probes:
         assert p.reason in ("subcritical", "non_convergence", "cutoff", "mach")
         if p.reason != "non_convergence":
@@ -236,16 +229,17 @@ def throat_bound(grid, gas):
 
 
 def test_find_critical_flux_start_closes_tanh_bracket():
-    # the start pair straddles the throat bound, which a tanh step meets to
-    # within the tolerance, so the two start probes close the bracket
+    # a tanh step meets the throat bound to within the tolerance, so one
+    # subcritical probe just below it closes the bracket, whose upper end
+    # is the bound itself and needs no solve
     grid = build_grid(make_profile("tanh_step", a=0.8, ell=2.0), length=16.0,
                       nx=32, nr=8, delta=1e-6)
     est = find_critical_flux(grid, GAS)
     bound = throat_bound(grid, GAS)
-    assert not est.open_upper_bound
-    assert est.iterations == len(est.probes) <= 3
-    assert est.lo < bound < est.hi and est.width <= 1e-4 * bound
-    assert est.probes[-1].m0 == est.hi and est.probes[-1].reason == "cutoff"
+    assert [p.reason for p in est.probes] == ["subcritical"]
+    assert est.probes[0].m0 == est.lo
+    assert est.lo < bound < est.hi == bound + 0.45 * (1e-4 * bound)
+    assert est.width <= 1e-4 * bound
 
 
 def test_find_critical_flux_illinois_saves_a_probe():
@@ -255,7 +249,7 @@ def test_find_critical_flux_illinois_saves_a_probe():
     grid = build_grid(make_profile("bump", a0=1.0, h=-0.1, w=1.0), length=8.0,
                       nx=48, nr=12)
     est = find_critical_flux(grid, GAS)
-    assert not est.open_upper_bound and est.width <= 1e-4 * throat_bound(grid, GAS)
+    assert est.width <= 1e-4 * throat_bound(grid, GAS)
     assert [p.reason for p in est.probes].count("cutoff") >= 3
     assert len(est.probes) <= 5
 
@@ -266,7 +260,6 @@ def test_find_critical_flux_classifies_supersonic_nodes_as_mach():
     grid = build_grid(make_profile("bump", a0=1.0, h=-0.2, w=1.0), length=8.0,
                       nx=24, nr=6)
     est = find_critical_flux(grid, GAS)
-    assert not est.open_upper_bound
     assert "mach" in [p.reason for p in est.probes]
     assert max(p.m0 for p in est.probes if p.reason == "subcritical") == est.lo
 
@@ -277,13 +270,25 @@ def test_find_critical_flux_rejects_non_positive_tol(tol):
         find_critical_flux(cylinder_grid(nx=8, nr=4, length=1.0), GAS, tol=tol)
 
 
+@pytest.mark.parametrize("grid", [
+    cylinder_grid(nx=8, nr=4, length=1.0),
+    build_grid(make_profile("tanh_step", a=0.8, ell=2.0), length=16.0, nx=32, nr=8, delta=1e-6),
+], ids=["cylinder", "tanh"])
+def test_find_critical_flux_at_the_tolerance_floor(grid):
+    # 1e-12 B is the smallest tol accepted; the bracket still closes to it
+    tol = 1e-12 * throat_bound(grid, GAS)
+    est = find_critical_flux(grid, GAS, tol=tol)
+    assert 0.0 < est.lo < est.hi and est.width <= tol
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        find_critical_flux(grid, GAS, tol=0.99 * tol)
+
+
 @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
 def test_find_critical_flux_tol_comparable_to_bound(scale):
     grid = cylinder_grid(nx=8, nr=4, length=1.0)
     tol = scale * throat_bound(grid, GAS)
     est = find_critical_flux(grid, GAS, tol=tol)
     assert 0.0 <= est.lo < est.hi and est.width <= tol
-    assert not est.open_upper_bound
 
 
 THROAT_WALLS = st.one_of(
@@ -299,22 +304,28 @@ THROAT_WALLS = st.one_of(
        m_tilde=st.floats(0.9, 0.99), nx=st.sampled_from([16, 24, 32, 48]),
        delta=st.sampled_from([0.0, 1e-6, 1e-2]))
 def test_critical_bracket_respects_throat_bound(profile, gamma, m_tilde, nx, delta):
-    # no subcritical solve carries more than the throat bound, the start
-    # pair straddles it, and every bracket end is a recorded solve
+    # no subcritical solve carries more than the throat bound B, so hi is
+    # the smallest flagged probe or B + 0.45 tol, which needs no solve: a
+    # cold solve there is flagged, and so is one at the tolerance floor
     assume(gamma - 1.0 >= np.sqrt(np.finfo(float).eps))  # GasModel refuses the rest
     gas = GasModel(gamma=gamma, m_tilde=m_tilde)
     grid = build_grid(profile, length=8.0, nx=nx, nr=nx // 4, delta=delta)
     est = find_critical_flux(grid, gas)
     bound = throat_bound(grid, gas)
-    assert not est.open_upper_bound
+    tol = 1e-4 * bound  # the default
     assert est.lo <= bound * (1.0 + 1e-6)
-    assert est.width <= 1e-4 * bound  # the default tol
+    assert est.width <= tol
     sub = [p.m0 for p in est.probes if p.reason == "subcritical"]
     flagged = [p.m0 for p in est.probes if p.reason != "subcritical"]
-    assert max(sub) == est.lo and min(flagged) == est.hi
+    assert max(sub) == est.lo
+    assert est.hi == min(flagged, default=bound + 0.45 * tol)
+    if not flagged:
+        for m0 in (est.hi, bound + 0.45 * (1e-12 * bound)):
+            above = newton_solve(grid, gas, m0 / (2.0 * np.pi))
+            assert above.cutoff_active or not above.converged
     # a Mach-flagged end carries no g, and the bracket then bisects
     if all(p.reason in ("subcritical", "cutoff") for p in est.probes):
-        assert est.iterations == len(est.probes) <= 8
+        assert len(est.probes) <= 8
 
 
 def test_sonic_limit_study_certifies():
@@ -337,8 +348,7 @@ def test_sonic_limit_study_validation():
     grid = cylinder_grid(nx=8, nr=4, length=1.0)
     with pytest.raises(ValueError):
         sonic_limit_study(grid, GAS, m0_anchor=1.0, n_terms=1)
-    with pytest.raises(ValueError):
-        sonic_limit_study(grid, GAS, m0_anchor=1.0, ratio=2.0)
-    with pytest.raises(ValueError):
-        sonic_limit_study(grid, GAS, m0_anchor=1.0,
-                          window=(0.0, 0.5, 0.9, 0.95))
+    # the default window r in [0.06, 0.24] falls between this grid's radii
+    grid = build_grid(make_profile("tanh_step", a=0.3, ell=2.0), length=8.0, nx=2, nr=2)
+    with pytest.raises(ValueError, match="window contains no grid nodes"):
+        sonic_limit_study(grid, GAS, m0_anchor=0.1)
