@@ -22,7 +22,6 @@ from .solver import (
     assemble_energy,
     assemble_gradient,
     assemble_hessian,
-    dirichlet_data,
     newton_solve,
     pde_residual,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "assemble_hessian",
     "build_grid",
     "diagnostics_report",
-    "dirichlet_data",
     "entropy_pair_residual",
     "far_field_error",
     "find_critical_flux",

@@ -14,8 +14,9 @@ from a vectorized kernel (_reprfmt), which falls back to repr value by
 value; the other files call repr directly.
 
 Exit codes: 0 success, 1 diagnostics failed (or, for solve with
-diagnostics off, the momentum cutoff engaged), 2 configuration error,
-3 solver non-convergence.
+diagnostics off, the momentum cutoff engaged; or a node past sonic
+without the cutoff flag), 2 configuration error, 3 solver
+non-convergence.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from ._reprfmt import repr_csv
 from .gas import GasModel
 from .nozzle import NozzleProfile, build_grid, make_profile, pick_domain_length
 from .solver import newton_solve
-from .fields import (DEFAULT_THRESHOLDS, MIN_DIAGNOSTIC_CELLS, diagnostics_report,
-                     velocity_from_stream)
+from .fields import (DEFAULT_THRESHOLDS, MIN_DIAGNOSTIC_CELLS, SonicOvershootError,
+                     diagnostics_report, velocity_from_stream)
 from .continuation import CriticalToleranceError, find_critical_flux, mass_flux_sweep, SweepPoint
 
 TWO_PI = 2.0 * np.pi
@@ -325,7 +326,12 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
             print(f"m0 = {cfg.flux.m0}: momentum cutoff active, not a subsonic flow; "
                   "field.csv not written", file=sys.stderr)
             return 1
-        flow = velocity_from_stream(solution, gas)
+        try:
+            flow = velocity_from_stream(solution, gas)
+        except SonicOvershootError as exc:
+            print(f"m0 = {cfg.flux.m0}: {exc}; not a subsonic flow, no output written",
+                  file=sys.stderr)
+            return 1
         out_dir.mkdir(parents=True, exist_ok=True)
         if cfg.outputs.fields:
             write_field_csv(out_dir / "field.csv", flow)

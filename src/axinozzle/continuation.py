@@ -274,10 +274,11 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
     A solve whose squared momentum s stays at or below s_lo = m_tilde^2
     therefore carries m0 <= B = pi m_tilde min_columns f_c (f_c + 2 delta).
     This is the discrete form of the bound pi b^2 m_tilde on the flux
-    rho U 2 pi r dr through a throat of radius b, which a straight pipe
-    attains.  So hi = B + 0.45 tol is an end without a solve, and one
-    probe at B - 0.45 tol that lands subcritical closes the bracket, at
-    most tol wide after rounding.  A tol below 1e-12 B raises
+    rho U 2 pi r dr through a throat of radius b, which the datum, the
+    shielded uniform flow, attains.  So hi = B + 0.45 tol is an end
+    without a solve, and one probe at B - 0.45 tol that lands subcritical
+    closes the bracket of a pipe or tanh step at any delta, at most tol
+    wide after rounding.  A tol below 1e-12 B raises
     CriticalToleranceError; above that floor fl(B) + 0.45 tol lies above
     the exact bound.  The lower start is probed, not assumed: the
     critical flux can lie well below B (1-2 per cent on bumps) or the

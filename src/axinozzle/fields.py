@@ -177,18 +177,18 @@ def flux_drift(flow: FlowField) -> float:
     return float(np.abs(fluxes - flow.m0).max() / scale)
 
 
-def far_field_reference(gas: GasModel, m0: float, radius: float) -> float:
-    """Axial speed of the uniform subsonic flow with flux m0 in a pipe."""
-    momentum_sq = (m0 / (np.pi * radius**2)) ** 2
+def far_field_reference(gas: GasModel, m0: float, radius: float, delta: float) -> float:
+    """Axial speed of the uniform shielded flow, rho U = m0 / (pi f (f + 2 delta))."""
+    momentum_sq = (m0 / (np.pi * (radius**2 + 2.0 * delta * radius))) ** 2
     return float(np.sqrt(gas.speed_from_momentum(min(momentum_sq, 1.0))))
 
 
 def far_field_error(flow: FlowField, gas: GasModel):
     """Max deviation from the uniform asymptotic states near the two ends.
 
-    Compares (U, V) with (sqrt(Ginv((m0 / (pi r_mp^2))^2)), 0) at the
-    stations nearest x = -(L - 2) and x = +(L - 2), where r_mp is the
-    asymptotic wall radius on that side.
+    Compares (U, V) with the shielded datum's (sqrt(Ginv((rho U)^2)), 0) at
+    the stations nearest x = -(L - 2) and x = +(L - 2), where
+    rho U = m0 / (pi r_mp (r_mp + 2 delta)) for the wall radius r_mp there.
     """
     grid = flow.grid
     prof = grid.profile
@@ -196,7 +196,7 @@ def far_field_error(flow: FlowField, gas: GasModel):
     for sign, radius in ((-1.0, prof.r_minus), (1.0, prof.r_plus)):
         x = sign * (grid.length - 2.0)
         i = int(np.argmin(np.abs(grid.xi - x)))
-        u_ref = far_field_reference(gas, flow.m0, radius)
+        u_ref = far_field_reference(gas, flow.m0, radius, grid.delta)
         dev = np.hypot(flow.U[i] - u_ref, flow.V[i])
         out.append(float(dev.max()))
     return out[0], out[1]

@@ -4,9 +4,13 @@ The stream function psi of a steady axially symmetric flow satisfies
 
     div( Htilde(|grad psi / (r + delta)|^2)^(-1) grad psi / (r + delta) ) = 0
 
-with psi = 0 on the axis, psi = m on the wall, and the datum
-psi = m r^2 / f(x)^2 on the truncated ends x = +-L.  Solutions are the
-minimizers of the strictly convex energy
+with psi = 0 on the axis, psi = m on the wall, and on the truncated ends
+x = +-L the uniform flow of the shielded problem,
+
+    psi = m ((r + delta)^2 - delta^2) / ((f + delta)^2 - delta^2),
+
+m r^2 / f^2 at delta = 0, and the exact discrete solution in a pipe.
+Solutions are the minimizers of the strictly convex energy
 
     J(phi) = integral F(|grad phi / (r + delta)|^2) (r + delta) dx dr
 
@@ -37,13 +41,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .gas import CoenergyBundle, GasModel
-from .nozzle import MappedGrid, NozzleProfile
+from .nozzle import MappedGrid
 
 _ARMIJO_SLOPE = 1e-4
 _ENERGY_NOISE = 1e-6  # relative energy rise the derivative form of Armijo tolerates
@@ -88,17 +92,12 @@ class StreamSolution:
         return self.grid.delta
 
 
-def dirichlet_data(x, r, m, profile: NozzleProfile):
-    """Boundary datum m r^2 / f(x)^2 (0 on the axis, m on the wall)."""
-    if m < 0.0:
-        raise ValueError("dirichlet_data: m must be >= 0")
-    x = np.asarray(x, dtype=float)
-    r = np.asarray(r, dtype=float)
-    f = np.asarray(profile.wall(x))
-    if np.any(r < 0.0) or np.any(r > f * (1.0 + 1e-12) + 1e-15):
-        raise ValueError("dirichlet_data: point outside the nozzle")
-    out = m * np.asarray(r, dtype=float) ** 2 / f**2
-    return float(out) if out.ndim == 0 else out
+def _datum(grid: MappedGrid, m: float) -> np.ndarray:
+    """The shielded uniform flow at every node, in mapped coordinates; 0 on
+    the axis, m on the wall, and m sigma^2 bit for bit at delta = 0."""
+    sigma = grid.sigma[None, :]
+    return m * sigma**2 + (2.0 * m * grid.delta * sigma * (1.0 - sigma)
+                           / (grid.f_nodes[:, None] + 2.0 * grid.delta))
 
 
 def _geometry(grid: MappedGrid):
@@ -254,24 +253,6 @@ def _check_info(info: int) -> None:
             "value is the order of a leading minor that is not positive definite)")
 
 
-def apply_boundary(psi: np.ndarray, grid: MappedGrid, m: float,
-                   bc: Callable | None = None) -> np.ndarray:
-    """Impose the Dirichlet values on all four edges of the node array."""
-    psi = np.array(psi, dtype=float)
-    if bc is None:
-        edge = m * grid.sigma**2  # datum m r^2/f^2 in mapped coordinates
-        psi[0, :] = edge
-        psi[-1, :] = edge
-        psi[:, 0] = 0.0
-        psi[:, -1] = m
-    else:
-        psi[0, :] = bc(grid.x_nodes[0, :], grid.r_nodes[0, :])
-        psi[-1, :] = bc(grid.x_nodes[-1, :], grid.r_nodes[-1, :])
-        psi[:, 0] = bc(grid.x_nodes[:, 0], grid.r_nodes[:, 0])
-        psi[:, -1] = bc(grid.x_nodes[:, -1], grid.r_nodes[:, -1])
-    return psi
-
-
 def _armijo_by_derivative(trial_state: _CellState, grid: MappedGrid,
                           step: np.ndarray, slope: float) -> bool:
     """Armijo's test in derivative form, for a full step the energy cannot resolve.
@@ -290,7 +271,6 @@ def _armijo_by_derivative(trial_state: _CellState, grid: MappedGrid,
 
 def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
                  init: np.ndarray | None = None, tol: float | None = None,
-                 bc: Callable | None = None,
                  factor: np.ndarray | None = None) -> StreamSolution:
     """Minimize the discrete energy by damped Newton and chord iteration.
 
@@ -299,11 +279,9 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
     grid : body-fitted grid (carries the profile and the axis shield).
     gas : gas model supplying the coenergy.
     m : stream-function wall value, m = m0 / (2 pi) for mass flux m0.
-    init : optional starting field (boundary rows are overwritten with the
-        Dirichlet values); default is the datum extension m * sigma^2.
+    init : optional starting field, of which only the interior is used;
+        default is the datum extension, the datum at every station.
     tol : gradient 2-norm target, default 1e-10 * max(1, m).
-    bc : optional boundary datum callable (x, r) -> psi, replacing the
-        default m r^2/f(x)^2 (used for manufactured-solution studies).
     factor : optional banded Cholesky factor of a Hessian on a grid of
         this shape, such as the factor of a previous solution; the first
         step solves with it, and a refactorization overwrites it.
@@ -326,14 +304,14 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         tol = 1e-10 * max(1.0, m)
     if not tol > 0.0:  # NaN fails too
         raise ValueError("newton_solve: tol must be > 0")
-    if init is None:
-        init = m * np.broadcast_to(grid.sigma[None, :] ** 2, grid.shape)
-    elif init.shape != grid.shape:
+    if init is not None and init.shape != grid.shape:
         raise ValueError(f"newton_solve: init shape {init.shape} != grid {grid.shape}")
     band_shape = (grid.nr + 1, (grid.nx - 1) * (grid.nr - 1))
     if factor is not None and factor.shape != band_shape:
         raise ValueError(f"newton_solve: factor shape {factor.shape} != band {band_shape}")
-    psi = apply_boundary(init, grid, m, bc)
+    psi = _datum(grid, m)
+    if init is not None:
+        psi[1:-1, 1:-1] = init[1:-1, 1:-1]
 
     state = _cell_state(psi, grid, gas)  # of the accepted point; feeds gradient and Hessian
     energy = _energy(state, grid)
@@ -429,11 +407,14 @@ def pde_residual(solution: StreamSolution, gas: GasModel) -> ResidualNorms:
     if grid.nx < 5 or grid.nr < 5:
         raise ValueError("pde_residual: grid too coarse for interior differences")
     psi_x, psi_r = nodal_gradients(solution.psi, grid)
-    r_shield = grid.r_nodes + grid.delta
+    # the axis row (0/0 at a zero shield) stays out of w; the core never reads it
+    psi_x, psi_r = psi_x[:, 1:], psi_r[:, 1:]
+    r_shield = grid.r_nodes[:, 1:] + grid.delta
     s = (psi_x**2 + psi_r**2) / r_shield**2
     rho = gas.truncated_density_from_momentum(s.ravel()).reshape(s.shape)
-    w_x = psi_x / (r_shield * rho)
-    w_r = psi_r / (r_shield * rho)
+    w_x, w_r = np.zeros(grid.shape), np.zeros(grid.shape)
+    w_x[:, 1:] = psi_x / (r_shield * rho)
+    w_r[:, 1:] = psi_r / (r_shield * rho)
     dwx_dx, _ = nodal_gradients(w_x, grid)
     _, dwr_dr = nodal_gradients(w_r, grid)
     div = dwx_dx + dwr_dr

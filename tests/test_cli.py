@@ -255,8 +255,13 @@ def test_zero_flux_solve(tmp_path):
     assert "passed = true" in diag
 
 
+TANH = BASE.replace("kind = cylinder\na = 1.0\nlength = 4",
+                    "kind = tanh_step\na = 0.8\nell = 2.0\nlength = 12")
+
+
 def test_diagnose_exit_code_on_failure(tmp_path):
-    failing = BASE + "\n[tolerances]\nflux_drift = 1e-15\n"
+    # a pipe carries its flux to rounding; a tanh step drifts by about 1e-4
+    failing = TANH + "\n[tolerances]\nflux_drift = 1e-15\n"
     cfg = write(tmp_path, failing)
     out = tmp_path / "diag"
     assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 1
@@ -319,6 +324,36 @@ def test_cutoff_without_diagnostics_exits_1(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
     assert "momentum cutoff active" in capsys.readouterr().err
     assert not (out / "field.csv").exists()
+
+
+OVERSHOOT = """
+[nozzle]
+kind = bump
+a0 = 1.0
+h = -0.2
+w = 1.0
+length = 8
+
+[grid]
+nx = 24
+nr = 6
+
+[flux]
+m0 = 1.85
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_sonic_overshoot_exits_1_without_output(tmp_path, capsys, command):
+    # above this coarse bump's critical bracket [1.77466, 1.77479] the solve
+    # converges without the cutoff flag, but a node lands past sonic
+    cfg = write(tmp_path, OVERSHOOT)
+    out = tmp_path / "over"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "not a subsonic flow" in err
+    assert not (out / "field.csv").exists()
+    assert not (out / "diagnostics.txt").exists()
 
 
 def test_sweep_table(tmp_path):

@@ -310,8 +310,8 @@ def test_diagnostics_report_passes_and_serializes(tanh_flow):
         assert isinstance(value, (bool, int, float, np.bool_, np.floating))
 
 
-def test_diagnostics_threshold_validation(cylinder_flow):
-    _, sol = cylinder_flow
+def test_diagnostics_threshold_validation(tanh_flow):
+    _, sol = tanh_flow
     with pytest.raises(ValueError):
         diagnostics_report(sol, GAS, thresholds={"bogus": 1.0})
     tight = diagnostics_report(sol, GAS, thresholds={"flux_drift": 1e-12})
