@@ -361,6 +361,17 @@ def test_cylinder_solved_exactly_with_matching_datum():
         assert np.abs(sol.psi - shielded_quadratic(grid, m)).max() < 1e-12 * max(1.0, m)
 
 
+def test_cylinder_default_datum_small_shield():
+    # with delta tiny the default datum and the shielded quadratic differ
+    # by O(delta), so the solve stays that close to m sigma^2
+    grid = cylinder_grid(nx=48, nr=16, delta=1e-6)
+    m = 0.3
+    sol = newton_solve(grid, GAS, m)
+    flat = m * grid.sigma[None, :] ** 2 * np.ones((grid.nx + 1, 1))
+    assert sol.converged
+    assert np.abs(sol.psi - flat).max() < 50.0 * grid.delta
+
+
 def test_solution_is_energy_minimizer():
     grid = cylinder_grid(nx=20, nr=10, delta=0.05, length=2.0)
     sol = newton_solve(grid, GAS, 0.45)
