@@ -32,7 +32,7 @@ import numpy as np
 
 from ._reprfmt import repr_csv
 from .gas import GasModel
-from .nozzle import NozzleProfile, build_grid, make_profile, pick_domain_length
+from .nozzle import SCALE_LIMIT, NozzleProfile, build_grid, make_profile, pick_domain_length
 from .solver import newton_solve
 from .fields import (DEFAULT_THRESHOLDS, MIN_DIAGNOSTIC_CELLS, SonicOvershootError,
                      diagnostics_report, velocity_from_stream)
@@ -237,12 +237,21 @@ def _build(cfg: RunConfig):
     profile = _make_profile(cfg.nozzle)
     length = cfg.nozzle.length
     if length is None:
-        length = pick_domain_length(profile)
+        try:
+            length = pick_domain_length(profile)
+        except ValueError as exc:
+            raise ConfigError(f"nozzle: length = auto: {exc}") from exc
     try:
         grid = build_grid(profile, length=length, nx=cfg.grid.nx, nr=cfg.grid.nr,
                           delta=cfg.grid.delta)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
+    # squared momenta grow like (m0 / (pi b^2))^2 and overflow near m0 = 1e154 pi b^2;
+    # any flux above pi b^2 is supercritical, so the rule takes the lengths' limit
+    limit = SCALE_LIMIT * np.pi * profile.b**2
+    if any(m0 > limit for m0 in (cfg.flux.m0 or 0.0,) + cfg.flux.sweep):
+        raise ConfigError(f"flux: m0 must be at most {SCALE_LIMIT:g} times the throat "
+                          f"flux pi b^2, {limit!r}")
     return gas, grid
 
 
@@ -350,7 +359,11 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
         return code
 
     if command == "sweep":
-        points = mass_flux_sweep(grid, gas, cfg.flux.sweep).points
+        try:
+            points = mass_flux_sweep(grid, gas, cfg.flux.sweep).points
+        except SonicOvershootError as exc:
+            print(f"sweep: {exc}; not a subsonic flow, no output written", file=sys.stderr)
+            return 1
         out_dir.mkdir(parents=True, exist_ok=True)
         write_sweep_csv(out_dir / "sweep.csv", points)
         print(f"swept {len(points)} fluxes; "

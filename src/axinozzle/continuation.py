@@ -8,10 +8,13 @@ discrete problem: midpoint quadrature never evaluates 1/r on the axis, so
 the discrete problem is also solved directly at delta = 0. No driver takes
 the L limit: nozzle.pick_domain_length picks L and fields.far_field_error
 checks it. Shield shrinking approaches delta -> 0 by warm-started
-continuation with an explicit Cauchy certificate. It starts each solve
-from the Lagrange extrapolation in delta of the last three solutions; a
-start already within the gradient tolerance takes 0 Newton iterations and
-is still certified by that check at its own delta. Every warm start
+continuation with an explicit Cauchy certificate. Since the discrete
+problem needs no shield, the chain starts where psi is already linear in
+delta, far below the innermost cell radius, and divides delta by 50 per
+step, so a chain takes about 4 solves. It starts each solve from the
+Lagrange extrapolation in delta of the last three solutions; a start
+already within the gradient tolerance takes 0 Newton iterations and is
+still certified by that check at its own delta. Every warm start
 carries the banded Cholesky factor its solution ended with, so a solve
 whose chord steps contract with it factors no Hessian of its own; the
 line search and the gradient tolerance certify it all the same. A
@@ -77,27 +80,33 @@ class ShrinkResult:
         return self.solution.grid.delta
 
 
-def shrink_delta(grid: MappedGrid, gas: GasModel, m: float, factor: float = 0.5,
+def shrink_delta(grid: MappedGrid, gas: GasModel, m: float, factor: float = 0.02,
                  tol: float | None = None) -> ShrinkResult:
     """Solve along a geometric shield schedule until the iterates settle.
 
-    Starts at delta = b/10 and multiplies by factor each step.
-    Each solve starts from the Lagrange extrapolation in delta through the
-    last (up to) three solutions, a predictor-corrector continuation; the
-    second step starts from the first solution alone, and each step from
-    the Cholesky factor the previous solve ended with.  The nodes do not
-    move when delta changes, so states transfer directly.  A step may take
-    0 Newton iterations when its start already meets newton_solve's
+    Starts at delta = 1e-4 b and multiplies by factor each step.  The
+    start is about 1 per cent of the innermost cell-centre radius
+    b / (2 nr) at nr = 48 (less on coarser grids), where psi is already
+    linear in delta to first order, so the consecutive differences
+    shrink like delta from the first step.  Each solve starts from the
+    Lagrange extrapolation in delta through the last (up to) three
+    solutions, a predictor-corrector continuation; the second step
+    starts from the first solution alone, and each step from the
+    Cholesky factor the previous solve ended with.  The nodes do not
+    move when delta changes, so states transfer directly.  A step may
+    take 0 Newton iterations when its start already meets newton_solve's
     gradient tolerance; it is still certified by that check at its own
     delta.  Stops once the sup difference between consecutive solutions
-    drops below tol (default 1e-8 * max(1, m)); the differences themselves
-    shrink like delta, so the schedule certifies its own limit.
+    drops below tol (default 1e-8 * max(1, m)).  The later differences
+    would shrink by factor each, so the result lies within
+    factor / (1 - factor) * tol of the delta -> 0 limit, about 0.02 tol
+    at the default factor.
     """
     if not 0.0 < factor < 1.0:
         raise ValueError("shrink_delta: factor must lie in (0, 1)")
     if tol is None:
         tol = 1e-8 * max(1.0, m)
-    delta = 0.1 * grid.profile.b
+    delta = 1e-4 * grid.profile.b
     steps: list[DeltaStep] = []
     recent: list[np.ndarray] = []  # the last three solutions, oldest first
     solution = None
@@ -280,10 +289,12 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
     closes the bracket of a pipe or tanh step at any delta, at most tol
     wide after rounding.  A tol below 1e-12 B raises
     CriticalToleranceError; above that floor fl(B) + 0.45 tol lies above
-    the exact bound.  The lower start is probed, not assumed: the
-    critical flux can lie well below B (1-2 per cent on bumps) or the
-    Mach signal fire first.  A flagged lo becomes hi and steps 3 per cent
-    down, then halves.
+    the exact bound.  A tol of B or more raises it too: its bracket
+    [0, B + 0.45 tol] would hold the whole subcritical range and take no
+    probe.  The lower start is probed, not assumed: the critical flux can
+    lie well below B (1-2 per cent on bumps) or the Mach signal fire
+    first.  A flagged lo becomes hi and steps 3 per cent down, then
+    halves.
 
     Between the ends the next probe goes where Illinois regula falsi
     (Dowell and Jarratt 1971) on the monotone distance g = max_momentum_sq
@@ -294,13 +305,13 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
     bound = np.pi * gas.m_tilde * float((grid.fc * (grid.fc + 2.0 * grid.delta)).min())
     if tol is None:
         tol = 1e-4 * bound
-    if not tol >= 1e-12 * bound:  # tol <= 0 and NaN fail too
+    if not 1e-12 * bound <= tol < bound:  # tol <= 0 and NaN fail too
         raise CriticalToleranceError(
-            f"find_critical_flux: tol must be > 0 and at least 1e-12 times the throat "
-            f"bound B = {bound!r}; got tol = {tol!r}")
+            f"find_critical_flux: tol must be > 0, at least 1e-12 times the throat "
+            f"bound B = {bound!r} and below B; got tol = {tol!r}")
     start = 0.45 * tol  # not tol/2: the ends must be at most tol apart after rounding
-    hi = max(bound + start, 2.0 * start)
-    lo = max(min(bound - start, hi - 2.0 * start), 0.0)
+    hi = bound + start
+    lo = min(bound - start, hi - 2.0 * start)  # > 0 since tol < B
 
     probes: list[CriticalProbe] = []
 
@@ -318,7 +329,7 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
     g_lo = g_hi = None
 
     # push lo down until it is genuinely subcritical
-    while lo > 0.0:
+    while True:
         ok, g, sol = probe(lo)
         if ok:
             best_sub, g_lo = sol, g

@@ -49,6 +49,9 @@ _START_NODES = 257
 # The relations raise to the power 1/(gamma - 1), which multiplies rounding
 # errors by that factor; a gamma closer to 1 than this loses over half the digits.
 _GAMMA_MIN_EXCESS = float(np.sqrt(np.finfo(float).eps))
+# They also take (gamma + 1) / (gamma - 1) = 1 + 2 / (gamma - 1); past this
+# excess the 2 / (gamma - 1) loses over half its digits in that sum.
+_GAMMA_MAX_EXCESS = 2.0 / _GAMMA_MIN_EXCESS
 
 
 class SpeedDensity(NamedTuple):
@@ -124,7 +127,8 @@ class GasModel:
 
     Parameters
     ----------
-    gamma : adiabatic exponent, at least 1 + sqrt(machine epsilon) ~ 1 + 1.5e-8.
+    gamma : adiabatic exponent, at least 1 + sqrt(machine epsilon) ~ 1 + 1.5e-8
+        and at most 1 + 2 / sqrt(machine epsilon) ~ 1.3e8.
     m_tilde : momentum threshold in (0, 1) where the truncation starts.
     """
 
@@ -132,9 +136,10 @@ class GasModel:
     m_tilde: float = 0.98
 
     def __post_init__(self):
-        if not self.gamma - 1.0 >= _GAMMA_MIN_EXCESS:
+        if not _GAMMA_MIN_EXCESS <= self.gamma - 1.0 <= _GAMMA_MAX_EXCESS:
             raise ValueError(f"GasModel: gamma must exceed 1 by at least "
-                             f"{_GAMMA_MIN_EXCESS:.1e}, got {self.gamma!r}")
+                             f"{_GAMMA_MIN_EXCESS:.1e} and at most {_GAMMA_MAX_EXCESS:.1e}, "
+                             f"got {self.gamma!r}")
         if not 0.0 < self.m_tilde < 1.0:
             raise ValueError(f"GasModel: m_tilde must lie in (0, 1), got {self.m_tilde}")
 

@@ -24,6 +24,12 @@ import numpy as np
 
 _FAMILIES = ("cylinder", "tanh_step", "bump")
 _FLAT_TOL = 1e-6  # wall distance from its end radius that pick_domain_length calls flat
+# Every length of a nozzle (its extreme wall radii, ell, w and the domain
+# length) lies in [1 / SCALE_LIMIT, SCALE_LIMIT].  The solver squares
+# lengths, fluxes and their ratios, such as the slope ratio f'/f; far
+# outside this range those overflow or underflow (a cylinder of radius
+# 1e300 or 1e-300, or a tanh step from radius 1 to 1e-25 over ell = 1e-25).
+SCALE_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,8 @@ class NozzleProfile:
         if self.kind == "cylinder":
             out = np.zeros_like(x)
         elif self.kind == "tanh_step":
-            out = 0.5 * (self.a - 1.0) / self.ell / np.cosh(x / self.ell) ** 2
+            with np.errstate(over="ignore"):  # cosh**2 is inf past |x| ~ 355 ell: slope 0
+                out = 0.5 * (self.a - 1.0) / self.ell / np.cosh(x / self.ell) ** 2
         else:
             out = -2.0 * self.h * x / self.w**2 * np.exp(-((x / self.w) ** 2))
         return float(out) if out.ndim == 0 else out
@@ -107,19 +114,18 @@ def make_profile(kind: str, **params) -> NozzleProfile:
         )
     vals = {k: float(v) for k, v in params.items()}
     profile = NozzleProfile(kind=kind, **vals)
-    if kind == "cylinder" and profile.a <= 0.0:
-        raise ValueError("make_profile: cylinder radius must be positive")
-    if kind == "tanh_step":
-        if profile.a <= 0.0:
-            raise ValueError("make_profile: tanh_step end radius must be positive")
-        if profile.ell <= 0.0:
-            raise ValueError("make_profile: tanh_step length scale must be positive")
+    # the extreme radii, and the other lengths; a tanh step's other radius is 1
     if kind == "bump":
-        if profile.w <= 0.0:
-            raise ValueError("make_profile: bump width must be positive")
-        if profile.a0 <= 0.0 or profile.b <= 0.0:
-            raise ValueError("make_profile: bump wall must stay positive")
+        vals = {"a0": profile.a0, "a0 + h": profile.a0 + profile.h, "w": profile.w}
+    for name, value in vals.items():
+        _check_scale(f"make_profile: {kind} {name}", value)
     return profile
+
+
+def _check_scale(name: str, value: float) -> None:
+    if not 1.0 / SCALE_LIMIT <= value <= SCALE_LIMIT:  # nan fails too
+        raise ValueError(f"{name} must lie in [{1.0 / SCALE_LIMIT:g}, {SCALE_LIMIT:g}], "
+                         f"got {value!r}")
 
 
 def pick_domain_length(profile: NozzleProfile) -> float:
@@ -148,8 +154,7 @@ class MappedGrid:
 
     def __init__(self, profile: NozzleProfile, length: float, nx: int, nr: int,
                  delta: float = 0.0):
-        if length <= 0.0:
-            raise ValueError("MappedGrid: length must be positive")
+        _check_scale("MappedGrid: length", length)
         if nx < 2 or nr < 2:
             raise ValueError("MappedGrid: need at least 2 cells in each direction")
         if not 0.0 <= delta <= profile.b:

@@ -1,7 +1,11 @@
 """Configuration parsing, file outputs, determinism, and exit codes."""
 
+import contextlib
+import io
 import math
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,17 +347,20 @@ m0 = 1.85
 """
 
 
-@pytest.mark.parametrize("command", ["solve", "diagnose"])
+@pytest.mark.parametrize("command", ["solve", "diagnose", "sweep"])
 def test_sonic_overshoot_exits_1_without_output(tmp_path, capsys, command):
     # above this coarse bump's critical bracket [1.77466, 1.77479] the solve
-    # converges without the cutoff flag, but a node lands past sonic
-    cfg = write(tmp_path, OVERSHOOT)
+    # converges without the cutoff flag, but a node lands past sonic; a
+    # sweep through that flux stops the same way
+    text = OVERSHOOT.replace("m0 = 1.85", "sweep = 1.0, 1.85") if command == "sweep" else OVERSHOOT
+    cfg = write(tmp_path, text)
     out = tmp_path / "over"
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "not a subsonic flow" in err
     assert not (out / "field.csv").exists()
     assert not (out / "diagnostics.txt").exists()
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_table(tmp_path):
@@ -406,15 +413,155 @@ def test_non_positive_tolerances_exit_2(tmp_path, capsys, command, flux, key, va
 def test_unresolvable_critical_tolerance_exits_2(tmp_path, capsys):
     # a tol below 1e-12 B (B = pi 0.98 here) is refused before any probe:
     # 1e-300 would not move B in floating point, and 1e-13 lies below the
-    # floor; 1e-300 used to exit 1 with a ValueError traceback
-    for value in ("1e-300", "1e-13"):
+    # floor; 1e-300 used to exit 1 with a ValueError traceback.  So is a
+    # tol of B or more: 1e300 used to exit 0 with the bracket [0, 9e+299]
+    for value in ("1e-300", "1e-13", "1e300"):
         text = BASE.replace("m0 = 1.0", "critical = yes") + f"\n[tolerances]\ncritical = {value}\n"
         out = tmp_path / f"out{value}"
         assert main(["critical", "--config", write(tmp_path, text), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: tolerances: critical:")
-        assert f"tol = {value}" in err
+        assert f"tol = {float(value)!r}" in err
         assert not out.exists()
+
+
+SMALL_CYLINDER = BASE.replace("nx = 48\nnr = 12\ndelta = 1e-6", "nx = 16\nnr = 8")
+
+
+@pytest.mark.parametrize("edit", [
+    ("a = 1.0", "a = 1e300"),        # was an OverflowError from the diagnostics' b**2
+    ("a = 1.0", "a = 1e-300"),       # was a LinearSolveError: a non-finite Hessian
+    ("length = 4", "length = 1e-300"),
+    ("m0 = 1.0", "m0 = 1e300"),      # a flux above 1e12 pi b^2
+    ("m0 = 1.0", "sweep = 1, 1e300"),
+    ("length = 4", "length = auto\nell = 1e9"),  # was an uncaught pick_domain_length error
+], ids=["a-1e300", "a-1e-300", "length-1e-300", "m0-1e300", "sweep-1e300", "auto-unflat"])
+def test_unrepresentable_scales_exit_2(tmp_path, capsys, edit):
+    text = SMALL_CYLINDER.replace(*edit)
+    if "ell" in text:
+        text = text.replace("kind = cylinder\na = 1.0", "kind = tanh_step\na = 0.8")
+    command = "sweep" if "sweep" in text else "solve"
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("configuration error: ")
+    assert not out.exists()
+
+
+# Each config key with its valid values and its boundary or absurd ones.
+# Valid values keep the draw on small grids (at most 32 x 8) that solve
+# in milliseconds; the boundary values of the scale rules sit at 1e+-12,
+# and 1eN stands for a power of ten anywhere in the double range.
+FUZZ_KEYS = {
+    ("nozzle", "kind"): (("cylinder", "tanh_step", "bump"), ("cone", "")),
+    ("gas", "gamma"): (("1.4", "1.2", "1.6667"),
+                       ("1eN", "1", "1.00000001", "1.00000002", "134217729", "134217730", "0",
+                        "-1", "nan", "fast")),
+    ("gas", "m_tilde"): (("0.98", "0.9"), ("0.5", "0.999999", "1", "0", "-0.5", "1e-300", "2",
+                                           "inf")),
+    ("nozzle", "length"): (("auto", "4", "8"), ("1eN", "2", "0.1", "1e-12", "1e12", "1.1e12",
+                                                "0", "-1", "-inf")),
+    ("nozzle", "a"): (("1", "0.8", "1.5"), ("1eN", "1e-12", "1e12", "9e-13", "1.1e12", "0", "-1")),
+    ("nozzle", "ell"): (("2", "0.5"), ("1eN", "1e-12", "1e12", "0", "-1")),
+    ("nozzle", "a0"): (("1", "1.2"), ("1eN", "1e-12", "1e12", "0", "-1")),
+    ("nozzle", "h"): (("-0.2", "0.3"), ("1eN", "-0.999", "-1", "0", "1e12")),
+    ("nozzle", "w"): (("1", "2"), ("1eN", "0.3", "1e-12", "1e12", "0")),
+    ("grid", "nx"): (("16", "24", "32"), ("5", "4", "2", "1", "0", "-3", "4.5", "100000")),
+    ("grid", "nr"): (("6", "8"), ("5", "4", "2", "1", "0", "-3", "100000")),
+    ("grid", "delta"): (("0", "1e-6", "0.01"), ("1eN", "0.1", "0.5", "-1", "nan")),
+    ("flux", "m0"): (("0.5", "1", "1.5"), ("1eN", "0", "1.85", "3", "10", "3e12", "-1")),
+    ("flux", "sweep"): (("0.5, 1", "1, 0.5, 1.5"), ("1eN", "0", "10, 1", "1e-300, 0", "-1", "")),
+    ("flux", "critical"): (("yes",), ("no", "maybe")),
+    ("tolerances", "newton"): (("auto", "1e-10"), ("1eN", "1e-6", "0", "-1", "nan")),
+    ("tolerances", "critical"): (("auto", "1e-3"), ("1eN", "0.1", "1", "0", "-1")),
+    ("tolerances", "max_principle"): (("1e-10",), ("0", "1e300", "-1")),
+    ("tolerances", "barrier_slack"): (("1e-8",), ("0", "1e300", "-1")),
+    ("tolerances", "angle"): (("1.0",), ("0", "1e300", "-1")),
+    ("tolerances", "flux_drift"): (("1e-3",), ("0", "1e300", "-1")),
+    ("tolerances", "far_field"): (("1e-3",), ("0", "1e300", "-1")),
+    ("outputs", "fields"): (("yes", "no"), ("maybe",)),
+    ("outputs", "diagnostics"): (("yes", "no"), ("0", "2")),
+}
+FUZZ_FAMILIES = {"cylinder": ("a",), "tanh_step": ("a", "ell"), "bump": ("a0", "h", "w")}
+FUZZ_COMMANDS = {"m0": "solve", "sweep": "sweep", "critical": "critical"}
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A command and its INI text, with up to two keys off their valid values.
+
+    The nozzle kind, the parameters of its family, the drawn [flux] key,
+    nx and nr are present; any other key may be left out.  One draw in
+    twenty pairs the config with a random command.
+    """
+    kind = draw(st.sampled_from(sorted(FUZZ_FAMILIES)))
+    mode = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    n_off = draw(st.sampled_from((1, 2, 0, 1)))
+    off = draw(st.lists(st.sampled_from(sorted(FUZZ_KEYS)), min_size=n_off, max_size=n_off,
+                        unique=True))
+    sections: dict[str, dict[str, str]] = {}
+    for (section, key), (valid, absurd) in FUZZ_KEYS.items():
+        if (section, key) in off:
+            value = draw(st.sampled_from(absurd))
+            if value == "1eN":
+                value = f"1e{draw(st.integers(-300, 300))}"
+        elif key == "kind":
+            value = kind
+        elif section == "nozzle" and key != "length":
+            value = draw(st.sampled_from(valid)) if key in FUZZ_FAMILIES[kind] else None
+        elif section == "flux":
+            value = draw(st.sampled_from(valid)) if key == mode else None
+        elif key in ("nx", "nr"):
+            value = draw(st.sampled_from(valid))
+        else:
+            value = draw(st.sampled_from((None,) + valid))
+        if value is not None:
+            sections.setdefault(section, {})[key] = value
+    command = FUZZ_COMMANDS[mode]
+    if command == "solve" and draw(st.booleans()):
+        command = "diagnose"
+    if draw(st.integers(0, 19)) == 19:
+        command = draw(st.sampled_from(("solve", "diagnose", "sweep", "critical")))
+    text = "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                   for name, keys in sections.items())
+    return command, text
+
+
+def expected_outputs(command, cfg):
+    if command == "sweep":
+        return {"sweep.csv"}
+    if command == "critical":
+        return {"critical.txt"}
+    names = {"field.csv"} if cfg.outputs.fields else set()
+    if command == "diagnose" or cfg.outputs.diagnostics:
+        names.add("diagnostics.txt")
+    return names
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fuzz_configs())
+def test_every_config_exits_0_to_3_without_traceback(draw):
+    command, text = draw
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        cfg = None
+    if cfg is not None and (cfg.grid.nx > 32 or cfg.grid.nr > 8):
+        return  # an oversize grid is only parsed, not solved
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "run.ini", Path(tmp) / "out"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", str(path), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert not out.exists()
+        if code == 0:
+            assert {p.name for p in out.iterdir()} == expected_outputs(command, cfg)
+            if (out / "diagnostics.txt").exists():
+                assert "passed = true" in (out / "diagnostics.txt").read_text()
 
 
 def test_command_config_consistency(tmp_path):

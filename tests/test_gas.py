@@ -32,6 +32,10 @@ def test_validation():
         GasModel(m_tilde=0.0)
     with pytest.raises(ValueError):  # the relations would lose over half the digits
         GasModel(gamma=1.0 + 1e-9)
+    GasModel(gamma=1.0 + 2.0**27)  # 2 / (gamma - 1) keeps half its digits in 1 + 2 / (gamma - 1)
+    for gamma in (2.0 + 2.0**27, 1e20, 1e300):  # 1e20 gave a non-finite Hessian
+        with pytest.raises(ValueError):
+            GasModel(gamma=gamma)
     for s in (-1e-3, 1.0 + 1e-12, np.nan):
         with pytest.raises(ValueError):
             GAS.density_from_momentum(s)

@@ -107,6 +107,23 @@ def test_grid_cell_geometry():
     assert grid.r_shield.min() >= 0.0
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("cylinder", {"a": 1e300}), ("cylinder", {"a": 1e-300}), ("cylinder", {"a": float("nan")}),
+    ("tanh_step", {"a": 1e-25, "ell": 1.0}), ("tanh_step", {"a": 0.8, "ell": 1e13}),
+    ("bump", {"a0": 1.0, "h": 1e13, "w": 1.0}), ("bump", {"a0": 1.0, "h": -0.2, "w": 1e-13}),
+])
+def test_make_profile_rejects_lengths_out_of_scale(kind, params):
+    with pytest.raises(ValueError, match=r"must lie in \[1e-12, 1e\+12\]"):
+        make_profile(kind, **params)
+
+
+def test_lengths_at_the_scale_limits_are_accepted():
+    for a in (1e-12, 1e12):
+        prof = make_profile("tanh_step", a=a, ell=a)
+        for length in (1e-12, 1e12):
+            assert build_grid(prof, length=length, nx=4, nr=4).length == length
+
+
 def test_grid_validation():
     prof = make_profile("cylinder", a=1.0)
     with pytest.raises(ValueError):
@@ -117,6 +134,8 @@ def test_grid_validation():
         build_grid(prof, length=2.0, nx=4, nr=4, delta=2.0)  # above min radius
     with pytest.raises(ValueError):
         build_grid(prof, length=0.0, nx=4, nr=4)
+    with pytest.raises(ValueError):
+        build_grid(prof, length=1.1e12, nx=4, nr=4)  # above nozzle.SCALE_LIMIT
 
 
 def test_refinement_nests_nodes():
