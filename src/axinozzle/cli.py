@@ -318,6 +318,10 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
         raise ConfigError("sweep needs [flux] sweep")
     if command == "critical" and cfg.flux.mode != "critical":
         raise ConfigError("critical needs [flux] critical = yes")
+    newton_limit = 1e-6 * max(1.0, (cfg.flux.m0 or 0.0) / TWO_PI)  # 1e4 x the solver default
+    if command in ("solve", "diagnose") and (cfg.tolerances.newton or 0.0) > newton_limit:
+        raise ConfigError(f"tolerances: newton must be at most {newton_limit!r}, "
+                          "1e4 times the solver default")
     diagnostics = command == "diagnose" or (command == "solve" and cfg.outputs.diagnostics)
     if diagnostics and min(cfg.grid.nx, cfg.grid.nr) < MIN_DIAGNOSTIC_CELLS:
         raise ConfigError(f"grid: diagnostics need nx and nr >= {MIN_DIAGNOSTIC_CELLS}; "

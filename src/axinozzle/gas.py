@@ -25,9 +25,10 @@ One root solver, _bracketed_newton, serves every inversion: the branch
 density rho(s) (Newton in rho - 1, accurate up to the sonic fold), and
 through it the closed form q^2 = s / rho(s)^2 of speed_from_momentum, and
 the blend of the truncated speed relation in momentum_from_speed_truncated.
+It steps whole arrays, and an entry that has stopped keeps its value.
 The branch density starts from a cubic Hermite table of rho - 1 against
-sqrt(1 - s), cached per gas, so each point stops after two residual
-evaluations; the table itself is solved once from above the fold asymptote.
+sqrt(1 - s), cached per gas, so every point stops at the second residual
+evaluation; the table itself is solved once from above the fold asymptote.
 """
 
 from __future__ import annotations
@@ -88,35 +89,31 @@ def _like_input(s, out):
 def _bracketed_newton(residual, x0, lo, hi):
     """Elementwise root in [lo, hi] of an increasing residual, by Newton.
 
-    residual(x, idx) returns the residual and its slope at the iterates x
-    of the entries idx of the flat array x0.  Each entry keeps the bracket
-    its residual signs allow, and a Newton point outside it falls back to
-    bisection.  An entry stops one step after its Newton correction first
-    falls to 1e-7 of its iterate: convergence is quadratic, so that step
-    lands at roundoff however curved the residual, while an absolute test
-    on the step would be held up by the few-ulp cycling of the residual.
+    residual(x) returns the residual and its slope at the whole array of
+    iterates x.  Each entry keeps the bracket its residual signs allow, and
+    a Newton point outside it falls back to bisection.  An entry stops one
+    step after its Newton correction first falls to 1e-7 of its iterate:
+    convergence is quadratic, so that step lands at roundoff however curved
+    the residual, while an absolute test on the step would be held up by
+    the few-ulp cycling of the residual.  A stopped entry keeps its value
+    while the others go on.
     """
     x = np.array(x0, dtype=float)
-    lo = np.full_like(x, lo)
-    hi = np.full_like(x, hi)
-    small = np.zeros(x.size, dtype=bool)
-    idx = np.arange(x.size)
+    small = np.zeros(x.shape, dtype=bool)
+    done = np.zeros(x.shape, dtype=bool)
     for _ in range(_BISECT_STEPS):
-        xi = x[idx]
-        val, slope = residual(xi, idx)
-        lo_i = np.where(val < 0.0, xi, lo[idx])
-        hi_i = np.where(val > 0.0, xi, hi[idx])
-        lo[idx], hi[idx] = lo_i, hi_i
+        val, slope = residual(x)
+        lo = np.where(val < 0.0, x, lo)
+        hi = np.where(val > 0.0, x, hi)
         # a zero residual is a root, also where the slope vanishes with it
         step = -np.divide(val, slope, out=np.zeros_like(val), where=val != 0.0)
-        newton = xi + step
-        inside = (newton >= lo_i) & (newton <= hi_i)
-        x[idx] = np.where(inside, newton, 0.5 * (lo_i + hi_i))
-        tiny = np.abs(step) <= 1e-7 * np.abs(xi)
-        done = tiny & small[idx]
-        small[idx] = tiny
-        idx = idx[~done]
-        if idx.size == 0:
+        newton = x + step
+        inside = (newton >= lo) & (newton <= hi)
+        tiny = np.abs(step) <= 1e-7 * np.abs(x)
+        x = np.where(done, x, np.where(inside, newton, 0.5 * (lo + hi)))
+        done = done | (tiny & small)
+        small = tiny
+        if done.all():
             break
     return x
 
@@ -233,10 +230,9 @@ class GasModel:
         right up to the sonic fold, where the slope of M vanishes.
         """
 
-        def residual(e, idx):
+        def residual(e):
             gap, slope = self._fold_gap(e)
-            gap -= u[idx]
-            return gap, slope
+            return gap - u, slope
 
         return _bracketed_newton(residual, e0, 0.0, self.rho_stag - 1.0)
 
@@ -487,9 +483,9 @@ class GasModel:
         if np.any(mid):
             target = q[mid]
 
-            def residual(s, idx):
+            def residual(s):
                 e = self._evaluate(s, name)
-                return s / e.rho**2 - target[idx], (e.rho - 2.0 * e.slope * s) / e.rho**3
+                return s / e.rho**2 - target, (e.rho - 2.0 * e.slope * s) / e.rho**3
 
             chord = self.s_lo + (target - qsq_lo) / (qsq_hi - qsq_lo) * (self.s_hi - self.s_lo)
             out[mid] = _bracketed_newton(residual, chord, self.s_lo, self.s_hi)

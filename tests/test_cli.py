@@ -448,6 +448,40 @@ def test_unrepresentable_scales_exit_2(tmp_path, capsys, edit):
     assert not out.exists()
 
 
+TANH_32X8 = """
+[nozzle]
+kind = tanh_step
+a = 0.8
+ell = 2
+length = 8
+
+[grid]
+nx = 32
+nr = 8
+
+[flux]
+m0 = 1.0
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_newton_tolerance_that_certifies_the_start_exits_2(tmp_path, capsys, command):
+    # the solver default is 1e-10 max(1, m), m = m0 / (2 pi); a tolerance
+    # above 1e4 times that is refused: newton = 1e300 took 0 iterations and
+    # passed the diagnostics with psi 1.3e-3 m from the default solve
+    for value, code in (("1e300", 2), ("1e-5", 2), ("1e-6", 0)):
+        text = TANH_32X8 + f"\n[tolerances]\nnewton = {value}\n"
+        out = tmp_path / f"out{value}"
+        assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert len(err.splitlines()) == 1
+            assert err.startswith("configuration error: tolerances: newton must be at most")
+            assert not out.exists()
+        else:
+            assert "passed = true" in (out / "diagnostics.txt").read_text()
+
+
 # Each config key with its valid values and its boundary or absurd ones.
 # Valid values keep the draw on small grids (at most 32 x 8) that solve
 # in milliseconds; the boundary values of the scale rules sit at 1e+-12,

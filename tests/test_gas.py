@@ -268,13 +268,27 @@ def test_pressure_and_sound_speed():
 
 def test_scalar_equals_array_entry():
     # a scalar takes the array path, so it matches its array entry bitwise
-    q_sq = np.random.default_rng(29).uniform(0.0, 1.0, 2000)
+    rng = np.random.default_rng(29)
+    q_sq = rng.uniform(0.0, 1.0, 2000)
     rho = GAS.density_from_speed(q_sq)
     for k, q in enumerate(q_sq):
         assert GAS.density_from_speed(float(q)) == rho[k]
         r = float(rho[k])
         assert GAS.pressure(r) == GAS.pressure(np.array([r]))[0]
         assert GAS.sound_speed_sq(r) == GAS.sound_speed_sq(np.array([r]))[0]
+    # the Newton inversions too: on the blend the entries of
+    # momentum_from_speed_truncated stop at different iterations, and a
+    # stopped entry keeps its value while the others go on
+    for gamma in (1.0 + 1e-4, 1.05, 1.4, 3.0):
+        gas = GasModel(gamma=gamma)
+        q_sq = rng.uniform(gas.speed_from_momentum(gas.s_lo), gas.s_hi / gas.rho_hi**2, 150)
+        s = gas.momentum_from_speed_truncated(q_sq)
+        for k, q in enumerate(q_sq):
+            assert gas.momentum_from_speed_truncated(float(q)) == s[k], (gamma, q)
+        s = np.concatenate([rng.uniform(0.0, 1.0, 100), 1.0 - np.logspace(-16, -2, 50)])
+        rho = gas.density_from_momentum(s)
+        for k, sk in enumerate(s):
+            assert gas.density_from_momentum(float(sk)) == rho[k], (gamma, sk)
 
 
 def test_other_gammas_sane():
@@ -356,31 +370,58 @@ def mp_branch_density(gamma, s, start):
 def test_density_root_two_residual_evaluations_per_point(monkeypatch):
     # the Hermite start is within 1e-9 relative of the root, so the first
     # Newton correction is already below the 1e-7 stopping threshold and
-    # the second confirms it; the start above the fold asymptote that the
+    # the second confirms it: every point stops at its second evaluation,
+    # so the whole-array iteration makes exactly two residual calls, each
+    # on the whole batch; the start above the fold asymptote that the
     # table replaced, sqrt(2 (1 - s) / (gamma + 1)), takes 4 to 6 here
     s = np.sort(np.concatenate([np.linspace(0.0, 1.0, 2001), 1.0 - np.logspace(-16, -2, 200)]))
     newton = gas_module._bracketed_newton
-    counts = []
+    sizes = []
 
     def counting(residual, x0, lo, hi):
-        calls = np.zeros(np.size(x0), dtype=int)
+        def counted(x):
+            sizes.append(x.size)
+            return residual(x)
 
-        def counted(x, idx):
-            calls[idx] += 1
-            return residual(x, idx)
-
-        counts.append(calls)
         return newton(counted, x0, lo, hi)
 
     for gamma in (1.0 + 1e-4, 1.001, 1.05, 1.2, 1.4, 5.0 / 3.0, 2.0, 3.0):
         gas = GasModel(gamma=gamma)
         gas.density_from_momentum(0.5)  # builds the start table
-        counts.clear()
+        sizes.clear()
         monkeypatch.setattr(gas_module, "_bracketed_newton", counting)
         gas.density_from_momentum(s)
         monkeypatch.setattr(gas_module, "_bracketed_newton", newton)
-        assert len(counts) == 1
-        assert np.all(counts[0] == 2), (gamma, s[counts[0] != 2])
+        assert sizes == [s.size, s.size], gamma
+
+
+def arctan_residual(t, seen):
+    """Residual arctan(x) - t and its slope; records each iterate array in seen."""
+
+    def residual(x):
+        seen.append(x.copy())
+        return np.arctan(x) - t, 1.0 / (1.0 + x * x)
+
+    return residual
+
+
+def test_bracketed_newton_safeguard_and_frozen_entries():
+    # roots of arctan(x) = t on [-20, 20]: from 10 the Newton point -37.6
+    # leaves the bracket [-20, 10] and bisection takes the midpoint -5;
+    # the entry started at its root comes back unchanged
+    x0 = np.array([10.0, 0.0, -3.0, 1e-3, 19.9])
+    t = np.array([1.0, 0.5, -1.2, np.arctan(1e-3), 1.5])
+    seen = []
+    x = gas_module._bracketed_newton(arctan_residual(t, seen), x0, -20.0, 20.0)
+    assert seen[1][0] == -5.0
+    assert x[3] == 1e-3
+    np.testing.assert_allclose(x, np.tan(t), rtol=1e-13)
+    # an entry that stops keeps its value while the others go on, so each
+    # entry equals its own single-entry solve bit for bit
+    for k in range(x0.size):
+        alone = gas_module._bracketed_newton(arctan_residual(t[k:k + 1], []),
+                                             x0[k:k + 1], -20.0, 20.0)
+        assert alone[0] == x[k], k
 
 
 # The branch density lies within DENSITY_ULPS units in the last place of
