@@ -205,10 +205,27 @@ def _format(values):
     return out, slow
 
 
-def repr_csv(table) -> bytes:
-    """``",".join(map(repr, row)) + "\\n"`` for every row of a 2-D float table."""
+def lead_templates(values) -> np.ndarray:
+    """Each value's ``repr`` and a comma, as NUL-padded uint8 rows (n, _WIDTH),
+    to be given to ``repr_csv`` as the first column of its rows."""
+    out, _ = _format(np.ascontiguousarray(values, dtype=np.float64).ravel())
+    out[_END] = ord(",")
+    return out.T.copy()
+
+
+def repr_csv(table, lead=None) -> bytes:
+    """``",".join(map(repr, row)) + "\\n"`` for every row of a 2-D float table.
+
+    lead, rows of ``lead_templates`` (one per table row), writes a first
+    column that was formatted once, ahead of each row's values.
+    """
     table = np.ascontiguousarray(table, dtype=np.float64)
     rows, cols = table.shape
     out, _ = _format(table.ravel())
     out[_END] = np.tile(np.array([ord(",")] * (cols - 1) + [ord("\n")], np.uint8), rows)
-    return out.T.tobytes().translate(None, b"\0")
+    if lead is None:
+        return out.T.tobytes().translate(None, b"\0")
+    text = np.empty((rows, cols + 1, _WIDTH), np.uint8)
+    text[:, 0] = lead
+    text[:, 1:] = out.T.reshape(rows, cols, _WIDTH)
+    return text.tobytes().translate(None, b"\0")

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._reprfmt import repr_csv
+from ._reprfmt import lead_templates, repr_csv
 from .gas import GasModel
 from .nozzle import SCALE_LIMIT, NozzleProfile, build_grid, make_profile, pick_domain_length
 from .solver import newton_solve
@@ -43,6 +43,7 @@ TWO_PI = 2.0 * np.pi
 FIELD_HEADER = "x,r,psi,U,V,rho,mach,omega"
 SWEEP_HEADER = "m0,M,q_min,cutoff_active,flux_drift,farfield_left,farfield_right"
 _CSV_BLOCK_STATIONS = 8  # stations of field.csv formatted per write
+BAND_LIMIT = 2**31  # bytes of Newton band a grid may need, (nr+1)(nx-1)(nr-1) doubles
 
 # Annotation of a key that also accepts the value 'auto' (parsed to None).
 AutoFloat = float | None
@@ -241,9 +242,13 @@ def _build(cfg: RunConfig):
             length = pick_domain_length(profile)
         except ValueError as exc:
             raise ConfigError(f"nozzle: length = auto: {exc}") from exc
+    nx, nr = cfg.grid.nx, cfg.grid.nr
+    band_bytes = 8 * (nr + 1) * (nx - 1) * (nr - 1)
+    if min(nx, nr) >= 2 and band_bytes > BAND_LIMIT:  # checked before any grid array exists
+        raise ConfigError(f"grid: nx = {nx} and nr = {nr} need a Newton band of "
+                          f"{band_bytes} bytes, over the limit of {BAND_LIMIT} (2 GiB)")
     try:
-        grid = build_grid(profile, length=length, nx=cfg.grid.nx, nr=cfg.grid.nr,
-                          delta=cfg.grid.delta)
+        grid = build_grid(profile, length=length, nx=nx, nr=nr, delta=cfg.grid.delta)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
     # squared momenta grow like (m0 / (pi b^2))^2 and overflow near m0 = 1e154 pi b^2;
@@ -277,19 +282,21 @@ def write_field_csv(path: Path, flow) -> None:
 
     Each row is ",".join(map(repr, row)): the digits come from the
     vectorized kernel _reprfmt.repr_csv, which writes the values outside
-    its window, and any it cannot decide exactly, with repr itself.
+    its window, and any it cannot decide exactly, with repr itself.  x is
+    constant along a station, so it is formatted once per station.
     """
     grid = flow.grid
-    columns = (grid.x_nodes, grid.r_nodes, flow.psi, flow.U, flow.V, flow.rho,
-               flow.mach, flow.omega)
+    columns = (grid.r_nodes, flow.psi, flow.U, flow.V, flow.rho, flow.mach, flow.omega)
+    x_text = lead_templates(grid.xi)
     with open(path, "wb") as handle:
         handle.write(FIELD_HEADER.encode() + b"\n")
         # a few stations at a time keep the kernel's arrays in cache and
         # bound its byte templates
         for start in range(0, grid.nx + 1, _CSV_BLOCK_STATIONS):
             block = slice(start, start + _CSV_BLOCK_STATIONS)
-            handle.write(repr_csv(np.stack([column[block] for column in columns], axis=-1)
-                                  .reshape(-1, len(columns))))
+            table = np.stack([column[block] for column in columns], axis=-1)
+            handle.write(repr_csv(table.reshape(-1, len(columns)),
+                                  lead=np.repeat(x_text[block], grid.nr + 1, axis=0)))
 
 
 def write_sweep_csv(path: Path, points: list[SweepPoint]) -> None:

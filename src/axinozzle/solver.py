@@ -25,7 +25,8 @@ symmetric positive definite and damped Newton iterations converge
 globally.  The unknown numbering i*(nr-1)+j makes the Hessian banded with
 half-width nr; it is assembled directly in LAPACK upper band storage and
 factored by banded Cholesky (LAPACK pbtrf).  A failed factorization means
-the Hessian is not SPD and raises LinearSolveError.  A factor is kept and
+the Hessian is not SPD, and a non-finite diagonal in the factor that it
+held non-finite entries; both raise LinearSolveError.  A factor is kept and
 reused: while it keeps shrinking the gradient tenfold per step, each step
 is one back-solve (LAPACK pbtrs) with it, a chord step, and the Hessian
 is factored again, into the same buffer, only when a step contracts less
@@ -35,16 +36,24 @@ a solve whichever factor its steps used.  newton_solve evaluates the gas
 relation once per energy evaluation: the cell gradients and coenergy
 bundle of the accepted line-search trial also give the next gradient and
 Hessian.
+
+pbtrf and pbtrs come from scipy's compiled LAPACK wrappers, the extension
+module scipy/linalg/_flapack, loaded from its file: importing it through
+scipy.linalg would run that package's init, whose array-API imports take
+longer than a whole small solve.  The routines are the objects
+scipy.linalg.lapack exports.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from collections import defaultdict
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .gas import CoenergyBundle, GasModel
 from .nozzle import MappedGrid
@@ -53,6 +62,25 @@ _ARMIJO_SLOPE = 1e-4
 _ENERGY_NOISE = 1e-6  # relative energy rise the derivative form of Armijo tolerates
 _MAX_ITER = 50  # cap on the accepted steps of one solve
 _CHORD_CONTRACTION = 0.1  # a step must shrink the gradient norm this much to reuse its factor
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, executed from its file without scipy.linalg's init."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("axinozzle.solver needs scipy for LAPACK's banded Cholesky")
+    directory = Path(spec.submodule_search_locations[0]) / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_flapack{suffix}"
+        if path.is_file():
+            module_spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(module_spec)
+            module_spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's compiled LAPACK module _flapack not found in {directory}")
+
+
+lapack = _load_flapack()
 
 # corner order per cell: SW, SE, NW, NE
 _CXI = np.array([-1.0, 1.0, -1.0, 1.0])
@@ -229,11 +257,15 @@ def _cholesky(band: np.ndarray) -> np.ndarray:
 
     The band is overwritten by its factor; a Fortran-ordered band (as
     _hessian returns it) is factored in place, any other is copied first.
+    A non-finite entry in column j reaches pivot j, where pbtrf either
+    stops (info j) or leaves a NaN or an infinity on the factor's diagonal
+    (pbtrf need not test for NaN), so that row is checked instead of the
+    whole band.
     """
-    if not np.isfinite(band).all():
-        raise LinearSolveError("banded Cholesky of the Hessian failed: non-finite entries")
     factor, info = lapack.dpbtrf(band, overwrite_ab=1)
     _check_info(info)
+    if not np.isfinite(factor[-1]).all():
+        raise LinearSolveError("banded Cholesky of the Hessian failed: non-finite entries")
     return factor
 
 

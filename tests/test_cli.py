@@ -9,11 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from axinozzle import GasModel, build_grid, diagnostics_report, make_profile, newton_solve
 from axinozzle.cli import (
     _CSV_BLOCK_STATIONS,
+    BAND_LIMIT,
     ConfigError,
     FIELD_HEADER,
     SWEEP_HEADER,
@@ -301,6 +302,15 @@ def test_grid_rules_exit_2(tmp_path, grid):
     assert not out.exists()  # rejected before solving
 
 
+def test_grid_over_band_limit_exit_2(tmp_path, capsys):
+    # the grid's own arrays would take about 100 GB; the limit fires first
+    cfg = write(tmp_path, BASE.replace("nx = 48", "nx = 1000000000"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert f"over the limit of {BAND_LIMIT}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_without_diagnostics_on_coarse_grid(tmp_path):
     cfg = write(tmp_path, COARSE + "\n[outputs]\ndiagnostics = no\n")
     out = tmp_path / "coarse"
@@ -500,7 +510,7 @@ FUZZ_KEYS = {
     ("nozzle", "a0"): (("1", "1.2"), ("1eN", "1e-12", "1e12", "0", "-1")),
     ("nozzle", "h"): (("-0.2", "0.3"), ("1eN", "-0.999", "-1", "0", "1e12")),
     ("nozzle", "w"): (("1", "2"), ("1eN", "0.3", "1e-12", "1e12", "0")),
-    ("grid", "nx"): (("16", "24", "32"), ("5", "4", "2", "1", "0", "-3", "4.5", "100000")),
+    ("grid", "nx"): (("16", "24", "32"), ("5", "4", "2", "1", "0", "-3", "4.5", "1000000000")),
     ("grid", "nr"): (("6", "8"), ("5", "4", "2", "1", "0", "-3", "100000")),
     ("grid", "delta"): (("0", "1e-6", "0.01"), ("1eN", "0.1", "0.5", "-1", "nan")),
     ("flux", "m0"): (("0.5", "1", "1.5"), ("1eN", "0", "1.85", "3", "10", "3e12", "-1")),
@@ -572,16 +582,22 @@ def expected_outputs(command, cfg):
     return names
 
 
+OVERSIZE = "[nozzle]\nkind = cylinder\na = 1\n[grid]\nnx = {}\nnr = {}\n[flux]\n{}\n"
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(fuzz_configs())
+@example(("solve", OVERSIZE.format(1000000000, 6, "m0 = 1")))
+@example(("critical", OVERSIZE.format(16, 100000, "critical = yes")))
 def test_every_config_exits_0_to_3_without_traceback(draw):
     command, text = draw
     try:
         cfg = parse_config(text)
     except ConfigError:
         cfg = None
-    if cfg is not None and (cfg.grid.nx > 32 or cfg.grid.nr > 8):
-        return  # an oversize grid is only parsed, not solved
+    # every oversize grid drawn needs a Newton band over BAND_LIMIT (or has
+    # fewer than 2 cells one way), so it must exit 2 before any grid array
+    oversize = cfg is not None and (cfg.grid.nx > 32 or cfg.grid.nr > 8)
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "run.ini", Path(tmp) / "out"
         path.write_text(text)
@@ -590,6 +606,8 @@ def test_every_config_exits_0_to_3_without_traceback(draw):
             code = main([command, "--config", str(path), "--out", str(out)])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
+        if oversize:
+            assert code == 2
         if code == 2:
             assert not out.exists()
         if code == 0:

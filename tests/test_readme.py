@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from axinozzle.cli import parse_config
+from axinozzle.cli import BAND_LIMIT, parse_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -25,3 +25,10 @@ def test_readme_config_example_parses():
     cfg = parse_config(block)
     assert cfg.nozzle.kind == "tanh_step" and cfg.nozzle.length is None
     assert cfg.flux.mode == "single" and cfg.flux.m0 == 0.9
+
+
+def test_readme_band_limit():
+    assert "would exceed 2 GiB (`BAND_LIMIT`; 1024 x 512 cells is just under it)" in README
+    assert BAND_LIMIT == 2 * 2**30
+    under, over = (8 * (nr + 1) * (1024 - 1) * (nr - 1) for nr in (512, 514))
+    assert under <= BAND_LIMIT < over

@@ -8,6 +8,11 @@ precision.  The curved-wall cases are checked through structure
 decay of the strong-form residual under refinement.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -331,6 +336,20 @@ def test_linear_solve_rejects_non_finite_matrix():
         _back_solve(_cholesky(band), rhs)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_linear_solve_rejects_non_finite_band_entries(value):
+    # _cholesky scans only the factor's diagonal: a bad entry in any band row
+    # _hessian writes (offsets nr, nr-1, nr-2, 1, 0) must still reach it
+    band, _ = cold_tanh_system(8, 6)
+    nr = band.shape[0] - 1
+    for row in (0, 1, 2, nr - 1, nr):
+        for column in (nr, 13, 20, band.shape[1] - 1):
+            bad = band.copy(order="F")
+            bad[row, column] = value
+            with pytest.raises(LinearSolveError):
+                _cholesky(bad)
+
+
 def test_linear_solve_rejects_non_finite_rhs():
     band, rhs = cold_tanh_system(8, 6)
     rhs[5] = np.inf
@@ -483,3 +502,32 @@ def test_pde_residual_decays_under_refinement(delta):
         assert sol.converged
         norms.append(pde_residual(sol, GAS).l2)
     assert norms[1] < 0.35 * norms[0]
+
+
+def run_fresh(code):
+    """Standard output of code run by a new interpreter that imports from src."""
+    path = os.pathsep.join(filter(None, (str(Path(__file__).parents[1] / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_lapack_routines_are_scipy_linalg_lapack_routines():
+    # the solver loads _flapack from its file first; scipy.linalg, imported
+    # afterwards, must hand out the very same routines
+    out = run_fresh("from axinozzle.solver import lapack\n"
+                    "from scipy.linalg import lapack as scipy_lapack\n"
+                    "print(lapack.dpbtrf is scipy_lapack.dpbtrf, lapack.dpbtrs is scipy_lapack.dpbtrs)")
+    assert out.split() == ["True", "True"]
+
+
+def test_cli_solve_leaves_scipy_linalg_unimported(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("[nozzle]\nkind = cylinder\na = 1.0\nlength = 4\n"
+                      "[grid]\nnx = 24\nnr = 8\n[flux]\nm0 = 1.0\n")
+    out = run_fresh("import sys, axinozzle.cli\n"
+                    f"code = axinozzle.cli.main(['solve', '--config', {str(config)!r}, "
+                    f"'--out', {str(tmp_path / 'out')!r}])\n"
+                    "print(code, 'scipy.linalg' in sys.modules)")
+    assert out.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "out" / "field.csv").exists()
