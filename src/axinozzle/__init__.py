@@ -38,10 +38,8 @@ from .fields import (
     flow_angle,
     flux_drift,
     irrotationality_residual,
-    mass_flux_at_station,
     positivity_check,
     station_fluxes,
-    to_3d_sample,
     velocity_from_stream,
 )
 from .continuation import (
@@ -94,7 +92,6 @@ __all__ = [
     "flux_drift",
     "irrotationality_residual",
     "make_profile",
-    "mass_flux_at_station",
     "mass_flux_sweep",
     "newton_solve",
     "pde_residual",
@@ -103,6 +100,5 @@ __all__ = [
     "shrink_delta",
     "sonic_limit_study",
     "station_fluxes",
-    "to_3d_sample",
     "velocity_from_stream",
 ]

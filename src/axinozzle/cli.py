@@ -34,11 +34,9 @@ from ._reprfmt import lead_templates, repr_csv
 from .gas import GasModel
 from .nozzle import SCALE_LIMIT, NozzleProfile, build_grid, make_profile, pick_domain_length
 from .solver import newton_solve
-from .fields import (DEFAULT_THRESHOLDS, MIN_DIAGNOSTIC_CELLS, SonicOvershootError,
+from .fields import (DEFAULT_THRESHOLDS, MIN_DIAGNOSTIC_CELLS, TWO_PI, SonicOvershootError,
                      diagnostics_report, velocity_from_stream)
 from .continuation import CriticalToleranceError, find_critical_flux, mass_flux_sweep, SweepPoint
-
-TWO_PI = 2.0 * np.pi
 
 FIELD_HEADER = "x,r,psi,U,V,rho,mach,omega"
 SWEEP_HEADER = "m0,M,q_min,cutoff_active,flux_drift,farfield_left,farfield_right"
@@ -267,8 +265,6 @@ def _fmt(value) -> str:
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, tuple):
-        return ",".join(_fmt(v) for v in value)
     return str(value)
 
 

@@ -75,10 +75,6 @@ class ShrinkResult:
     converged: bool
     tol: float
 
-    @property
-    def delta(self) -> float:
-        return self.solution.grid.delta
-
 
 def shrink_delta(grid: MappedGrid, gas: GasModel, m: float, factor: float = 0.02,
                  tol: float | None = None) -> ShrinkResult:
@@ -173,9 +169,6 @@ class SweepResult:
     points: list[SweepPoint]
     grid: MappedGrid
 
-    def mach_values(self) -> np.ndarray:
-        return np.array([p.mach_max for p in self.points])
-
 
 def _survey(solution: StreamSolution, gas: GasModel) -> SweepPoint:
     flow = velocity_from_stream(solution, gas)
@@ -241,7 +234,6 @@ class CriticalFluxEstimate:
 
     lo: float
     hi: float
-    solution_lo: StreamSolution | None = None
     probes: tuple[CriticalProbe, ...] = ()
 
     @property
@@ -356,7 +348,7 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
             if moved == "hi" and g_lo is not None:
                 g_lo *= 0.5
         moved = "lo" if ok else "hi"
-    return CriticalFluxEstimate(lo, hi, _released(best_sub), tuple(probes))
+    return CriticalFluxEstimate(lo, hi, tuple(probes))
 
 
 @dataclass

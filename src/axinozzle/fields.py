@@ -43,7 +43,6 @@ class SonicOvershootError(ValueError):
 
 
 class AngleCheck(NamedTuple):
-    omega: np.ndarray
     measured: tuple[float, float]  # (min, max) over the nodes
     bounds: tuple[float, float]    # exact wall-slope angle bounds
 
@@ -76,10 +75,6 @@ class FlowField:
     def m0(self) -> float:
         """Three-dimensional mass flux carried by the stream value m."""
         return TWO_PI * self.m
-
-    @property
-    def delta(self) -> float:
-        return self.grid.delta
 
 
 def velocity_from_stream(solution: StreamSolution, gas: GasModel) -> FlowField:
@@ -148,7 +143,7 @@ def _angle_range(flow: FlowField) -> AngleCheck:
     """Measured angle range and the wall-slope bounds, without the U > 0 check."""
     lo, hi = flow.grid.profile.slope_bounds
     bounds = (min(np.arctan(lo), 0.0), max(np.arctan(hi), 0.0))
-    return AngleCheck(flow.omega, (float(flow.omega.min()), float(flow.omega.max())), bounds)
+    return AngleCheck((float(flow.omega.min()), float(flow.omega.max())), bounds)
 
 
 def station_fluxes(flow: FlowField) -> np.ndarray:
@@ -160,14 +155,6 @@ def station_fluxes(flow: FlowField) -> np.ndarray:
     grid = flow.grid
     integrand = flow.rho * flow.U * (grid.r_nodes + grid.delta)
     return TWO_PI * np.trapezoid(integrand, x=grid.r_nodes, axis=1)
-
-
-def mass_flux_at_station(flow: FlowField, x: float) -> float:
-    """Mass flux through the grid station nearest to x."""
-    grid = flow.grid
-    if not -grid.length <= x <= grid.length:
-        raise ValueError(f"mass_flux_at_station: x = {x} outside [-L, L]")
-    return float(station_fluxes(flow)[int(np.argmin(np.abs(grid.xi - x)))])
 
 
 def flux_drift(flow: FlowField) -> float:
@@ -326,51 +313,12 @@ def irrotationality_residual(flow: FlowField) -> ResidualNorms:
     return ResidualNorms(float(np.abs(curl).max()), float(np.sqrt(np.mean(curl**2))))
 
 
-def to_3d_sample(flow: FlowField, x: float, y: float, z: float):
-    """Sample the axially symmetric 3-D velocity (rho, u, v, w) at a point.
-
-    The meridian field maps to u = U, v = V y/r, w = V z/r with
-    r = sqrt(y^2 + z^2); on the axis the transverse components vanish.
-    Raises for points outside the truncated nozzle.
-    """
-    grid = flow.grid
-    r = float(np.hypot(y, z))
-    if not -grid.length <= x <= grid.length:
-        raise ValueError(f"to_3d_sample: x = {x} outside [-L, L]")
-    f_here = float(grid.profile.wall(x))
-    if r > f_here * (1.0 + 1e-12):
-        raise ValueError(f"to_3d_sample: point at r = {r:.6g} outside the wall {f_here:.6g}")
-    sigma = min(r / f_here, 1.0)
-
-    ix = min(max(int(np.searchsorted(grid.xi, x) - 1), 0), grid.nx - 1)
-    js = min(max(int(np.searchsorted(grid.sigma, sigma) - 1), 0), grid.nr - 1)
-    tx = (x - grid.xi[ix]) / grid.dxi
-    ts = (sigma - grid.sigma[js]) / grid.dsigma
-
-    def interp(a):
-        return float(
-            a[ix, js] * (1 - tx) * (1 - ts)
-            + a[ix + 1, js] * tx * (1 - ts)
-            + a[ix, js + 1] * (1 - tx) * ts
-            + a[ix + 1, js + 1] * tx * ts
-        )
-
-    rho = interp(flow.rho)
-    u = interp(flow.U)
-    v_meridian = interp(flow.V)
-    if r < 1e-300:
-        return rho, u, 0.0, 0.0
-    return rho, u, v_meridian * y / r, v_meridian * z / r
-
-
 DEFAULT_THRESHOLDS = {
     "max_principle": 1e-10,
     "barrier_slack": 10.0,   # multiplies h_max**2
     "angle": 1e-3,
     "flux_drift": 1e-3,
     "far_field": 1e-3,
-    "entropy": None,         # reported, not gated, unless configured
-    "irrotationality": None,
 }
 
 
@@ -423,8 +371,7 @@ class DiagnosticsReport:
             ("irrotationality_residual", self.irrotationality),
         ]
         for name, value in sorted(self.thresholds.items()):
-            if value is not None:  # None thresholds are report-only
-                pairs.append((f"threshold_{name}", value))
+            pairs.append((f"threshold_{name}", value))
         for name, ok in sorted(self.checks.items()):
             pairs.append((f"check_{name}", ok))
         pairs.append(("passed", self.passed))
@@ -473,10 +420,6 @@ def diagnostics_report(solution: StreamSolution, gas: GasModel,
         "flux_drift": drift <= cfg["flux_drift"],
         "far_field": max(far) <= cfg["far_field"],
     }
-    if cfg["entropy"] is not None:
-        checks["entropy"] = max(entropy) <= cfg["entropy"]
-    if cfg["irrotationality"] is not None:
-        checks["irrotationality"] = irrot.max <= cfg["irrotationality"]
 
     return DiagnosticsReport(
         m0=m0,
@@ -493,6 +436,6 @@ def diagnostics_report(solution: StreamSolution, gas: GasModel,
         far_field=far,
         entropy_residuals=(entropy.plus, entropy.minus),
         irrotationality=irrot.max,
-        thresholds={k: v for k, v in cfg.items()},
+        thresholds=cfg,
         checks=checks,
     )

@@ -19,12 +19,13 @@ energy strictly convex.
 One private evaluator, GasModel._evaluate, holds the only below/blend/tail
 dispatch of the truncated relation Htilde: it solves the branch root once
 and returns the coenergy F with Htilde, Htilde' and Htilde''.  The public
-truncated_density_* and coenergy* methods are views of it.
+truncated_density_from_momentum, coenergy and coenergy_bundle read it;
+one helper, _blend, holds the quintic of the blend.
 
 One root solver, _bracketed_newton, serves every inversion: the branch
 density rho(s) (Newton in rho - 1, accurate up to the sonic fold), and
 through it the closed form q^2 = s / rho(s)^2 of speed_from_momentum, and
-the blend of the truncated speed relation in momentum_from_speed_truncated.
+the blend of the truncated speed relation in truncated_density_from_speed.
 It steps whole arrays, and an entry that has stopped keeps its value.
 The branch density starts from a cubic Hermite table of rho - 1 against
 sqrt(1 - s), cached per gas, so every point stops at the second residual
@@ -176,7 +177,7 @@ class GasModel:
     def density_from_speed(self, q_sq):
         """Subsonic density at squared speed q_sq in [0, 1]."""
         q = np.atleast_1d(np.asarray(q_sq, dtype=float))
-        if np.any(q < 0.0) or np.any(q > 1.0):
+        if not np.all((q >= 0.0) & (q <= 1.0)):  # NaN fails too
             raise ValueError("density_from_speed: q_sq must lie in [0, 1]")
         g = self.gamma
         return _like_input(q_sq, ((g + 1.0 - (g - 1.0) * q) / 2.0) ** (1.0 / (g - 1.0)))
@@ -339,6 +340,14 @@ class GasModel:
             out = out * t + ck
         return out
 
+    def _blend(self, s):
+        """Htilde, Htilde' and Htilde'' of the blend quintic at s in [s_lo, s_hi]."""
+        h = self.s_hi - self.s_lo
+        t = (s - self.s_lo) / h
+        coeffs = self._blend_coeffs
+        return (self._blend_poly(t, coeffs), self._blend_poly(t, coeffs, order=1) / h,
+                self._blend_poly(t, coeffs, order=2) / h**2)
+
     # ------------------------------------------------------------------
     # coenergy F(s) = integral_0^s dt / Htilde(t)
     # ------------------------------------------------------------------
@@ -382,7 +391,7 @@ class GasModel:
         return f_lo, f_hi
 
     # ------------------------------------------------------------------
-    # the single evaluator of the truncated relation, and its views
+    # the single evaluator of the truncated relation, and what reads it
     # ------------------------------------------------------------------
 
     def _evaluate(self, s, name) -> _Truncated:
@@ -410,12 +419,7 @@ class GasModel:
             value[below] = self._coenergy_exact(rb)
         mid = ~below & (s < self.s_hi)
         if np.any(mid):
-            h = self.s_hi - self.s_lo
-            t = (s[mid] - self.s_lo) / h
-            coeffs = self._blend_coeffs
-            rho[mid] = self._blend_poly(t, coeffs)
-            slope[mid] = self._blend_poly(t, coeffs, order=1) / h
-            curvature[mid] = self._blend_poly(t, coeffs, order=2) / h**2
+            rho[mid], slope[mid], curvature[mid] = self._blend(s[mid])
             value[mid] = f_lo + self._coenergy_blend_tail(s[mid])
         return _Truncated(value, rho, slope, curvature)
 
@@ -423,33 +427,15 @@ class GasModel:
         """Truncated density relation, defined for every squared momentum >= 0."""
         return _like_input(s, self._evaluate(s, "truncated_density_from_momentum").rho)
 
-    def truncated_density_slope(self, s):
-        """Derivative of the truncated relation with respect to squared momentum."""
-        return _like_input(s, self._evaluate(s, "truncated_density_slope").slope)
-
-    def truncated_density_curvature(self, s):
-        """Second derivative of the truncated relation (used for C^2 checks)."""
-        return _like_input(s, self._evaluate(s, "truncated_density_curvature").curvature)
-
     def coenergy(self, s):
         """Convex increasing energy density F with F' = 1/Htilde, F(0) = 0."""
         return _like_input(s, self._evaluate(s, "coenergy").value)
 
-    def coenergy_prime(self, s):
-        """Derivative of the coenergy, 1 / Htilde(s)."""
-        return _like_input(s, 1.0 / self._evaluate(s, "coenergy_prime").rho)
-
-    def coenergy_second(self, s):
-        """Second derivative of the coenergy, -Htilde'/Htilde**2 >= 0."""
-        e = self._evaluate(s, "coenergy_second")
-        return _like_input(s, -e.slope / e.rho**2)
-
     def coenergy_bundle(self, s) -> CoenergyBundle:
-        """Coenergy value and derivatives from one evaluation, as arrays.
+        """Coenergy F, F' = 1/Htilde and F'' = -Htilde'/Htilde**2 >= 0, as arrays.
 
-        Equal to (coenergy, coenergy_prime, coenergy_second) but the
-        subsonic-branch root is solved once for all three, which matters
-        inside assembly loops.
+        The subsonic-branch root is solved once for all three, which
+        matters inside assembly loops.
         """
         e = self._evaluate(s, "coenergy_bundle")
         return CoenergyBundle(e.value, 1.0 / e.rho, -e.slope / e.rho**2)
@@ -458,21 +444,18 @@ class GasModel:
     # truncated speed relation and ellipticity
     # ------------------------------------------------------------------
 
-    def momentum_from_speed_truncated(self, q_sq):
+    def _momentum_from_speed(self, q_sq):
         """Invert q^2 = s / Htilde(s)^2 for squared momentum s >= 0.
 
         Below the blend the relation is the exact branch, so s is the closed
         form momentum_from_speed(q^2); beyond it Htilde is constant and
         s = rho_hi^2 q^2.  Only on the blend is a Newton iteration needed,
-        started from the chord between the knots and safeguarded by the
-        bracket kept from the residual signs.
+        on the quintic alone, started from the chord between the knots and
+        safeguarded by the bracket kept from the residual signs.
         """
-        return self._momentum_from_speed(q_sq, "momentum_from_speed_truncated")
-
-    def _momentum_from_speed(self, q_sq, name):
         q = np.atleast_1d(np.asarray(q_sq, dtype=float))
         if not np.all(q >= 0.0):  # NaN fails too
-            raise ValueError(f"{name}: q_sq must be >= 0")
+            raise ValueError("truncated_density_from_speed: q_sq must be >= 0")
         out = self.rho_hi**2 * q
         qsq_lo = self.s_lo / self._blend_coeffs[0] ** 2  # the blend starts at H(s_lo)
         qsq_hi = self.s_hi / self.rho_hi**2
@@ -484,8 +467,8 @@ class GasModel:
             target = q[mid]
 
             def residual(s):
-                e = self._evaluate(s, name)
-                return s / e.rho**2 - target, (e.rho - 2.0 * e.slope * s) / e.rho**3
+                rho, slope, _ = self._blend(s)
+                return s / rho**2 - target, (rho - 2.0 * slope * s) / rho**3
 
             chord = self.s_lo + (target - qsq_lo) / (qsq_hi - qsq_lo) * (self.s_hi - self.s_lo)
             out[mid] = _bracketed_newton(residual, chord, self.s_lo, self.s_hi)
@@ -498,7 +481,7 @@ class GasModel:
         Htilde(s)^2 / (Htilde(s) - 2 Htilde'(s) s) at s inverted from q^2;
         it is pinched between the returned positive bounds (nu, lam).
         """
-        s = self._momentum_from_speed(q_sq, "truncated_density_from_speed")
+        s = self._momentum_from_speed(q_sq)
         e = self._evaluate(s, "truncated_density_from_speed")
         coeff = e.rho**2 / (e.rho - 2.0 * e.slope * s)
         nu, lam = self.ellipticity_bounds
@@ -526,13 +509,13 @@ class GasModel:
     def pressure(self, rho):
         """Polytropic pressure rho**gamma / gamma."""
         arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        if np.any(arr <= 0.0):
+        if not np.all(arr > 0.0):  # NaN fails too
             raise ValueError("pressure: rho must be positive")
         return _like_input(rho, arr**self.gamma / self.gamma)
 
     def sound_speed_sq(self, rho):
         """Squared sound speed rho**(gamma - 1)."""
         arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        if np.any(arr <= 0.0):
+        if not np.all(arr > 0.0):  # NaN fails too
             raise ValueError("sound_speed_sq: rho must be positive")
         return _like_input(rho, arr ** (self.gamma - 1.0))

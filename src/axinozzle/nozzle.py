@@ -200,10 +200,6 @@ class MappedGrid:
         """Largest physical grid spacing (axial or radial)."""
         return max(self.dxi, self.dsigma * float(self.f_nodes.max()))
 
-    def refined(self) -> "MappedGrid":
-        """Grid with both cell counts doubled (nodes nest exactly)."""
-        return MappedGrid(self.profile, self.length, 2 * self.nx, 2 * self.nr, self.delta)
-
     def with_delta(self, delta: float) -> "MappedGrid":
         """Same grid with a different axis shield."""
         return MappedGrid(self.profile, self.length, self.nx, self.nr, delta)

@@ -115,10 +115,6 @@ class StreamSolution:
     # as factor= refactors into this buffer, so it may change afterwards
     factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def delta(self) -> float:
-        return self.grid.delta
-
 
 def _datum(grid: MappedGrid, m: float) -> np.ndarray:
     """The shielded uniform flow at every node, in mapped coordinates; 0 on

@@ -19,11 +19,9 @@ from axinozzle import (
     flux_drift,
     irrotationality_residual,
     make_profile,
-    mass_flux_at_station,
     newton_solve,
     positivity_check,
     station_fluxes,
-    to_3d_sample,
     velocity_from_stream,
 )
 from axinozzle.fields import _PLACEMENTS, _bump, _bump_prime, default_compact
@@ -115,10 +113,6 @@ def test_station_fluxes_conserved(tanh_flow):
     assert fluxes.shape == (flow.grid.nx + 1,)
     assert np.abs(fluxes - flow.m0).max() < 1e-4 * flow.m0
     assert flux_drift(flow) < 1e-4
-    mid = mass_flux_at_station(flow, 0.0)
-    assert mid == pytest.approx(flow.m0, rel=1e-4)
-    with pytest.raises(ValueError):
-        mass_flux_at_station(flow, 100.0)
 
 
 def test_far_field_uniform(cylinder_flow, tanh_flow):
@@ -261,39 +255,6 @@ def test_irrotationality(cylinder_flow, tanh_flow):
     assert irrotationality_residual(flow).max < 1e-3
     flow2, _ = tanh_flow
     assert irrotationality_residual(flow2).l2 < 1e-3
-
-
-def test_3d_sampling_rotation_invariant(tanh_flow):
-    flow, _ = tanh_flow
-    base = to_3d_sample(flow, 1.0, 0.3, 0.0)
-    for angle in (0.7, 2.1, -1.3):
-        rotated = to_3d_sample(flow, 1.0, 0.3 * np.cos(angle), 0.3 * np.sin(angle))
-        assert rotated[0] == pytest.approx(base[0], rel=1e-12)
-        assert rotated[1] == pytest.approx(base[1], rel=1e-12)
-        # transverse speed is preserved, components rotate
-        assert np.hypot(rotated[2], rotated[3]) == pytest.approx(
-            np.hypot(base[2], base[3]), rel=1e-12)
-    rho, u, v, w = to_3d_sample(flow, 0.5, 0.0, 0.0)
-    assert v == 0.0 and w == 0.0
-    assert u > 0.0
-    with pytest.raises(ValueError):
-        to_3d_sample(flow, 0.0, 1.5, 0.0)
-    with pytest.raises(ValueError):
-        to_3d_sample(flow, 50.0, 0.1, 0.0)
-
-
-def test_3d_sample_matches_meridian_plane(tanh_flow):
-    flow, _ = tanh_flow
-    # in the y > 0, z = 0 half plane the 3-D components reduce to (U, V)
-    grid = flow.grid
-    i, j = 90, 16
-    x = float(grid.x_nodes[i, j])
-    r = float(grid.r_nodes[i, j])
-    rho, u, v, w = to_3d_sample(flow, x, r, 0.0)
-    assert w == 0.0
-    assert u == pytest.approx(flow.U[i, j], rel=1e-10)
-    assert v == pytest.approx(flow.V[i, j], rel=1e-10, abs=1e-12)
-    assert rho == pytest.approx(flow.rho[i, j], rel=1e-10)
 
 
 def test_diagnostics_report_passes_and_serializes(tanh_flow):

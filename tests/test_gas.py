@@ -39,12 +39,15 @@ def test_validation():
     for s in (-1e-3, 1.0 + 1e-12, np.nan):
         with pytest.raises(ValueError):
             GAS.density_from_momentum(s)
+    # x < lo is False for NaN, so each check is written as not all(inside)
+    for relation in (GAS.density_from_speed, GAS.momentum_from_speed,
+                     GAS.pressure, GAS.sound_speed_sq):
+        with pytest.raises(ValueError):
+            relation(np.nan)
 
 
 @pytest.mark.parametrize("name", [
-    "truncated_density_from_momentum", "truncated_density_slope",
-    "truncated_density_curvature", "coenergy", "coenergy_prime",
-    "coenergy_second", "coenergy_bundle", "momentum_from_speed_truncated",
+    "truncated_density_from_momentum", "coenergy", "coenergy_bundle",
     "truncated_density_from_speed",
 ])
 def test_truncated_views_refuse_nan(name):
@@ -141,8 +144,9 @@ def test_truncated_constant_above_upper_knot():
     s = np.linspace(GAS.s_hi, 4.0, 500)
     trunc = GAS.truncated_density_from_momentum(s)
     assert np.abs(trunc - GAS.rho_hi).max() == 0.0
-    assert np.abs(GAS.truncated_density_slope(s)).max() == 0.0
-    assert np.abs(GAS.truncated_density_curvature(s)).max() == 0.0
+    e = GAS._evaluate(s, "_evaluate")
+    assert np.abs(e.slope).max() == 0.0
+    assert np.abs(e.curvature).max() == 0.0
 
 
 def test_truncated_relation_monotone_everywhere():
@@ -153,24 +157,26 @@ def test_truncated_relation_monotone_everywhere():
     assert np.all(rho <= GAS.rho_stag + 1e-15)
 
 
+def truncated_relation(s):
+    """Htilde, Htilde' and Htilde'' at one squared momentum s."""
+    e = GAS._evaluate(s, "_evaluate")
+    return float(e.rho[0]), float(e.slope[0]), float(e.curvature[0])
+
+
 def test_blend_is_twice_differentiable_at_knots():
     # value, slope, curvature from mpmath at the lower knot
-    assert GAS.truncated_density_from_momentum(GAS.s_lo) == pytest.approx(
-        1.1249262083661680, rel=1e-13, abs=0.0)
-    assert GAS.truncated_density_slope(GAS.s_lo) == pytest.approx(
-        -1.5364873451402236, rel=1e-11)
-    assert GAS.truncated_density_curvature(GAS.s_lo) == pytest.approx(
-        -20.349248698341846, rel=1e-9)
-    # one-sided limits agree across both knots; the allowance per probe is
-    # eps times the next derivative's magnitude, large for the curvature
+    rho, slope, curvature = truncated_relation(GAS.s_lo)
+    assert rho == pytest.approx(1.1249262083661680, rel=1e-13, abs=0.0)
+    assert slope == pytest.approx(-1.5364873451402236, rel=1e-11)
+    assert curvature == pytest.approx(-20.349248698341846, rel=1e-9)
+    # one-sided limits agree across both knots; the allowance per derivative
+    # is eps times the next derivative's magnitude, large for the curvature
     eps = 1e-9
     for knot in (GAS.s_lo, GAS.s_hi):
-        for probe, allow in ((GAS.truncated_density_from_momentum, 1e-8),
-                             (GAS.truncated_density_slope, 1e-6),
-                             (GAS.truncated_density_curvature, 2e-3)):
-            left = probe(knot - eps)
-            right = probe(knot + eps)
-            assert abs(left - right) < allow
+        left = truncated_relation(knot - eps)
+        right = truncated_relation(knot + eps)
+        for a, b, allow in zip(left, right, (1e-8, 1e-6, 2e-3)):
+            assert abs(a - b) < allow
 
 
 def test_blend_monotone_for_parameter_grid():
@@ -192,7 +198,7 @@ def test_coenergy_derivative_consistency():
     s = np.linspace(1e-4, 1.3, 800)
     eps = 1e-6
     fd = (GAS.coenergy(s + eps) - GAS.coenergy(s - eps)) / (2.0 * eps)
-    prime = GAS.coenergy_prime(s)
+    prime = GAS.coenergy_bundle(s).prime
     assert np.abs(fd - prime).max() < 1e-8
     # and the stored derivative is the reciprocal of the density relation
     assert np.abs(prime - 1.0 / GAS.truncated_density_from_momentum(s)).max() < 1e-14
@@ -200,7 +206,7 @@ def test_coenergy_derivative_consistency():
 
 def test_coenergy_convex():
     s = np.linspace(0.0, 1.5, 3001)
-    assert np.all(GAS.coenergy_second(s) >= 0.0)
+    assert np.all(GAS.coenergy_bundle(s).second >= 0.0)
     values = GAS.coenergy(s)
     # second differences of a convex function are nonnegative
     assert np.all(np.diff(values, 2) >= -1e-15)
@@ -217,14 +223,15 @@ def test_coenergy_bundle_matches_parts():
     s = np.linspace(0.0, 1.4, 700)
     bundle = GAS.coenergy_bundle(s)
     assert np.abs(bundle.value - GAS.coenergy(s)).max() == 0.0
-    assert np.abs(bundle.prime - GAS.coenergy_prime(s)).max() == 0.0
-    assert np.abs(bundle.second - GAS.coenergy_second(s)).max() == 0.0
+    assert np.abs(bundle.prime - 1.0 / GAS.truncated_density_from_momentum(s)).max() == 0.0
+    e = GAS._evaluate(s, "_evaluate")
+    assert np.abs(bundle.second - -e.slope / e.rho**2).max() == 0.0
 
 
 def test_truncated_speed_inversion():
     # q^2 -> s -> q^2 round trip through the truncated relation
     q_sq = np.linspace(0.0, 0.9, 901)
-    s = GAS.momentum_from_speed_truncated(q_sq)
+    s = GAS._momentum_from_speed(q_sq)
     rho = GAS.truncated_density_from_momentum(s)
     assert np.abs(s - rho**2 * q_sq).max() < 1e-12
 
@@ -234,6 +241,25 @@ def test_truncated_density_from_speed_reference():
     state = GAS.truncated_density_from_speed(0.24819953835270634)
     assert state.coefficient == pytest.approx(1.1131009274030152, rel=1e-10)
     assert state.rho == pytest.approx(GAS.density_from_momentum(0.5), rel=1e-12)
+
+
+def test_blend_inversion_skips_the_coenergy_quadrature(monkeypatch):
+    # the Newton residual on the blend reads only Htilde and Htilde', so
+    # the 24-point coenergy quadrature runs once, in the final evaluation
+    # at the inverted momenta, and not on every Newton iteration
+    gas = GasModel(gamma=1.3)
+    q_sq = np.linspace(gas.speed_from_momentum(gas.s_lo), gas.s_hi / gas.rho_hi**2, 101)
+    gas.truncated_density_from_speed(q_sq)  # builds the cached constants
+    quadrature = GasModel._coenergy_blend_tail
+    calls = []
+
+    def counting(self, s):
+        calls.append(s.size)
+        return quadrature(self, s)
+
+    monkeypatch.setattr(GasModel, "_coenergy_blend_tail", counting)
+    gas.truncated_density_from_speed(q_sq)
+    assert len(calls) == 1
 
 
 def test_ellipticity_bounds_bracket_coefficient():
@@ -276,15 +302,15 @@ def test_scalar_equals_array_entry():
         r = float(rho[k])
         assert GAS.pressure(r) == GAS.pressure(np.array([r]))[0]
         assert GAS.sound_speed_sq(r) == GAS.sound_speed_sq(np.array([r]))[0]
-    # the Newton inversions too: on the blend the entries of
-    # momentum_from_speed_truncated stop at different iterations, and a
-    # stopped entry keeps its value while the others go on
+    # the Newton inversions too: on the blend the entries of the truncated
+    # speed inversion stop at different iterations, and a stopped entry
+    # keeps its value while the others go on
     for gamma in (1.0 + 1e-4, 1.05, 1.4, 3.0):
         gas = GasModel(gamma=gamma)
         q_sq = rng.uniform(gas.speed_from_momentum(gas.s_lo), gas.s_hi / gas.rho_hi**2, 150)
-        s = gas.momentum_from_speed_truncated(q_sq)
+        s = gas._momentum_from_speed(q_sq)
         for k, q in enumerate(q_sq):
-            assert gas.momentum_from_speed_truncated(float(q)) == s[k], (gamma, q)
+            assert gas._momentum_from_speed(float(q)) == s[k], (gamma, q)
         s = np.concatenate([rng.uniform(0.0, 1.0, 100), 1.0 - np.logspace(-16, -2, 50)])
         rho = gas.density_from_momentum(s)
         for k, sk in enumerate(s):
@@ -299,7 +325,7 @@ def test_other_gammas_sane():
         assert np.abs(back - q_sq).max() < 5e-11
         s = np.linspace(0.0, 1.2, 1201)
         assert np.all(np.diff(gas.truncated_density_from_momentum(s)) <= 0.0)
-        assert np.all(gas.coenergy_second(s) >= 0.0)
+        assert np.all(gas.coenergy_bundle(s).second >= 0.0)
 
 
 def test_scalar_and_array_forms_agree():
@@ -335,7 +361,7 @@ def test_gas_round_trips(gamma, m_tilde):
 
     # the truncated speed relation q^2 = s / Htilde(s)^2, into the constant tail
     q_sq = np.linspace(0.0, 1.5 * gas.s_hi / gas.rho_hi**2, 257)
-    s = gas.momentum_from_speed_truncated(q_sq)
+    s = gas._momentum_from_speed(q_sq)
     back = s / gas.truncated_density_from_momentum(s) ** 2
     assert np.all(np.abs(back - q_sq) <= tol * q_sq)
 
