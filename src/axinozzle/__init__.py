@@ -17,13 +17,11 @@ from .nozzle import (
 )
 from .solver import (
     LinearSolveError,
-    ResidualNorms,
     StreamSolution,
     assemble_energy,
     assemble_gradient,
     assemble_hessian,
     newton_solve,
-    pde_residual,
 )
 from .fields import (
     AngleCheck,
@@ -31,6 +29,7 @@ from .fields import (
     EntropyResiduals,
     FlowAngleError,
     FlowField,
+    ResidualNorms,
     SonicOvershootError,
     diagnostics_report,
     entropy_pair_residual,
@@ -94,7 +93,6 @@ __all__ = [
     "make_profile",
     "mass_flux_sweep",
     "newton_solve",
-    "pde_residual",
     "pick_domain_length",
     "positivity_check",
     "shrink_delta",

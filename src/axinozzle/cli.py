@@ -389,7 +389,6 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
         ("midpoint", estimate.midpoint),
         ("iterations", len(estimate.probes)),
         ("open_upper_bound", False),  # the throat bound closes every bracket
-        ("throat_bound", float(np.pi * grid.profile.b**2)),
     ]
     write_report(out_dir / "critical.txt", pairs)
     print(f"critical flux bracket [{estimate.lo!r}, {estimate.hi!r}]")

@@ -161,13 +161,11 @@ class SweepPoint:
     wall_speed: float
     flux_drift: float
     far_field: tuple[float, float]
-    iterations: int
 
 
 @dataclass
 class SweepResult:
     points: list[SweepPoint]
-    grid: MappedGrid
 
 
 def _survey(solution: StreamSolution, gas: GasModel) -> SweepPoint:
@@ -181,7 +179,6 @@ def _survey(solution: StreamSolution, gas: GasModel) -> SweepPoint:
         wall_speed=wall_speed_max(flow),
         flux_drift=flux_drift(flow),
         far_field=far_field_error(flow, gas),
-        iterations=solution.iterations,
     )
 
 
@@ -209,7 +206,7 @@ def mass_flux_sweep(grid: MappedGrid, gas: GasModel, m0_values) -> SweepResult:
         solution = newton_solve(grid, gas, m0 / TWO_PI, **_warm_start(prev, m0))
         points.append(_survey(solution, gas))
         prev = solution
-    return SweepResult(points, grid)
+    return SweepResult(points)
 
 
 class CriticalToleranceError(ValueError):
@@ -355,13 +352,11 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
 class SonicLimitStudy:
     """Cauchy record of solves approaching the critical flux from below."""
 
-    m0_values: list[float]
     mach_values: list[float]
     velocity_diffs: list[float]   # rms on the window, consecutive pairs
     momentum_diffs: list[float]
     entropy_plus: list[float]
     entropy_minus: list[float]
-    window: tuple[float, float, float, float]
     gap_bound: float              # certified bound on 1 - max Mach
     certified: bool
     reasons: dict = field(default_factory=dict)
@@ -403,9 +398,8 @@ def sonic_limit_study(grid: MappedGrid, gas: GasModel, m0_anchor: float | None =
     for m0 in m0s:
         solution = newton_solve(grid, gas, m0 / TWO_PI, **_warm_start(prev_solution, m0))
         if not solution.converged:
-            return SonicLimitStudy(m0s, machs, vel_diffs, mom_diffs, ent_plus,
-                                   ent_minus, window, float("nan"), False,
-                                   {"non_convergence_at": m0})
+            gap, reasons = float("nan"), {"non_convergence_at": m0}
+            break
         flow = velocity_from_stream(solution, gas)
         machs.append(float(flow.mach.max()))
         ent = entropy_pair_residual(flow, gas, rect=window)
@@ -420,16 +414,16 @@ def sonic_limit_study(grid: MappedGrid, gas: GasModel, m0_anchor: float | None =
             mom_diffs.append(float(dm))
         prev_flow = flow
         prev_solution = solution
-
-    gap = 1.0 - machs[-1]
-    reasons = {}
-    if any(machs[k + 1] < machs[k] - 1e-9 for k in range(len(machs) - 1)):
-        reasons["mach_not_monotone"] = machs
-    if vel_diffs and not vel_diffs[-1] < vel_diffs[0]:
-        reasons["velocity_diffs_not_shrinking"] = vel_diffs
-    if mom_diffs and not mom_diffs[-1] < mom_diffs[0]:
-        reasons["momentum_diffs_not_shrinking"] = mom_diffs
-    if not gap <= _SONIC_GAP_FACTOR * (1.0 - gas.m_tilde):
-        reasons["sonic_gap_too_wide"] = gap
-    return SonicLimitStudy(m0s, machs, vel_diffs, mom_diffs, ent_plus,
-                           ent_minus, window, gap, not reasons, reasons)
+    else:
+        gap = 1.0 - machs[-1]
+        reasons = {}
+        if any(machs[k + 1] < machs[k] - 1e-9 for k in range(len(machs) - 1)):
+            reasons["mach_not_monotone"] = machs
+        if vel_diffs and not vel_diffs[-1] < vel_diffs[0]:
+            reasons["velocity_diffs_not_shrinking"] = vel_diffs
+        if mom_diffs and not mom_diffs[-1] < mom_diffs[0]:
+            reasons["momentum_diffs_not_shrinking"] = mom_diffs
+        if not gap <= _SONIC_GAP_FACTOR * (1.0 - gas.m_tilde):
+            reasons["sonic_gap_too_wide"] = gap
+    return SonicLimitStudy(machs, vel_diffs, mom_diffs, ent_plus, ent_minus,
+                           gap, not reasons, reasons)

@@ -15,19 +15,21 @@ problem), maximum principle and barrier bounds for psi, positive axial
 velocity, flow angle pinched by the wall slope range, station-wise mass
 flux conservation, uniform far fields on both flat ends, approximate
 irrotationality, and compactly supported weak residuals of the two
-momentum entropy pairs.
+momentum entropy pairs.  psi conserves mass by construction, so the
+irrotationality residual U_r - V_x is the strong residual of the one
+equation left, the stream-function equation the solver minimizes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .gas import GasModel
 from .nozzle import MappedGrid
-from .solver import StreamSolution, nodal_gradients, ResidualNorms
+from .solver import StreamSolution
 
 TWO_PI = 2.0 * np.pi
 # the irrotationality residual differences two node layers in from each edge
@@ -57,6 +59,11 @@ class EntropyResiduals(NamedTuple):
     minus: float
 
 
+class ResidualNorms(NamedTuple):
+    max: float
+    l2: float  # root mean square over the evaluated interior nodes
+
+
 @dataclass
 class FlowField:
     """Nodal velocity, density, and derived quantities on the mapped grid."""
@@ -75,6 +82,17 @@ class FlowField:
     def m0(self) -> float:
         """Three-dimensional mass flux carried by the stream value m."""
         return TWO_PI * self.m
+
+
+def nodal_gradients(psi: np.ndarray, grid: MappedGrid):
+    """Physical gradient at the nodes by second-order finite differences."""
+    dpsi_dxi, dpsi_dsg = np.gradient(psi, grid.xi, grid.sigma, edge_order=2)
+    f = grid.f_nodes[:, None]
+    fp = grid.fp_nodes[:, None]
+    sg = grid.sigma[None, :]
+    psi_x = dpsi_dxi - sg * fp / f * dpsi_dsg
+    psi_r = dpsi_dsg / f
+    return psi_x, psi_r
 
 
 def velocity_from_stream(solution: StreamSolution, gas: GasModel) -> FlowField:
@@ -303,7 +321,13 @@ def entropy_pair_residual(flow: FlowField, gas: GasModel,
 
 
 def irrotationality_residual(flow: FlowField) -> ResidualNorms:
-    """Norms of U_r - V_x over interior nodes (vanishes for these flows)."""
+    """Norms of U_r - V_x over nodes two layers in from the boundary.
+
+    With rho U = psi_r / (r + delta) and rho V = -psi_x / (r + delta),
+    U_r - V_x is div(rho^-1 grad psi / (r + delta)), the strong residual of
+    the stream-function equation; it vanishes for these flows up to the
+    discretization error.
+    """
     grid = flow.grid
     if min(grid.nx, grid.nr) < MIN_DIAGNOSTIC_CELLS:
         raise ValueError("irrotationality_residual: grid too coarse")
@@ -324,24 +348,15 @@ DEFAULT_THRESHOLDS = {
 
 @dataclass
 class DiagnosticsReport:
-    """Physical diagnostics of one solve with pass/fail per threshold."""
+    """Physical diagnostics of one solve with pass/fail per threshold.
 
-    m0: float
-    delta: float
-    converged: bool
-    cutoff_active: bool
-    max_principle_violation: float
-    barrier_violation: float
-    min_axial_velocity: float
-    min_velocity_location: tuple[float, float]
-    angle_measured: tuple[float, float]
-    angle_bounds: tuple[float, float]
-    flux_drift: float
-    far_field: tuple[float, float]
-    entropy_residuals: tuple[float, float]
-    irrotationality: float
-    thresholds: dict = field(default_factory=dict)
-    checks: dict = field(default_factory=dict)
+    values maps each reported quantity to its value, in the order
+    diagnostics.txt lists them.
+    """
+
+    values: dict
+    thresholds: dict
+    checks: dict
 
     @property
     def passed(self) -> bool:
@@ -349,27 +364,7 @@ class DiagnosticsReport:
 
     def items(self):
         """Flat (key, value) pairs in a fixed order for serialization."""
-        pairs = [
-            ("m0", self.m0),
-            ("delta", self.delta),
-            ("converged", self.converged),
-            ("cutoff_active", self.cutoff_active),
-            ("max_principle_violation", self.max_principle_violation),
-            ("barrier_violation", self.barrier_violation),
-            ("min_axial_velocity", self.min_axial_velocity),
-            ("min_velocity_x", self.min_velocity_location[0]),
-            ("min_velocity_r", self.min_velocity_location[1]),
-            ("angle_min", self.angle_measured[0]),
-            ("angle_max", self.angle_measured[1]),
-            ("angle_bound_lo", self.angle_bounds[0]),
-            ("angle_bound_hi", self.angle_bounds[1]),
-            ("flux_drift", self.flux_drift),
-            ("far_field_left", self.far_field[0]),
-            ("far_field_right", self.far_field[1]),
-            ("entropy_residual_plus", self.entropy_residuals[0]),
-            ("entropy_residual_minus", self.entropy_residuals[1]),
-            ("irrotationality_residual", self.irrotationality),
-        ]
+        pairs = list(self.values.items())
         for name, value in sorted(self.thresholds.items()):
             pairs.append((f"threshold_{name}", value))
         for name, ok in sorted(self.checks.items()):
@@ -391,51 +386,47 @@ def diagnostics_report(solution: StreamSolution, gas: GasModel,
         cfg.update(thresholds)
     if flow is None:
         flow = velocity_from_stream(solution, gas)
-    m0 = flow.m0
 
     psi = solution.psi
-    max_principle = max(0.0, float(-psi.min()), float(psi.max() - solution.m))
     barrier = solution.m * (grid.r_nodes + grid.delta) ** 2 / grid.profile.b**2
-    barrier_violation = max(0.0, float((psi - barrier).max()))
-
     pos = positivity_check(flow)
     # flow_angle raises where a transporting flow has U <= 0; the report
     # gates that through the positivity check and still records the angle
     angle = _angle_range(flow)
-
-    drift = flux_drift(flow)
     far = far_field_error(flow, gas)
     entropy = entropy_pair_residual(flow, gas)
-    irrot = irrotationality_residual(flow)
+    values = {
+        "m0": flow.m0,
+        "delta": grid.delta,
+        "converged": solution.converged,
+        "cutoff_active": solution.cutoff_active,
+        "max_principle_violation": max(0.0, float(-psi.min()), float(psi.max() - solution.m)),
+        "barrier_violation": max(0.0, float((psi - barrier).max())),
+        "min_axial_velocity": pos.min_u,
+        "min_velocity_x": pos.location[0],
+        "min_velocity_r": pos.location[1],
+        "angle_min": angle.measured[0],
+        "angle_max": angle.measured[1],
+        "angle_bound_lo": angle.bounds[0],
+        "angle_bound_hi": angle.bounds[1],
+        "flux_drift": flux_drift(flow),
+        "far_field_left": far[0],
+        "far_field_right": far[1],
+        "entropy_residual_plus": entropy.plus,
+        "entropy_residual_minus": entropy.minus,
+        "irrotationality_residual": irrotationality_residual(flow).max,
+    }
 
     scale = max(1.0, solution.m)
     checks = {
         "converged": solution.converged,
         "cutoff": not solution.cutoff_active,
-        "max_principle": max_principle <= cfg["max_principle"] * scale,
-        "barrier": barrier_violation <= cfg["barrier_slack"] * grid.h_max**2,
+        "max_principle": values["max_principle_violation"] <= cfg["max_principle"] * scale,
+        "barrier": values["barrier_violation"] <= cfg["barrier_slack"] * grid.h_max**2,
         "positivity": (pos.min_u > 0.0) if solution.m > 0.0 else True,
         "angle": (angle.measured[0] >= angle.bounds[0] - cfg["angle"]
                   and angle.measured[1] <= angle.bounds[1] + cfg["angle"]),
-        "flux_drift": drift <= cfg["flux_drift"],
+        "flux_drift": values["flux_drift"] <= cfg["flux_drift"],
         "far_field": max(far) <= cfg["far_field"],
     }
-
-    return DiagnosticsReport(
-        m0=m0,
-        delta=grid.delta,
-        converged=solution.converged,
-        cutoff_active=solution.cutoff_active,
-        max_principle_violation=max_principle,
-        barrier_violation=barrier_violation,
-        min_axial_velocity=pos.min_u,
-        min_velocity_location=pos.location,
-        angle_measured=angle.measured,
-        angle_bounds=angle.bounds,
-        flux_drift=drift,
-        far_field=far,
-        entropy_residuals=(entropy.plus, entropy.minus),
-        irrotationality=irrot.max,
-        thresholds=cfg,
-        checks=checks,
-    )
+    return DiagnosticsReport(values, cfg, checks)

@@ -42,13 +42,16 @@ module scipy/linalg/_flapack, loaded from its file: importing it through
 scipy.linalg would run that package's init, whose array-API imports take
 longer than a whole small solve.  The routines are the objects
 scipy.linalg.lapack exports.
+
+This module holds only the discrete energy and its Newton solve.  The
+strong residual of the equation above is the irrotationality residual of
+axinozzle.fields, which computes every diagnostic of a solved flow.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -89,11 +92,6 @@ _CORNER_NODE = ((0, 0), (1, 0), (0, 1), (1, 1))  # (station, radius) shift from 
 # corner pairs (k, l) whose unknown index of l minus that of k is 0, 1,
 # nr-2 (NW-SE), nr-1 or nr: the upper triangle of each cell block
 _UPPER_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (1, 3), (2, 1), (0, 1), (2, 3), (0, 3))
-
-
-class ResidualNorms(NamedTuple):
-    max: float
-    l2: float  # root mean square over the evaluated interior nodes
 
 
 @dataclass
@@ -211,8 +209,10 @@ def _hessian(state: _CellState, grid: MappedGrid, out: np.ndarray | None = None)
     ax, ar = _geometry(grid)
     proj = state.psi_x * ax + state.psi_r * ar  # (4, nx, nr)
     nx, nr = grid.nx, grid.nr
-    # band row nr - offset -> its values by target (station, radius)
-    rows = defaultdict(lambda: np.zeros((nx - 1, nr - 1)))
+    # Fortran order is the column-major storage LAPACK reads, so the
+    # factorization works in place; out (a factor) is overwritten
+    band = np.empty((nr + 1, (nx - 1) * (nr - 1)), order="F") if out is None else out
+    band.fill(0.0)
     for k, l in _UPPER_PAIRS:
         (ik, jk), (il, jl) = _CORNER_NODE[k], _CORNER_NODE[l]
         offset = (il - ik) * (nr - 1) + jl - jk
@@ -221,14 +221,9 @@ def _hessian(state: _CellState, grid: MappedGrid, out: np.ndarray | None = None)
         cj = slice(1 - min(jk, jl), nr - max(jk, jl))
         block = (w1[ci, cj] * (ax[k, ci, cj] * ax[l, ci, cj] + ar[k, ci, cj] * ar[l, ci, cj])
                  + w2[ci, cj] * proj[k, ci, cj] * proj[l, ci, cj])
-        rows[nr - offset][ci.start + il - 1:ci.stop + il - 1,
-                          cj.start + jl - 1:cj.stop + jl - 1] += block
-    # Fortran order is the column-major storage LAPACK reads, so the
-    # factorization works in place; out (a factor) is overwritten
-    band = np.empty((nr + 1, (nx - 1) * (nr - 1)), order="F") if out is None else out
-    band.fill(0.0)
-    for index, row in rows.items():
-        band[index] = row.ravel()
+        # band row nr - offset, a strided view, by target (station, radius)
+        row = band[nr - offset].reshape(nx - 1, nr - 1)
+        row[ci.start + il - 1:ci.stop + il - 1, cj.start + jl - 1:cj.stop + jl - 1] += block
     return band
 
 
@@ -412,39 +407,3 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         energy_history=history,
         factor=factor,
     )
-
-
-def nodal_gradients(psi: np.ndarray, grid: MappedGrid):
-    """Physical gradient at the nodes by second-order finite differences."""
-    dpsi_dxi, dpsi_dsg = np.gradient(psi, grid.xi, grid.sigma, edge_order=2)
-    f = grid.f_nodes[:, None]
-    fp = grid.fp_nodes[:, None]
-    sg = grid.sigma[None, :]
-    psi_x = dpsi_dxi - sg * fp / f * dpsi_dsg
-    psi_r = dpsi_dsg / f
-    return psi_x, psi_r
-
-
-def pde_residual(solution: StreamSolution, gas: GasModel) -> ResidualNorms:
-    """Interior finite-difference residual of the shielded equation.
-
-    Evaluates div(Htilde^-1 grad psi/(r+delta)) on nodes at least two
-    layers away from the boundary and returns its max and RMS norms.
-    """
-    grid = solution.grid
-    if grid.nx < 5 or grid.nr < 5:
-        raise ValueError("pde_residual: grid too coarse for interior differences")
-    psi_x, psi_r = nodal_gradients(solution.psi, grid)
-    # the axis row (0/0 at a zero shield) stays out of w; the core never reads it
-    psi_x, psi_r = psi_x[:, 1:], psi_r[:, 1:]
-    r_shield = grid.r_nodes[:, 1:] + grid.delta
-    s = (psi_x**2 + psi_r**2) / r_shield**2
-    rho = gas.truncated_density_from_momentum(s.ravel()).reshape(s.shape)
-    w_x, w_r = np.zeros(grid.shape), np.zeros(grid.shape)
-    w_x[:, 1:] = psi_x / (r_shield * rho)
-    w_r[:, 1:] = psi_r / (r_shield * rho)
-    dwx_dx, _ = nodal_gradients(w_x, grid)
-    _, dwr_dr = nodal_gradients(w_r, grid)
-    div = dwx_dx + dwr_dr
-    core = div[2:-2, 2:-2]
-    return ResidualNorms(float(np.abs(core).max()), float(np.sqrt(np.mean(core**2))))

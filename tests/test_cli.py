@@ -118,6 +118,29 @@ def test_solve_writes_outputs(tmp_path):
     assert "m0 = 1.0" in diag
 
 
+DIAGNOSTICS_KEYS = [
+    "m0", "delta", "converged", "cutoff_active", "max_principle_violation",
+    "barrier_violation", "min_axial_velocity", "min_velocity_x", "min_velocity_r",
+    "angle_min", "angle_max", "angle_bound_lo", "angle_bound_hi", "flux_drift",
+    "far_field_left", "far_field_right", "entropy_residual_plus", "entropy_residual_minus",
+    "irrotationality_residual",
+    "threshold_angle", "threshold_barrier_slack", "threshold_far_field",
+    "threshold_flux_drift", "threshold_max_principle",
+    "check_angle", "check_barrier", "check_converged", "check_cutoff", "check_far_field",
+    "check_flux_drift", "check_max_principle", "check_positivity",
+    "passed",
+]
+
+
+def test_diagnostics_file_keys(tmp_path):
+    # the ordered key list is the format of diagnostics.txt
+    cfg = write(tmp_path, BASE)
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "diagnostics.txt").read_text().splitlines()
+    assert [line.split(" = ")[0] for line in lines] == DIAGNOSTICS_KEYS
+
+
 def test_default_thresholds_are_the_library_defaults(tmp_path):
     cfg = write(tmp_path, BASE)
     out = tmp_path / "out"
@@ -395,6 +418,8 @@ def test_critical_report(tmp_path):
     assert main(["critical", "--config", cfg, "--out", str(out)]) == 0
     report = dict(line.split(" = ") for line in
                   (out / "critical.txt").read_text().splitlines())
+    assert list(report) == ["m0_lo", "m0_hi", "width", "midpoint", "iterations",
+                            "open_upper_bound"]
     lo, hi = float(report["m0_lo"]), float(report["m0_hi"])
     oracle = np.pi * 0.98
     assert lo < oracle < hi or abs(hi - oracle) / oracle < 2e-3
