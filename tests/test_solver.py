@@ -28,6 +28,7 @@ from axinozzle import (
     assemble_hessian,
     build_grid,
     flux_drift,
+    irrotationality_residual,
     make_profile,
     newton_solve,
     velocity_from_stream,
@@ -481,6 +482,15 @@ def test_one_gas_evaluation_per_energy_evaluation(monkeypatch):
     sol = newton_solve(tanh_grid(48, 12), GAS, 0.1)
     assert sol.converged and sol.iterations >= 2
     assert len(calls) == len(sol.energy_history) == 1 + sol.iterations
+
+
+def test_pde_residual_machine_small_on_cylinder():
+    # the strong residual of the stream-function equation is the
+    # irrotationality residual; the datum solves the discrete pipe problem
+    # exactly, so it is rounding
+    grid = cylinder_grid(nx=48, nr=16, delta=0.05)
+    sol = newton_solve(grid, GAS, 0.4)
+    assert irrotationality_residual(velocity_from_stream(sol, GAS)).max < 1e-10
 
 
 def run_fresh(code):
