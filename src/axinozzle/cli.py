@@ -296,13 +296,9 @@ def write_field_csv(path: Path, flow) -> None:
 
 
 def write_sweep_csv(path: Path, points: list[SweepPoint]) -> None:
-    lines = [SWEEP_HEADER]
-    for p in points:
-        lines.append(",".join((
-            repr(float(p.m0)), repr(float(p.mach_max)), repr(float(p.speed_min)),
-            _fmt(p.cutoff_active), repr(float(p.flux_drift)),
-            repr(float(p.far_field[0])), repr(float(p.far_field[1])))))
-    _write_text(path, lines)
+    _write_text(path, [SWEEP_HEADER] + [",".join(map(_fmt, (
+        p.m0, p.mach_max, p.speed_min, p.cutoff_active, p.flux_drift, *p.far_field)))
+        for p in points])
 
 
 def write_report(path: Path, pairs) -> None:

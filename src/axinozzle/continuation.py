@@ -1,34 +1,15 @@
 """Parameter continuation: shield shrinking, flux sweeps, the critical flux.
 
-The solves in this package carry two regularizations besides the grid: the
-axis shield delta > 0 that keeps the 1/(r + delta) weights bounded, and the
-finite truncation length L of the nozzle. Physical answers are limits
-delta -> 0 and L -> infinity. The shield regularizes the theory, not the
-discrete problem: midpoint quadrature never evaluates 1/r on the axis, so
-the discrete problem is also solved directly at delta = 0. No driver takes
-the L limit: nozzle.pick_domain_length picks L and fields.far_field_error
-checks it. Shield shrinking approaches delta -> 0 by warm-started
-continuation with an explicit Cauchy certificate. Since the discrete
-problem needs no shield, the chain starts where psi is already linear in
-delta, far below the innermost cell radius, and divides delta by 50 per
-step, so a chain takes about 4 solves. It starts each solve from the
-Lagrange extrapolation in delta of the last three solutions; a start
-already within the gradient tolerance takes 0 Newton iterations and is
-still certified by that check at its own delta. Every warm start
-carries the banded Cholesky factor its solution ended with, so a solve
-whose chord steps contract with it factors no Hessian of its own; the
-line search and the gradient tolerance certify it all the same. A
-returned solution does not hold that factor.
-
-The mass flux enters as the three-dimensional flux m0 = 2 pi m. Increasing
-m0 raises the speed everywhere; past a critical value the subsonic branch
-ceases to exist and the solver reports the momentum cutoff engaging. The
-critical flux is at most the throat bound pi b^2 m_tilde (in its discrete
-form), so that bound is its bracket's upper end, with no solve there; one
-probe just below it closes the bracket on pipes and tanh steps, and
-otherwise Illinois regula falsi on the distance of the peak squared
-momentum to the cutoff narrows it. The approach to the sonic state is
-studied on a geometric sequence of fluxes below it.
+The solves carry two regularizations besides the grid: the axis shield
+delta > 0 that keeps the 1/(r + delta) weights bounded, and the finite
+truncation length L of the nozzle.  Physical answers are the limits
+delta -> 0, which shrink_delta takes, and L -> infinity, which no function
+takes: nozzle.pick_domain_length picks L and fields.far_field_error checks
+it.  The mass flux enters as the three-dimensional flux m0 = 2 pi m.
+Raising m0 raises the speed everywhere; past a critical value the subsonic
+branch ceases to exist and the momentum cutoff engages.
+find_critical_flux brackets that value, mass_flux_sweep solves a list of
+fluxes, and sonic_limit_study approaches the sonic state from below.
 """
 
 from __future__ import annotations
@@ -87,10 +68,9 @@ def shrink_delta(grid: MappedGrid, gas: GasModel, m: float, factor: float = 0.02
     shrink like delta from the first step.  Each solve starts from the
     Lagrange extrapolation in delta through the last (up to) three
     solutions, a predictor-corrector continuation; the second step
-    starts from the first solution alone, and each step from the
-    Cholesky factor the previous solve ended with.  The nodes do not
-    move when delta changes, so states transfer directly.  A step may
-    take 0 Newton iterations when its start already meets newton_solve's
+    starts from the first solution alone.  The nodes do not move when
+    delta changes, so states transfer directly.  A step may take 0
+    Newton iterations when its start already meets newton_solve's
     gradient tolerance; it is still certified by that check at its own
     delta.  Stops once the sup difference between consecutive solutions
     drops below tol (default 1e-8 * max(1, m)).  The later differences
@@ -183,21 +163,22 @@ def _survey(solution: StreamSolution, gas: GasModel) -> SweepPoint:
 
 
 def _warm_start(solution: StreamSolution | None, m0: float) -> dict:
-    """newton_solve keywords of the warm start at flux m0: a converged solution
-    rescaled by the flux ratio, and the Cholesky factor it ended with."""
+    """newton_solve keywords of the warm start at flux m0 from a converged solution.
+
+    The start is the solution rescaled by the flux ratio, exact in the
+    linear small-flux regime and close elsewhere.  A warm start carries the
+    Cholesky factor the solution ended with, so a solve whose chord steps
+    contract with it factors no Hessian of its own; shrink_delta passes it
+    the same way.  No solution, a failed one or m = 0 gives a cold start.
+    """
     if solution is None or not solution.converged or solution.m <= 0.0:
         return {}
     return {"init": solution.psi * (m0 / (TWO_PI * solution.m)), "factor": solution.factor}
 
 
 def mass_flux_sweep(grid: MappedGrid, gas: GasModel, m0_values) -> SweepResult:
-    """Solve a sequence of mass fluxes on one grid, warm starting in order.
-
-    Each start state is the previous converged solution rescaled by the
-    flux ratio, which is exact for the linear small-flux regime and close
-    elsewhere, with the previous Cholesky factor.  Failures are recorded,
-    not raised.
-    """
+    """Solve a sequence of mass fluxes on one grid, each warm started from
+    the solve before it (_warm_start).  Failures are recorded, not raised."""
     points: list[SweepPoint] = []
     prev: StreamSolution | None = None
     for m0 in np.asarray(m0_values, dtype=float):
@@ -226,7 +207,7 @@ class CriticalFluxEstimate:
     """Regula falsi bracket [lo, hi] for the critical three-dimensional flux.
 
     len(probes) is the number of solves; hi is the smallest flagged probe,
-    or the throat bound plus 0.45 tol when no probe was flagged.
+    or the upper end find_critical_flux takes without a solve.
     """
 
     lo: float
@@ -362,15 +343,16 @@ class SonicLimitStudy:
     reasons: dict = field(default_factory=dict)
 
 
-def sonic_limit_study(grid: MappedGrid, gas: GasModel, m0_anchor: float | None = None,
+def sonic_limit_study(grid: MappedGrid, gas: GasModel, m0_anchor: float,
                       n_terms: int = 6) -> SonicLimitStudy:
     """Drive the flux toward its critical value and certify the approach.
 
-    Solves at m0_anchor * (1 - 0.5 * _SONIC_RATIO**k); the anchor defaults
-    to the certified subcritical end of a fresh critical-flux bracket.  On
-    the compact window default_compact(grid), away from the axis and the
-    wall, the consecutive velocity and momentum differences are recorded
-    in rms, together with the entropy pair residuals.  A grid with no node
+    Solves at m0_anchor * (1 - 0.5 * _SONIC_RATIO**k), each warm started
+    from the last; the anchor is a certified subcritical flux, such as the
+    lo end of find_critical_flux's bracket.  On the compact window
+    default_compact(grid), away from the axis and the wall, the
+    consecutive velocity and momentum differences are recorded in rms,
+    together with the entropy pair residuals.  A grid with no node
     in that window raises ValueError.  Certification requires the max Mach
     numbers to be nondecreasing, the window differences to shrink, and
     the final sonic gap 1 - M to be within ten times the truncation gap
@@ -378,8 +360,6 @@ def sonic_limit_study(grid: MappedGrid, gas: GasModel, m0_anchor: float | None =
     """
     if n_terms < 2:
         raise ValueError("sonic_limit_study: need at least two terms")
-    if m0_anchor is None:
-        m0_anchor = find_critical_flux(grid, gas).lo
     window = default_compact(grid)
     x_lo, x_hi, r_lo, r_hi = window
     mask = ((grid.x_nodes >= x_lo) & (grid.x_nodes <= x_hi)

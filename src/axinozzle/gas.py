@@ -8,28 +8,12 @@ Bernoulli relation ties density to speed,
     rho = ((gamma + 1 - (gamma - 1) * q**2) / 2) ** (1 / (gamma - 1))
 
 and the momentum density rho*q runs monotonically from 0 at rest to 1 at
-the sonic state.  Near the sonic state the density-momentum relation
-degenerates (its slope blows up), so the solver works with a truncated
-relation that follows the exact one up to momentum m_tilde, blends to a
-constant over [m_tilde**2, ((m_tilde+1)/2)**2] in the squared-momentum
-variable, and stays constant beyond.  The blend keeps the relation C^2,
-decreasing, and uniformly elliptic, which makes the stream-function
-energy strictly convex.
-
-One private evaluator, GasModel._evaluate, holds the only below/blend/tail
-dispatch of the truncated relation Htilde: it solves the branch root once
-and returns the coenergy F with Htilde, Htilde' and Htilde''.  The public
-truncated_density_from_momentum, coenergy and coenergy_bundle read it;
-one helper, _blend, holds the quintic of the blend.
-
-One root solver, _bracketed_newton, serves every inversion: the branch
-density rho(s) (Newton in rho - 1, accurate up to the sonic fold), and
-through it the closed form q^2 = s / rho(s)^2 of speed_from_momentum, and
-the blend of the truncated speed relation in truncated_density_from_speed.
-It steps whole arrays, and an entry that has stopped keeps its value.
-The branch density starts from a cubic Hermite table of rho - 1 against
-sqrt(1 - s), cached per gas, so every point stops at the second residual
-evaluation; the table itself is solved once from above the fold asymptote.
+the sonic state, where the density-momentum relation degenerates (its
+slope blows up).  The solver works with a truncation Htilde of it: exact
+up to momentum m_tilde, a quintic blend over [m_tilde**2,
+((m_tilde+1)/2)**2] in the squared momentum, and constant beyond.  Htilde
+is C^2, decreasing and uniformly elliptic, which makes the stream-function
+energy strictly convex.  GasModel._evaluate is its one evaluator.
 """
 
 from __future__ import annotations
@@ -74,12 +58,11 @@ class CoenergyBundle(NamedTuple):
 
 
 class _Truncated(NamedTuple):
-    """Coenergy F and the truncated relation Htilde with two derivatives."""
+    """Coenergy F, the truncated relation Htilde and its slope Htilde'."""
 
     value: np.ndarray
     rho: np.ndarray
     slope: np.ndarray
-    curvature: np.ndarray
 
 
 def _like_input(s, out):
@@ -89,6 +72,9 @@ def _like_input(s, out):
 
 def _bracketed_newton(residual, x0, lo, hi):
     """Elementwise root in [lo, hi] of an increasing residual, by Newton.
+
+    The one root solver of this module: the branch density (_branch_root)
+    and the blend of the truncated speed relation (_momentum_from_speed).
 
     residual(x) returns the residual and its slope at the whole array of
     iterates x.  Each entry keeps the bracket its residual signs allow, and
@@ -290,14 +276,11 @@ class GasModel:
             raise ValueError("density_from_momentum: s must lie in [0, 1]")
         return _like_input(s, self._density_root(np.atleast_1d(s)))
 
-    def _branch_derivatives(self, rho):
-        """dH/ds and d2H/ds2 on the exact subsonic branch, given its density rho."""
+    def _branch_slope(self, rho):
+        """dH/ds on the exact subsonic branch, given its density rho."""
         g = self.gamma
-        c = 2.0 * (g + 1.0) / (g - 1.0)
-        p = rho ** (g - 1.0)
-        d = c * rho * (1.0 - p)  # dM/drho < 0 on the branch
-        # products, not d**3: NumPy powers of a negative base take a slow scalar path
-        return 1.0 / d, -c * (1.0 - g * p) / (d * d * d)
+        d = 2.0 * (g + 1.0) / (g - 1.0) * rho * (1.0 - rho ** (g - 1.0))  # dM/drho < 0
+        return 1.0 / d
 
     @cached_property
     def _blend_coeffs(self) -> np.ndarray:
@@ -310,8 +293,12 @@ class GasModel:
         """
         h = self.s_hi - self.s_lo
         rho_lo = self._density_root(np.array([self.s_lo]))
-        slope_lo, curvature_lo = self._branch_derivatives(rho_lo)
-        rho1, d1, c1 = float(rho_lo[0]), float(slope_lo[0]) * h, float(curvature_lo[0]) * h * h
+        g = self.gamma
+        c = 2.0 * (g + 1.0) / (g - 1.0)
+        p = rho_lo ** (g - 1.0)
+        d = c * rho_lo * (1.0 - p)  # dM/drho, so dH/ds = 1/d and d2H/ds2 = -c (1 - g p)/d^3
+        rho1, d1 = float(rho_lo[0]), float((1.0 / d)[0]) * h
+        c1 = float((-c * (1.0 - g * p) / (d * d * d))[0]) * h * h
         lhs = np.array([[1.0, 1.0, 1.0], [3.0, 4.0, 5.0], [6.0, 12.0, 20.0]])
         rhs = np.array(
             [self.rho_hi - (rho1 + d1 + c1 / 2.0), -(d1 + c1), -c1]
@@ -329,24 +316,19 @@ class GasModel:
 
     @staticmethod
     def _blend_poly(t, coeffs, order=0):
-        """Evaluate the blend quintic or one of its t-derivatives (Horner)."""
-        c = coeffs
-        if order == 1:
-            c = coeffs[1:] * np.arange(1, 6)
-        elif order == 2:
-            c = coeffs[2:] * np.arange(2, 6) * np.arange(1, 5)
+        """Evaluate the blend quintic or its t-derivative (Horner)."""
+        c = coeffs[1:] * np.arange(1, 6) if order == 1 else coeffs
         out = np.zeros_like(t)
         for ck in c[::-1]:
             out = out * t + ck
         return out
 
     def _blend(self, s):
-        """Htilde, Htilde' and Htilde'' of the blend quintic at s in [s_lo, s_hi]."""
+        """Htilde and Htilde' of the blend quintic at s in [s_lo, s_hi]."""
         h = self.s_hi - self.s_lo
         t = (s - self.s_lo) / h
         coeffs = self._blend_coeffs
-        return (self._blend_poly(t, coeffs), self._blend_poly(t, coeffs, order=1) / h,
-                self._blend_poly(t, coeffs, order=2) / h**2)
+        return self._blend_poly(t, coeffs), self._blend_poly(t, coeffs, order=1) / h
 
     # ------------------------------------------------------------------
     # coenergy F(s) = integral_0^s dt / Htilde(t)
@@ -395,7 +377,7 @@ class GasModel:
     # ------------------------------------------------------------------
 
     def _evaluate(self, s, name) -> _Truncated:
-        """F, Htilde, Htilde' and Htilde'' at squared momenta s >= 0.
+        """F, Htilde and Htilde' at squared momenta s >= 0.
 
         The one below/blend/tail dispatch of the truncated relation: below
         s_lo the branch root is solved once and every quantity is read
@@ -410,18 +392,17 @@ class GasModel:
         value = f_hi + (s - self.s_hi) / self.rho_hi
         rho = np.full_like(s, self.rho_hi)
         slope = np.zeros_like(s)
-        curvature = np.zeros_like(s)
         below = s < self.s_lo
         if np.any(below):
             rb = self._density_root(s[below])
             rho[below] = rb
-            slope[below], curvature[below] = self._branch_derivatives(rb)
+            slope[below] = self._branch_slope(rb)
             value[below] = self._coenergy_exact(rb)
         mid = ~below & (s < self.s_hi)
         if np.any(mid):
-            rho[mid], slope[mid], curvature[mid] = self._blend(s[mid])
+            rho[mid], slope[mid] = self._blend(s[mid])
             value[mid] = f_lo + self._coenergy_blend_tail(s[mid])
-        return _Truncated(value, rho, slope, curvature)
+        return _Truncated(value, rho, slope)
 
     def truncated_density_from_momentum(self, s):
         """Truncated density relation, defined for every squared momentum >= 0."""
@@ -467,7 +448,7 @@ class GasModel:
             target = q[mid]
 
             def residual(s):
-                rho, slope, _ = self._blend(s)
+                rho, slope = self._blend(s)
                 return s / rho**2 - target, (rho - 2.0 * slope * s) / rho**3
 
             chord = self.s_lo + (target - qsq_lo) / (qsq_hi - qsq_lo) * (self.s_hi - self.s_lo)

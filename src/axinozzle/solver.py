@@ -15,37 +15,17 @@ Solutions are the minimizers of the strictly convex energy
     J(phi) = integral F(|grad phi / (r + delta)|^2) (r + delta) dx dr
 
 where F is the gas model's coenergy.  delta > 0 shields the axis
-singularity of 1/r.  The midpoint quadrature never evaluates 1/r on the
+singularity of 1/r; the midpoint quadrature never evaluates 1/r on the
 axis, so the discrete problem is also solved directly at delta = 0.
 
 Discretization: bilinear elements on the mapped tensor grid with one
-midpoint quadrature point per cell.  Energy, gradient, and Hessian are
+midpoint quadrature point per cell.  Energy, gradient and Hessian are
 exact derivatives of the same discrete functional, so the Hessian is
-symmetric positive definite and damped Newton iterations converge
-globally.  The unknown numbering i*(nr-1)+j makes the Hessian banded with
-half-width nr; it is assembled directly in LAPACK upper band storage and
-factored by banded Cholesky (LAPACK pbtrf).  A failed factorization means
-the Hessian is not SPD, and a non-finite diagonal in the factor that it
-held non-finite entries; both raise LinearSolveError.  A factor is kept and
-reused: while it keeps shrinking the gradient tenfold per step, each step
-is one back-solve (LAPACK pbtrs) with it, a chord step, and the Hessian
-is factored again, into the same buffer, only when a step contracts less
-or a full chord step fails the Armijo test.  Any SPD factor gives a
-descent direction, so the line search and the gradient tolerance certify
-a solve whichever factor its steps used.  newton_solve evaluates the gas
-relation once per energy evaluation: the cell gradients and coenergy
-bundle of the accepted line-search trial also give the next gradient and
-Hessian.
-
-pbtrf and pbtrs come from scipy's compiled LAPACK wrappers, the extension
-module scipy/linalg/_flapack, loaded from its file: importing it through
-scipy.linalg would run that package's init, whose array-API imports take
-longer than a whole small solve.  The routines are the objects
-scipy.linalg.lapack exports.
-
-This module holds only the discrete energy and its Newton solve.  The
-strong residual of the equation above is the irrotationality residual of
-axinozzle.fields, which computes every diagnostic of a solved flow.
+symmetric positive definite, banded with half-width nr in the layout
+assemble_hessian states, and factored by LAPACK's banded Cholesky; a
+factorization that fails raises LinearSolveError.  newton_solve minimizes
+the energy.  The strong residual of the equation above is the
+irrotationality residual of axinozzle.fields.
 """
 
 from __future__ import annotations
@@ -68,7 +48,13 @@ _CHORD_CONTRACTION = 0.1  # a step must shrink the gradient norm this much to re
 
 
 def _load_flapack():
-    """scipy.linalg._flapack, executed from its file without scipy.linalg's init."""
+    """scipy.linalg._flapack, executed from its file without scipy.linalg's init.
+
+    pbtrf and pbtrs are the only LAPACK routines the solver calls.
+    Importing them through scipy.linalg would run that package's init,
+    whose array-API imports take longer than a whole small solve; the
+    routines are the objects scipy.linalg.lapack exports.
+    """
     spec = importlib.util.find_spec("scipy")
     if spec is None:
         raise ImportError("axinozzle.solver needs scipy for LAPACK's banded Cholesky")
@@ -292,6 +278,39 @@ def _armijo_by_derivative(trial_state: _CellState, grid: MappedGrid,
     return trial_slope <= (2.0 * _ARMIJO_SLOPE - 1.0) * slope
 
 
+def _line_search(psi, state: _CellState, energy: float, grad_int: np.ndarray,
+                 grad_norm: float, factor: np.ndarray, grid: MappedGrid, gas: GasModel,
+                 trials: int):
+    """Solve for a step with factor and backtrack along it; None if no trial passes.
+
+    The step is -grad back-solved with the factor, or steepest descent if
+    that is not a descent direction.  Up to trials step lengths 1, 1/2, ...
+    are tried against the Armijo test (or, at full length, its derivative
+    form).  Returns the accepted point as (psi, cell state, energy); its
+    cell state, the one gas evaluation of the trial, also gives the next
+    gradient and Hessian.
+    """
+    step_int = _back_solve(factor, -grad_int)
+    step = np.zeros_like(psi)
+    step[1:-1, 1:-1] = step_int.reshape(grid.nx - 1, grid.nr - 1)
+    slope = float(grad_int @ step_int)
+    if slope >= 0.0:  # not a descent direction: fall back to steepest descent
+        step[1:-1, 1:-1] = -grad_int.reshape(grid.nx - 1, grid.nr - 1)
+        slope = -grad_norm**2
+    t = 1.0
+    for _ in range(trials):
+        trial = psi + t * step
+        trial_state = _cell_state(trial, grid, gas)
+        trial_energy = _energy(trial_state, grid)
+        if (trial_energy <= energy + _ARMIJO_SLOPE * t * slope
+                or t == 1.0
+                and trial_energy - energy <= _ENERGY_NOISE * max(abs(energy), 1.0)
+                and _armijo_by_derivative(trial_state, grid, step, slope)):
+            return trial, trial_state, trial_energy
+        t *= 0.5
+    return None
+
+
 def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
                  init: np.ndarray | None = None, tol: float | None = None,
                  factor: np.ndarray | None = None) -> StreamSolution:
@@ -309,17 +328,18 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         this shape, such as the factor of a previous solution; the first
         step solves with it, and a refactorization overwrites it.
 
-    Each step solves with the factor in hand, a chord step, and the
-    Hessian at the current iterate is factored again when there is none,
-    when the last step shrank the gradient norm by less than
-    _CHORD_CONTRACTION, or when a chord step fails the Armijo test; a
-    chord step is tried at full length only, and only a failed line
-    search on a fresh factor stops the solve.  Backtracking line search
-    enforces energy decrease, so the energy history is nonincreasing up
-    to rounding: a full step whose decrease the energy cannot resolve is
-    accepted on the derivative form of the Armijo test.  A solution
-    flagged cutoff_active touched momenta above the truncation threshold
-    and is not a certified subsonic flow.
+    The factor is kept and reused.  While the last step shrank the
+    gradient norm by _CHORD_CONTRACTION or more, a step is one back-solve
+    with the factor in hand, a chord step, tried at full length only.  The
+    Hessian at the current iterate is factored again, into the same
+    buffer, when there is no factor, when the last step contracted less,
+    or when the chord step fails the Armijo test; that step backtracks, and
+    only its failure stops the solve short of tol.  Any SPD factor gives a
+    descent direction, so the line search and the gradient tolerance
+    certify a solve whichever factor its steps used, and the energy
+    history is nonincreasing up to rounding.  A solution flagged
+    cutoff_active touched momenta above the truncation threshold and is
+    not a certified subsonic flow.
     """
     if m < 0.0:
         raise ValueError("newton_solve: m must be >= 0")
@@ -339,58 +359,27 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
     state = _cell_state(psi, grid, gas)  # of the accepted point; feeds gradient and Hessian
     energy = _energy(state, grid)
     history = [energy]
-    grad_norm = last_norm = np.inf
-    converged = False
-    iterations = factorizations = 0
-
-    while iterations < _MAX_ITER:
-        grad = _gradient(state, grid)
-        grad_int = grad[1:-1, 1:-1].ravel()
+    last_norm = np.inf
+    factorizations = 0
+    while True:
+        grad_int = _gradient(state, grid)[1:-1, 1:-1].ravel()
         grad_norm = float(np.linalg.norm(grad_int))
-        if grad_norm <= tol:
-            converged = True
+        if grad_norm <= tol or len(history) > _MAX_ITER:
             break
-        # a chord step with the factor in hand first, while the last step
-        # contracted enough; a fresh factor if there is none or it fails
-        reuse = factor is not None and grad_norm <= _CHORD_CONTRACTION * last_norm
-        for fresh in (False, True) if reuse else (True,):
-            if fresh:
-                factor = _cholesky(_hessian(state, grid, out=factor))
-                factorizations += 1
-            step_int = _back_solve(factor, -grad_int)
-            step = np.zeros_like(psi)
-            step[1:-1, 1:-1] = step_int.reshape(grid.nx - 1, grid.nr - 1)
-            slope = float(grad_int @ step_int)
-            if slope >= 0.0:  # not a descent direction: fall back to steepest descent
-                step[1:-1, 1:-1] = -grad_int.reshape(grid.nx - 1, grid.nr - 1)
-                slope = -grad_norm**2
-
-            t = 1.0
-            accepted = False
-            for _ in range(45 if fresh else 1):  # a chord step is taken whole or not at all
-                trial = psi + t * step
-                trial_state = _cell_state(trial, grid, gas)
-                trial_energy = _energy(trial_state, grid)
-                if (trial_energy <= energy + _ARMIJO_SLOPE * t * slope
-                        or t == 1.0
-                        and trial_energy - energy <= _ENERGY_NOISE * max(abs(energy), 1.0)
-                        and _armijo_by_derivative(trial_state, grid, step, slope)):
-                    psi, state, energy = trial, trial_state, trial_energy
-                    accepted = True
-                    break
-                t *= 0.5
-            if accepted:
-                break
-        if not accepted:
-            break  # energy floor reached; leave flagged by the gradient check
+        accepted = None
+        if factor is not None and grad_norm <= _CHORD_CONTRACTION * last_norm:
+            accepted = _line_search(psi, state, energy, grad_int, grad_norm, factor,
+                                    grid, gas, trials=1)
+        if accepted is None:
+            factor = _cholesky(_hessian(state, grid, out=factor))
+            factorizations += 1
+            accepted = _line_search(psi, state, energy, grad_int, grad_norm, factor,
+                                    grid, gas, trials=45)
+        if accepted is None:
+            break  # energy floor reached; left flagged by the gradient check
+        psi, state, energy = accepted
         history.append(energy)
-        iterations += 1
         last_norm = grad_norm
-
-    if not converged:  # re-measure after line-search exit or iteration cap
-        grad = _gradient(state, grid)
-        grad_norm = float(np.linalg.norm(grad[1:-1, 1:-1]))
-        converged = grad_norm <= tol
 
     max_s = float(state.s.max())
     return StreamSolution(
@@ -399,10 +388,10 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         m=float(m),
         energy=energy,
         grad_norm=grad_norm,
-        iterations=iterations,
+        iterations=len(history) - 1,
         factorizations=factorizations,
         cutoff_active=max_s > gas.s_lo,
-        converged=converged,
+        converged=grad_norm <= tol,
         max_momentum_sq=max_s,
         energy_history=history,
         factor=factor,
