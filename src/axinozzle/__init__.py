@@ -21,6 +21,7 @@ from .solver import (
     assemble_energy,
     assemble_gradient,
     assemble_hessian,
+    cell_state,
     newton_solve,
 )
 from .fields import (
@@ -48,7 +49,6 @@ from .continuation import (
     ShrinkResult,
     SonicLimitStudy,
     SweepPoint,
-    SweepResult,
     find_critical_flux,
     mass_flux_sweep,
     shrink_delta,
@@ -78,11 +78,11 @@ __all__ = [
     "SpeedDensity",
     "StreamSolution",
     "SweepPoint",
-    "SweepResult",
     "assemble_energy",
     "assemble_gradient",
     "assemble_hessian",
     "build_grid",
+    "cell_state",
     "diagnostics_report",
     "entropy_pair_residual",
     "far_field_error",

@@ -363,7 +363,7 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
 
     if command == "sweep":
         try:
-            points = mass_flux_sweep(grid, gas, cfg.flux.sweep).points
+            points = mass_flux_sweep(grid, gas, cfg.flux.sweep)
         except SonicOvershootError as exc:
             print(f"sweep: {exc}; not a subsonic flow, no output written", file=sys.stderr)
             return 1

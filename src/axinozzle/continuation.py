@@ -82,6 +82,8 @@ def shrink_delta(grid: MappedGrid, gas: GasModel, m: float, factor: float = 0.02
         raise ValueError("shrink_delta: factor must lie in (0, 1)")
     if tol is None:
         tol = 1e-8 * max(1.0, m)
+    if not tol > 0.0:  # NaN fails too
+        raise ValueError("shrink_delta: tol must be > 0")
     delta = 1e-4 * grid.profile.b
     steps: list[DeltaStep] = []
     recent: list[np.ndarray] = []  # the last three solutions, oldest first
@@ -143,11 +145,6 @@ class SweepPoint:
     far_field: tuple[float, float]
 
 
-@dataclass
-class SweepResult:
-    points: list[SweepPoint]
-
-
 def _survey(solution: StreamSolution, gas: GasModel) -> SweepPoint:
     flow = velocity_from_stream(solution, gas)
     return SweepPoint(
@@ -176,7 +173,7 @@ def _warm_start(solution: StreamSolution | None, m0: float) -> dict:
     return {"init": solution.psi * (m0 / (TWO_PI * solution.m)), "factor": solution.factor}
 
 
-def mass_flux_sweep(grid: MappedGrid, gas: GasModel, m0_values) -> SweepResult:
+def mass_flux_sweep(grid: MappedGrid, gas: GasModel, m0_values) -> list[SweepPoint]:
     """Solve a sequence of mass fluxes on one grid, each warm started from
     the solve before it (_warm_start).  Failures are recorded, not raised."""
     points: list[SweepPoint] = []
@@ -187,7 +184,7 @@ def mass_flux_sweep(grid: MappedGrid, gas: GasModel, m0_values) -> SweepResult:
         solution = newton_solve(grid, gas, m0 / TWO_PI, **_warm_start(prev, m0))
         points.append(_survey(solution, gas))
         prev = solution
-    return SweepResult(points)
+    return points
 
 
 class CriticalToleranceError(ValueError):

@@ -22,9 +22,10 @@ Discretization: bilinear elements on the mapped tensor grid with one
 midpoint quadrature point per cell.  Energy, gradient and Hessian are
 exact derivatives of the same discrete functional, so the Hessian is
 symmetric positive definite, banded with half-width nr in the layout
-assemble_hessian states, and factored by LAPACK's banded Cholesky; a
-factorization that fails raises LinearSolveError.  newton_solve minimizes
-the energy.  The strong residual of the equation above is the
+assemble_hessian(cell_state(psi, grid, gas), grid) states, and factored by
+LAPACK's banded Cholesky; a factorization that fails raises
+LinearSolveError.  newton_solve minimizes the energy with these same
+functions.  The strong residual of the equation above is the
 irrotationality residual of axinozzle.fields.
 """
 
@@ -126,42 +127,36 @@ def _geometry(grid: MappedGrid):
     return cache
 
 
-def _corner_views(psi):
-    return psi[:-1, :-1], psi[1:, :-1], psi[:-1, 1:], psi[1:, 1:]
+class CellState(NamedTuple):
+    """Cell data of one psi, shared by its energy, gradient and Hessian."""
+
+    s: np.ndarray          # squared momentum per cell
+    psi_x: np.ndarray      # physical gradient of the bilinear field at cell centers
+    psi_r: np.ndarray
+    coenergy: CoenergyBundle  # over s.ravel()
 
 
-def _cell_gradients(psi, grid: MappedGrid):
-    """Physical gradient components of the bilinear field at cell centers."""
-    sw, se, nw, ne = _corner_views(psi)
+def cell_state(psi, grid: MappedGrid, gas: GasModel) -> CellState:
+    """The one gas evaluation of psi, from which every assembly reads."""
+    sw, se, nw, ne = psi[:-1, :-1], psi[1:, :-1], psi[:-1, 1:], psi[1:, 1:]
     psi_xi = (se + ne - sw - nw) / (2.0 * grid.dxi)
     psi_sg = (nw + ne - sw - se) / (2.0 * grid.dsigma)
     beta = (grid.fpc / grid.fc)[:, None] * grid.sc[None, :]
     psi_x = psi_xi - beta * psi_sg
     psi_r = psi_sg / grid.fc[:, None]
-    return psi_x, psi_r
-
-
-class _CellState(NamedTuple):
-    """Cell data of one psi, shared by its energy, gradient and Hessian."""
-
-    s: np.ndarray          # squared momentum per cell
-    psi_x: np.ndarray
-    psi_r: np.ndarray
-    coenergy: CoenergyBundle  # over s.ravel()
-
-
-def _cell_state(psi, grid: MappedGrid, gas: GasModel) -> _CellState:
-    psi_x, psi_r = _cell_gradients(psi, grid)
+    del psi_xi, psi_sg, beta  # freed before the gas evaluation, which sets peak memory
     s = (psi_x**2 + psi_r**2) / grid.r_shield**2
-    return _CellState(s, psi_x, psi_r, gas.coenergy_bundle(s.ravel()))
+    return CellState(s, psi_x, psi_r, gas.coenergy_bundle(s.ravel()))
 
 
-def _energy(state: _CellState, grid: MappedGrid) -> float:
+def assemble_energy(state: CellState, grid: MappedGrid) -> float:
+    """Discrete energy: midpoint quadrature of F(|grad psi/(r+delta)|^2)(r+delta)."""
     value = state.coenergy.value.reshape(state.s.shape)
     return float((grid.measure * value * grid.r_shield).sum())
 
 
-def _gradient(state: _CellState, grid: MappedGrid) -> np.ndarray:
+def assemble_gradient(state: CellState, grid: MappedGrid) -> np.ndarray:
+    """Exact energy derivative w.r.t. interior nodal values (zero on boundary)."""
     prime = state.coenergy.prime.reshape(state.s.shape)
     w1 = 2.0 * grid.measure * prime / grid.r_shield
     gx = w1 * state.psi_x
@@ -177,17 +172,17 @@ def _gradient(state: _CellState, grid: MappedGrid) -> np.ndarray:
     return grad
 
 
-def assemble_energy(psi, grid: MappedGrid, gas: GasModel) -> float:
-    """Discrete energy: midpoint quadrature of F(|grad psi/(r+delta)|^2)(r+delta)."""
-    return _energy(_cell_state(psi, grid, gas), grid)
+def assemble_hessian(state: CellState, grid: MappedGrid,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Exact second derivative on interior unknowns, upper band in LAPACK storage.
 
-
-def assemble_gradient(psi, grid: MappedGrid, gas: GasModel) -> np.ndarray:
-    """Exact energy derivative w.r.t. interior nodal values (zero on boundary)."""
-    return _gradient(_cell_state(psi, grid, gas), grid)
-
-
-def _hessian(state: _CellState, grid: MappedGrid, out: np.ndarray | None = None) -> np.ndarray:
+    Unknown (i, j), 1 <= i < nx, 1 <= j < nr, has index
+    q = (i-1)(nr-1) + (j-1).  The matrix is symmetric positive definite with
+    half-width nr; entry (p, q), p <= q, is at band[nr + p - q, q] of the
+    returned Fortran-ordered (nr + 1, (nx-1)(nr-1)) array, the layout LAPACK
+    pbtrf reads, so the factorization works in place.  The band is written
+    into out (such as a factor to overwrite) when one is given.
+    """
     prime = state.coenergy.prime.reshape(state.s.shape)
     second = state.coenergy.second.reshape(state.s.shape)
     w1 = 2.0 * grid.measure * prime / grid.r_shield
@@ -195,8 +190,6 @@ def _hessian(state: _CellState, grid: MappedGrid, out: np.ndarray | None = None)
     ax, ar = _geometry(grid)
     proj = state.psi_x * ax + state.psi_r * ar  # (4, nx, nr)
     nx, nr = grid.nx, grid.nr
-    # Fortran order is the column-major storage LAPACK reads, so the
-    # factorization works in place; out (a factor) is overwritten
     band = np.empty((nr + 1, (nx - 1) * (nr - 1)), order="F") if out is None else out
     band.fill(0.0)
     for k, l in _UPPER_PAIRS:
@@ -213,18 +206,6 @@ def _hessian(state: _CellState, grid: MappedGrid, out: np.ndarray | None = None)
     return band
 
 
-def assemble_hessian(psi, grid: MappedGrid, gas: GasModel) -> np.ndarray:
-    """Exact second derivative on interior unknowns, upper band in LAPACK storage.
-
-    Unknown (i, j), 1 <= i < nx, 1 <= j < nr, has index
-    q = (i-1)(nr-1) + (j-1).  The matrix is symmetric positive definite with
-    half-width nr; entry (p, q), p <= q, is at band[nr + p - q, q] of the
-    returned Fortran-ordered (nr + 1, (nx-1)(nr-1)) array, the layout LAPACK
-    pbtrf reads.
-    """
-    return _hessian(_cell_state(psi, grid, gas), grid)
-
-
 class LinearSolveError(RuntimeError):
     pass
 
@@ -233,7 +214,7 @@ def _cholesky(band: np.ndarray) -> np.ndarray:
     """Banded Cholesky factor; raises LinearSolveError unless SPD.
 
     The band is overwritten by its factor; a Fortran-ordered band (as
-    _hessian returns it) is factored in place, any other is copied first.
+    assemble_hessian returns it) is factored in place, any other is copied first.
     A non-finite entry in column j reaches pivot j, where pbtrf either
     stops (info j) or leaves a NaN or an infinity on the factor's diagonal
     (pbtrf need not test for NaN), so that row is checked instead of the
@@ -262,7 +243,7 @@ def _check_info(info: int) -> None:
             "value is the order of a leading minor that is not positive definite)")
 
 
-def _armijo_by_derivative(trial_state: _CellState, grid: MappedGrid,
+def _armijo_by_derivative(trial_state: CellState, grid: MappedGrid,
                           step: np.ndarray, slope: float) -> bool:
     """Armijo's test in derivative form, for a full step the energy cannot resolve.
 
@@ -274,11 +255,11 @@ def _armijo_by_derivative(trial_state: _CellState, grid: MappedGrid,
     derivative at it meets the quadratic-model form of the Armijo condition,
     phi'(1) <= (2 c - 1) phi'(0) (Hager and Zhang 2005).
     """
-    trial_slope = float((_gradient(trial_state, grid) * step).sum())
+    trial_slope = float((assemble_gradient(trial_state, grid) * step).sum())
     return trial_slope <= (2.0 * _ARMIJO_SLOPE - 1.0) * slope
 
 
-def _line_search(psi, state: _CellState, energy: float, grad_int: np.ndarray,
+def _line_search(psi, state: CellState, energy: float, grad_int: np.ndarray,
                  grad_norm: float, factor: np.ndarray, grid: MappedGrid, gas: GasModel,
                  trials: int):
     """Solve for a step with factor and backtrack along it; None if no trial passes.
@@ -300,8 +281,8 @@ def _line_search(psi, state: _CellState, energy: float, grad_int: np.ndarray,
     t = 1.0
     for _ in range(trials):
         trial = psi + t * step
-        trial_state = _cell_state(trial, grid, gas)
-        trial_energy = _energy(trial_state, grid)
+        trial_state = cell_state(trial, grid, gas)
+        trial_energy = assemble_energy(trial_state, grid)
         if (trial_energy <= energy + _ARMIJO_SLOPE * t * slope
                 or t == 1.0
                 and trial_energy - energy <= _ENERGY_NOISE * max(abs(energy), 1.0)
@@ -341,8 +322,8 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
     cutoff_active touched momenta above the truncation threshold and is
     not a certified subsonic flow.
     """
-    if m < 0.0:
-        raise ValueError("newton_solve: m must be >= 0")
+    if not 0.0 <= m < np.inf:  # NaN fails too
+        raise ValueError("newton_solve: m must be finite and >= 0")
     if tol is None:
         tol = 1e-10 * max(1.0, m)
     if not tol > 0.0:  # NaN fails too
@@ -356,13 +337,13 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
     if init is not None:
         psi[1:-1, 1:-1] = init[1:-1, 1:-1]
 
-    state = _cell_state(psi, grid, gas)  # of the accepted point; feeds gradient and Hessian
-    energy = _energy(state, grid)
+    state = cell_state(psi, grid, gas)  # of the accepted point; feeds gradient and Hessian
+    energy = assemble_energy(state, grid)
     history = [energy]
     last_norm = np.inf
     factorizations = 0
     while True:
-        grad_int = _gradient(state, grid)[1:-1, 1:-1].ravel()
+        grad_int = assemble_gradient(state, grid)[1:-1, 1:-1].ravel()
         grad_norm = float(np.linalg.norm(grad_int))
         if grad_norm <= tol or len(history) > _MAX_ITER:
             break
@@ -371,7 +352,7 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
             accepted = _line_search(psi, state, energy, grad_int, grad_norm, factor,
                                     grid, gas, trials=1)
         if accepted is None:
-            factor = _cholesky(_hessian(state, grid, out=factor))
+            factor = _cholesky(assemble_hessian(state, grid, out=factor))
             factorizations += 1
             accepted = _line_search(psi, state, energy, grad_int, grad_norm, factor,
                                     grid, gas, trials=45)

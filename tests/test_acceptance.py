@@ -155,10 +155,10 @@ def test_criterion_05_qualitative_estimates(reference_run):
 def test_criterion_06_sweep_monotonicity(tanh_bracket):
     grid, est = tanh_bracket
     m0s = est.lo * np.arange(1, 9) / 8.0
-    sweep = mass_flux_sweep(grid, GAS, m0s)
-    machs = np.array([p.mach_max for p in sweep.points])
-    walls = np.array([p.wall_speed for p in sweep.points])
-    ok = (all(p.converged for p in sweep.points)
+    points = mass_flux_sweep(grid, GAS, m0s)
+    machs = np.array([p.mach_max for p in points])
+    walls = np.array([p.wall_speed for p in points])
+    ok = (all(p.converged for p in points)
           and np.all(np.diff(machs) >= -1e-6)
           and np.all(np.diff(walls) >= -1e-6))
     announce(6, "sweep-monotonicity", ok,

@@ -129,16 +129,19 @@ def test_shrink_delta_validation():
     grid = cylinder_grid(nx=8, nr=4, length=1.0)
     with pytest.raises(ValueError):
         shrink_delta(grid, GAS, 0.1, factor=1.5)
+    for tol in (-1.0, 0.0, float("nan")):  # no diff <= tol: the chain would run 60 solves
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            shrink_delta(grid, GAS, 0.1, tol=tol)
 
 
 def test_mass_flux_sweep_matches_pipe_theory():
     grid = cylinder_grid(nx=32, nr=12, delta=1e-6)
     m0s = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
-    sweep = mass_flux_sweep(grid, GAS, m0s)
-    assert len(sweep.points) == 5
-    machs = np.array([point.mach_max for point in sweep.points])
+    points = mass_flux_sweep(grid, GAS, m0s)
+    assert len(points) == 5
+    machs = np.array([point.mach_max for point in points])
     assert np.all(np.diff(machs) > 0.0)
-    for point in sweep.points:
+    for point in points:
         s = (point.m0 / np.pi) ** 2
         q = np.sqrt(GAS.speed_from_momentum(s))
         rho = GAS.density_from_momentum(s)
@@ -153,9 +156,9 @@ def test_mass_flux_sweep_matches_pipe_theory():
 def test_mass_flux_sweep_flags_cutoff():
     grid = cylinder_grid(nx=32, nr=12, delta=1e-6)
     crit = np.pi * GAS.m_tilde
-    sweep = mass_flux_sweep(grid, GAS, [0.9 * crit, 1.05 * crit])
-    assert not sweep.points[0].cutoff_active
-    assert sweep.points[1].cutoff_active
+    points = mass_flux_sweep(grid, GAS, [0.9 * crit, 1.05 * crit])
+    assert not points[0].cutoff_active
+    assert points[1].cutoff_active
 
 
 def test_mass_flux_sweep_warm_equals_cold():
@@ -163,8 +166,8 @@ def test_mass_flux_sweep_warm_equals_cold():
     grid = cylinder_grid(nx=32, nr=12, delta=1e-6)
     m0s = [0.8, 1.6, 2.4]
     warm = mass_flux_sweep(grid, GAS, m0s)
-    cold = [mass_flux_sweep(grid, GAS, [m0]).points[0] for m0 in m0s]
-    for a, b in zip(warm.points, cold):
+    cold = [mass_flux_sweep(grid, GAS, [m0])[0] for m0 in m0s]
+    for a, b in zip(warm, cold):
         assert a.mach_max == pytest.approx(b.mach_max, abs=1e-8)
         assert a.wall_speed == pytest.approx(b.wall_speed, abs=1e-8)
 

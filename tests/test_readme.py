@@ -22,7 +22,7 @@ from axinozzle.cli import BAND_LIMIT, ConfigError, parse_config
 from axinozzle.continuation import CriticalToleranceError, find_critical_flux
 from axinozzle.fields import MIN_DIAGNOSTIC_CELLS, TWO_PI
 from axinozzle.nozzle import SCALE_LIMIT
-from axinozzle.solver import assemble_gradient
+from axinozzle.solver import assemble_gradient, cell_state
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -159,10 +159,11 @@ def test_readme_newton_tolerances(tmp_path):
     datum = newton_solve(grid, gas, m).psi  # the pipe's exact discrete solution
     bump = np.zeros_like(datum)
     bump[1:-1, 1:-1] = np.sin(np.arange(bump[1:-1, 1:-1].size)).reshape(7, 5)
-    unit = np.linalg.norm(assemble_gradient(datum + 1e-6 * bump, grid, gas)) / 1e-6
+    unit = np.linalg.norm(assemble_gradient(cell_state(datum + 1e-6 * bump, grid, gas), grid))
+    unit /= 1e-6
     for ratio, steps in ((0.99, 0), (1.01, 1)):
         start = datum + ratio * 1e-10 * m / unit * bump
-        norm = np.linalg.norm(assemble_gradient(start, grid, gas))
+        norm = np.linalg.norm(assemble_gradient(cell_state(start, grid, gas), grid))
         assert (norm < 1e-10 * m) == (ratio < 1.0)
         assert min(newton_solve(grid, gas, m, init=start).iterations, 1) == steps
     # the command-line limit, checked before the grid rules

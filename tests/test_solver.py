@@ -27,13 +27,15 @@ from axinozzle import (
     assemble_gradient,
     assemble_hessian,
     build_grid,
+    cell_state,
     flux_drift,
     irrotationality_residual,
     make_profile,
     newton_solve,
     velocity_from_stream,
 )
-from axinozzle.solver import _back_solve, _cell_state, _cholesky, _datum, _geometry
+from axinozzle import solver
+from axinozzle.solver import _back_solve, _cholesky, _datum, _geometry
 
 GAS = GasModel()
 
@@ -62,6 +64,12 @@ def test_newton_solve_rejects_non_positive_tol(tol):
         newton_solve(cylinder_grid(), GAS, 0.5, tol=tol)
 
 
+@pytest.mark.parametrize("m", [float("nan"), float("inf"), -1.0])
+def test_newton_solve_rejects_negative_or_non_finite_m(m):
+    with pytest.raises(ValueError, match="m must be finite and >= 0"):
+        newton_solve(cylinder_grid(), GAS, m)
+
+
 def test_zero_flux_solution_is_zero():
     grid = cylinder_grid()
     sol = newton_solve(grid, GAS, 0.0)
@@ -73,10 +81,10 @@ def test_zero_flux_solution_is_zero():
 def test_energy_positive_and_scaled():
     grid = cylinder_grid(delta=0.0)
     psi = shielded_quadratic(grid, 0.4)
-    value = assemble_energy(psi, grid, GAS)
+    value = assemble_energy(cell_state(psi, grid, GAS), grid)
     assert value > 0.0
     # doubling the state increases the convex energy more than linearly
-    assert assemble_energy(2.0 * psi, grid, GAS) > 2.0 * value
+    assert assemble_energy(cell_state(2.0 * psi, grid, GAS), grid) > 2.0 * value
 
 
 def test_gradient_matches_finite_differences():
@@ -84,7 +92,7 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     psi = shielded_quadratic(grid, 0.5)
     psi[1:-1, 1:-1] += 0.02 * rng.standard_normal((grid.nx - 1, grid.nr - 1))
-    grad = assemble_gradient(psi, grid, GAS)
+    grad = assemble_gradient(cell_state(psi, grid, GAS), grid)
     # boundary entries are projected out
     assert np.abs(grad[0, :]).max() == 0.0
     assert np.abs(grad[:, -1]).max() == 0.0
@@ -92,8 +100,8 @@ def test_gradient_matches_finite_differences():
     for _ in range(12):
         v = np.zeros(grid.shape)
         v[1:-1, 1:-1] = rng.standard_normal((grid.nx - 1, grid.nr - 1))
-        fd = (assemble_energy(psi + eps * v, grid, GAS)
-              - assemble_energy(psi - eps * v, grid, GAS)) / (2.0 * eps)
+        fd = (assemble_energy(cell_state(psi + eps * v, grid, GAS), grid)
+              - assemble_energy(cell_state(psi - eps * v, grid, GAS), grid)) / (2.0 * eps)
         exact = float((grad * v).sum())
         assert fd == pytest.approx(exact, rel=2e-6, abs=1e-10)
 
@@ -112,7 +120,7 @@ def band_to_dense(band):
 
 def reference_hessian(psi, grid):
     """Dense Hessian summed cell by cell from full 4x4 corner blocks."""
-    state = _cell_state(psi, grid, GAS)
+    state = cell_state(psi, grid, GAS)
     prime = state.coenergy.prime.reshape(state.s.shape)
     second = state.coenergy.second.reshape(state.s.shape)
     coef_x, coef_r = _geometry(grid)
@@ -140,8 +148,10 @@ def reference_hessian(psi, grid):
 
 
 def energy_second_difference(psi, v, grid, eps):
-    return (assemble_energy(psi + eps * v, grid, GAS) - 2.0 * assemble_energy(psi, grid, GAS)
-            + assemble_energy(psi - eps * v, grid, GAS)) / eps**2
+    def energy(phi):
+        return assemble_energy(cell_state(phi, grid, GAS), grid)
+
+    return (energy(psi + eps * v) - 2.0 * energy(psi) + energy(psi - eps * v)) / eps**2
 
 
 def energy_second_derivative(psi, v, grid):
@@ -150,7 +160,7 @@ def energy_second_derivative(psi, v, grid):
     The step gives eps * v a momentum of at most 1e-2, also next to the axis
     of a coarse grid, so the O(eps^4) error stays far below the tolerance.
     """
-    eps = 1e-2 / np.sqrt(_cell_state(v, grid, GAS).s.max())
+    eps = 1e-2 / np.sqrt(cell_state(v, grid, GAS).s.max())
     coarse = energy_second_difference(psi, v, grid, eps)
     fine = energy_second_difference(psi, v, grid, 0.5 * eps)
     return (4.0 * fine - coarse) / 3.0
@@ -163,7 +173,7 @@ def test_hessian_symmetric_and_positive_definite():
     rng = np.random.default_rng(11)
     psi = shielded_quadratic(grid, 0.6)
     psi[1:-1, 1:-1] += 0.01 * rng.standard_normal((grid.nx - 1, grid.nr - 1))
-    band = assemble_hessian(psi, grid, GAS)
+    band = assemble_hessian(cell_state(psi, grid, GAS), grid)
     assert band.shape == (grid.nr + 1, (grid.nx - 1) * (grid.nr - 1))
     dense = band_to_dense(band)
     reference = reference_hessian(psi, grid)
@@ -176,7 +186,7 @@ def test_hessian_is_second_derivative_of_energy():
     grid = cylinder_grid(nx=8, nr=6, delta=0.1, length=1.0)
     rng = np.random.default_rng(3)
     psi = shielded_quadratic(grid, 0.5)
-    matrix = band_to_sparse(assemble_hessian(psi, grid, GAS))
+    matrix = band_to_sparse(assemble_hessian(cell_state(psi, grid, GAS), grid))
     for _ in range(8):
         v = np.zeros(grid.shape)
         v[1:-1, 1:-1] = rng.standard_normal((grid.nx - 1, grid.nr - 1))
@@ -205,7 +215,7 @@ def test_band_hessian_matches_cell_blocks(profile, nx, nr, delta, flux, seed):
     rng = np.random.default_rng(seed)
     psi = m * grid.sigma[None, :] ** 2 * np.ones((nx + 1, 1))
     psi[1:-1, 1:-1] *= 1.0 + 0.05 * rng.standard_normal((nx - 1, nr - 1))
-    band = assemble_hessian(psi, grid, GAS)
+    band = assemble_hessian(cell_state(psi, grid, GAS), grid)
     reference = reference_hessian(psi, grid)
     assert np.abs(band_to_dense(band) - reference).max() <= 1e-13 * np.abs(reference).max()
 
@@ -291,7 +301,8 @@ def test_solve_from_a_foreign_factor_matches_cold_solve(profile, gamma, m_tilde,
     assert warm.converged and cold.converged and not warm.cutoff_active
     assert warm.factorizations <= warm.iterations
     tol = 1e-10 * max(1.0, m)
-    lambda_min = np.linalg.eigvalsh(band_to_dense(assemble_hessian(cold.psi, grid, gas))).min()
+    hessian = assemble_hessian(cell_state(cold.psi, grid, gas), grid)
+    lambda_min = np.linalg.eigvalsh(band_to_dense(hessian)).min()
     assert np.linalg.norm(warm.psi - cold.psi) <= 4.0 * tol / lambda_min
 
 
@@ -308,8 +319,8 @@ def cold_tanh_system(nx, nr, m=0.25):
     """Hessian band and Newton right-hand side at the default start, the datum."""
     grid = tanh_grid(nx, nr)
     psi = _datum(grid, m)
-    rhs = -assemble_gradient(psi, grid, GAS)[1:-1, 1:-1].ravel()
-    return assemble_hessian(psi, grid, GAS), rhs
+    rhs = -assemble_gradient(cell_state(psi, grid, GAS), grid)[1:-1, 1:-1].ravel()
+    return assemble_hessian(cell_state(psi, grid, GAS), grid), rhs
 
 
 @pytest.mark.parametrize("nx, nr", [(128, 32), (2, 2), (2, 9), (9, 2)])
@@ -340,7 +351,7 @@ def test_linear_solve_rejects_non_finite_matrix():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_linear_solve_rejects_non_finite_band_entries(value):
     # _cholesky scans only the factor's diagonal: a bad entry in any band row
-    # _hessian writes (offsets nr, nr-1, nr-2, 1, 0) must still reach it
+    # assemble_hessian writes (offsets nr, nr-1, nr-2, 1, 0) must still reach it
     band, _ = cold_tanh_system(8, 6)
     nr = band.shape[0] - 1
     for row in (0, 1, 2, nr - 1, nr):
@@ -395,13 +406,13 @@ def test_cylinder_default_datum_small_shield():
 def test_solution_is_energy_minimizer():
     grid = cylinder_grid(nx=20, nr=10, delta=0.05, length=2.0)
     sol = newton_solve(grid, GAS, 0.45)
-    base = assemble_energy(sol.psi, grid, GAS)
+    base = assemble_energy(cell_state(sol.psi, grid, GAS), grid)
     rng = np.random.default_rng(23)
     for _ in range(100):
         v = np.zeros(grid.shape)
         v[1:-1, 1:-1] = rng.standard_normal((grid.nx - 1, grid.nr - 1))
         v *= 1e-3 / np.abs(v).max()
-        assert assemble_energy(sol.psi + v, grid, GAS) > base
+        assert assemble_energy(cell_state(sol.psi + v, grid, GAS), grid) > base
 
 
 def test_energy_history_decreases():
@@ -455,7 +466,7 @@ def test_maximum_principle_and_barrier():
 def test_gradient_vanishes_at_solution():
     grid = cylinder_grid(nx=32, nr=12, delta=0.02)
     sol = newton_solve(grid, GAS, 0.5)
-    grad = assemble_gradient(sol.psi, grid, GAS)
+    grad = assemble_gradient(cell_state(sol.psi, grid, GAS), grid)
     assert np.sqrt((grad**2).sum()) <= 1e-10 * max(1.0, 0.5) * 1.001
 
 
@@ -470,18 +481,25 @@ def test_cutoff_flag_set_past_onset():
 
 def test_one_gas_evaluation_per_energy_evaluation(monkeypatch):
     # the cells of the accepted line-search trial also feed the next gradient
-    # and Hessian, so with full Newton steps every evaluation is an energy one
-    calls = []
+    # and Hessian, so with full Newton steps every evaluation is an energy
+    # one, made by the public assemble_energy
+    calls, energies = [], []
     evaluate = GasModel._evaluate
 
     def counting(self, s, name):
         calls.append(name)
         return evaluate(self, s, name)
 
+    def counting_energy(state, grid):
+        energies.append(state)
+        return assemble_energy(state, grid)
+
     monkeypatch.setattr(GasModel, "_evaluate", counting)
+    monkeypatch.setattr(solver, "assemble_energy", counting_energy)
     sol = newton_solve(tanh_grid(48, 12), GAS, 0.1)
     assert sol.converged and sol.iterations >= 2
     assert len(calls) == len(sol.energy_history) == 1 + sol.iterations
+    assert len(energies) == len(calls)
 
 
 def test_pde_residual_machine_small_on_cylinder():
