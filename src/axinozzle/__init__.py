@@ -28,7 +28,6 @@ from .fields import (
     AngleCheck,
     DiagnosticsReport,
     EntropyResiduals,
-    FlowAngleError,
     FlowField,
     ResidualNorms,
     SonicOvershootError,
@@ -56,47 +55,3 @@ from .continuation import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AngleCheck",
-    "CoenergyBundle",
-    "CriticalFluxEstimate",
-    "CriticalProbe",
-    "CriticalToleranceError",
-    "DiagnosticsReport",
-    "EntropyResiduals",
-    "FlowAngleError",
-    "FlowField",
-    "GasModel",
-    "LinearSolveError",
-    "MappedGrid",
-    "NozzleProfile",
-    "ResidualNorms",
-    "ShrinkResult",
-    "SonicLimitStudy",
-    "SonicOvershootError",
-    "SpeedDensity",
-    "StreamSolution",
-    "SweepPoint",
-    "assemble_energy",
-    "assemble_gradient",
-    "assemble_hessian",
-    "build_grid",
-    "cell_state",
-    "diagnostics_report",
-    "entropy_pair_residual",
-    "far_field_error",
-    "find_critical_flux",
-    "flow_angle",
-    "flux_drift",
-    "irrotationality_residual",
-    "make_profile",
-    "mass_flux_sweep",
-    "newton_solve",
-    "pick_domain_length",
-    "positivity_check",
-    "shrink_delta",
-    "sonic_limit_study",
-    "station_fluxes",
-    "velocity_from_stream",
-]

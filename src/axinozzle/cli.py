@@ -32,7 +32,8 @@ import numpy as np
 
 from ._reprfmt import lead_templates, repr_csv
 from .gas import GasModel
-from .nozzle import SCALE_LIMIT, NozzleProfile, build_grid, make_profile, pick_domain_length
+from .nozzle import (FAR_FIELD_OFFSET, SCALE_LIMIT, NozzleProfile, build_grid, make_profile,
+                     pick_domain_length)
 from .solver import newton_solve
 from .fields import (DEFAULT_THRESHOLDS, MIN_DIAGNOSTIC_CELLS, TWO_PI, SonicOvershootError,
                      diagnostics_report, velocity_from_stream)
@@ -325,6 +326,12 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
     if diagnostics and min(cfg.grid.nx, cfg.grid.nr) < MIN_DIAGNOSTIC_CELLS:
         raise ConfigError(f"grid: diagnostics need nx and nr >= {MIN_DIAGNOSTIC_CELLS}; "
                           "set [outputs] diagnostics = no or refine the grid")
+    # below this the far-field station of each end lies in the other half
+    length = cfg.nozzle.length
+    if diagnostics and length is not None and length < FAR_FIELD_OFFSET:
+        raise ConfigError(f"nozzle: diagnostics need length >= {FAR_FIELD_OFFSET:g}, where "
+                          "the far-field check samples; set [outputs] diagnostics = no "
+                          "or lengthen the nozzle")
 
     gas, grid = _build(cfg)
 

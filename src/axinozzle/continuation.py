@@ -220,17 +220,22 @@ class CriticalFluxEstimate:
         return 0.5 * (self.lo + self.hi)
 
 
-def _critical_signal(solution: StreamSolution, gas: GasModel) -> str:
-    """Why the subsonic continuation past this flux is barred, or subcritical."""
+def _critical_signal(solution: StreamSolution,
+                     gas: GasModel) -> tuple[str, FlowField | None]:
+    """Why the subsonic continuation past this flux is barred, or subcritical.
+
+    The one rule by which every certificate calls a solve subcritical.
+    Returns the reason with the flow it reconstructed, if it got that far.
+    """
     if not solution.converged:
-        return "non_convergence"
+        return "non_convergence", None
     if solution.cutoff_active:
-        return "cutoff"
+        return "cutoff", None
     try:
         flow = velocity_from_stream(solution, gas)
     except SonicOvershootError:  # a node past sonic is past the Mach onset too
-        return "mach"
-    return "mach" if flow.mach.max() >= gas.m_tilde else "subcritical"
+        return "mach", None
+    return "mach" if flow.mach.max() >= gas.m_tilde else "subcritical", flow
 
 
 def find_critical_flux(grid: MappedGrid, gas: GasModel,
@@ -286,7 +291,7 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
         """Solve at m0, warm started from warm; True if subcritical, and g
         where the probe carries one."""
         solution = newton_solve(grid, gas, m0 / TWO_PI, **_warm_start(warm, m0))
-        reason = _critical_signal(solution, gas)
+        reason, _ = _critical_signal(solution, gas)
         probes.append(CriticalProbe(m0, solution.max_momentum_sq, reason))
         has_g = reason in ("subcritical", "cutoff")  # where g <= 0 and g > 0
         return (reason == "subcritical",
@@ -344,19 +349,23 @@ def sonic_limit_study(grid: MappedGrid, gas: GasModel, m0_anchor: float,
                       n_terms: int = 6) -> SonicLimitStudy:
     """Drive the flux toward its critical value and certify the approach.
 
-    Solves at m0_anchor * (1 - 0.5 * _SONIC_RATIO**k), each warm started
-    from the last; the anchor is a certified subcritical flux, such as the
-    lo end of find_critical_flux's bracket.  On the compact window
-    default_compact(grid), away from the axis and the wall, the
+    Solves at m0_anchor * (1 - 0.5 * _SONIC_RATIO**k), k < n_terms, each
+    warm started from the last; the anchor is a certified subcritical
+    flux, such as the lo end of find_critical_flux's bracket.  Each solve
+    is classified by _critical_signal, the rule find_critical_flux uses,
+    and the study stops at the first one that is not subcritical,
+    recording {reason}_at: m0 and certifying nothing.  On the compact
+    window default_compact(grid), away from the axis and the wall, the
     consecutive velocity and momentum differences are recorded in rms,
-    together with the entropy pair residuals.  A grid with no node
-    in that window raises ValueError.  Certification requires the max Mach
-    numbers to be nondecreasing, the window differences to shrink, and
-    the final sonic gap 1 - M to be within ten times the truncation gap
-    1 - m_tilde.
+    together with the entropy pair residuals.  A grid with no node in
+    that window raises ValueError, and so does n_terms < 3, which leaves
+    fewer than two differences to compare.  Certification requires the
+    max Mach numbers to be nondecreasing, the window differences to
+    shrink, and the final sonic gap 1 - M to be within ten times the
+    truncation gap 1 - m_tilde.
     """
-    if n_terms < 2:
-        raise ValueError("sonic_limit_study: need at least two terms")
+    if n_terms < 3:
+        raise ValueError("sonic_limit_study: need at least three terms")
     window = default_compact(grid)
     x_lo, x_hi, r_lo, r_hi = window
     mask = ((grid.x_nodes >= x_lo) & (grid.x_nodes <= x_hi)
@@ -374,10 +383,10 @@ def sonic_limit_study(grid: MappedGrid, gas: GasModel, m0_anchor: float,
     prev_solution: StreamSolution | None = None
     for m0 in m0s:
         solution = newton_solve(grid, gas, m0 / TWO_PI, **_warm_start(prev_solution, m0))
-        if not solution.converged:
-            gap, reasons = float("nan"), {"non_convergence_at": m0}
+        reason, flow = _critical_signal(solution, gas)
+        if reason != "subcritical":
+            gap, reasons = float("nan"), {f"{reason}_at": m0}
             break
-        flow = velocity_from_stream(solution, gas)
         machs.append(float(flow.mach.max()))
         ent = entropy_pair_residual(flow, gas, rect=window)
         ent_plus.append(ent.plus)

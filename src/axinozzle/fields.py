@@ -28,16 +28,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .gas import GasModel
-from .nozzle import MappedGrid
+from .nozzle import FAR_FIELD_OFFSET, MappedGrid
 from .solver import StreamSolution
 
 TWO_PI = 2.0 * np.pi
 # the irrotationality residual differences two node layers in from each edge
 MIN_DIAGNOSTIC_CELLS = 5
-
-
-class FlowAngleError(ValueError):
-    """Raised when the flow angle is requested with a nonpositive axial speed."""
 
 
 class SonicOvershootError(ValueError):
@@ -142,23 +138,12 @@ def velocity_from_stream(solution: StreamSolution, gas: GasModel) -> FlowField:
 
 
 def flow_angle(flow: FlowField) -> AngleCheck:
-    """Flow angle with its exact wall-slope bounds.
+    """Measured flow angle range with its exact wall-slope bounds.
 
     The angle of a flow with positive axial velocity stays between
-    min(inf arctan f', 0) and max(sup arctan f', 0).  Raises
-    FlowAngleError if U <= 0 anywhere for a transporting flow (m > 0).
+    min(inf arctan f', 0) and max(sup arctan f', 0).  Where U < 0 the
+    angle leaves that range, and positivity_check reports the node.
     """
-    if flow.m > 0.0 and np.any(flow.U <= 0.0):
-        i, j = np.unravel_index(int(np.argmin(flow.U)), flow.U.shape)
-        raise FlowAngleError(
-            f"flow angle undefined: U = {flow.U[i, j]:.3e} at "
-            f"(x, r) = ({flow.grid.x_nodes[i, j]:.4f}, {flow.grid.r_nodes[i, j]:.4f})"
-        )
-    return _angle_range(flow)
-
-
-def _angle_range(flow: FlowField) -> AngleCheck:
-    """Measured angle range and the wall-slope bounds, without the U > 0 check."""
     lo, hi = flow.grid.profile.slope_bounds
     bounds = (min(np.arctan(lo), 0.0), max(np.arctan(hi), 0.0))
     return AngleCheck((float(flow.omega.min()), float(flow.omega.max())), bounds)
@@ -192,14 +177,15 @@ def far_field_error(flow: FlowField, gas: GasModel):
     """Max deviation from the uniform asymptotic states near the two ends.
 
     Compares (U, V) with the shielded datum's (sqrt(Ginv((rho U)^2)), 0) at
-    the stations nearest x = -(L - 2) and x = +(L - 2), where
-    rho U = m0 / (pi r_mp (r_mp + 2 delta)) for the wall radius r_mp there.
+    the stations nearest x = -(L - 2) and x = +(L - 2) (FAR_FIELD_OFFSET
+    = 2), where rho U = m0 / (pi r_mp (r_mp + 2 delta)) for the wall
+    radius r_mp there.
     """
     grid = flow.grid
     prof = grid.profile
     out = []
     for sign, radius in ((-1.0, prof.r_minus), (1.0, prof.r_plus)):
-        x = sign * (grid.length - 2.0)
+        x = sign * (grid.length - FAR_FIELD_OFFSET)
         i = int(np.argmin(np.abs(grid.xi - x)))
         u_ref = far_field_reference(gas, flow.m0, radius, grid.delta)
         dev = np.hypot(flow.U[i] - u_ref, flow.V[i])
@@ -390,9 +376,7 @@ def diagnostics_report(solution: StreamSolution, gas: GasModel,
     psi = solution.psi
     barrier = solution.m * (grid.r_nodes + grid.delta) ** 2 / grid.profile.b**2
     pos = positivity_check(flow)
-    # flow_angle raises where a transporting flow has U <= 0; the report
-    # gates that through the positivity check and still records the angle
-    angle = _angle_range(flow)
+    angle = flow_angle(flow)
     far = far_field_error(flow, gas)
     entropy = entropy_pair_residual(flow, gas)
     values = {

@@ -24,6 +24,11 @@ import numpy as np
 
 _FAMILIES = ("cylinder", "tanh_step", "bump")
 _FLAT_TOL = 1e-6  # wall distance from its end radius that pick_domain_length calls flat
+# fields.far_field_error samples the uniform end states this far inside +-L,
+# where pick_domain_length wants the wall within _STATION_TOL of flat: a
+# tenth of the default far-field gate
+FAR_FIELD_OFFSET = 2.0
+_STATION_TOL = 1e-4
 # Every length of a nozzle (its extreme wall radii, ell, w and the domain
 # length) lies in [1 / SCALE_LIMIT, SCALE_LIMIT].  The solver squares
 # lengths, fluxes and their ratios, such as the slope ratio f'/f; far
@@ -131,14 +136,16 @@ def _check_scale(name: str, value: float) -> None:
 def pick_domain_length(profile: NozzleProfile) -> float:
     """Smallest length on a doubling schedule where the wall looks flat.
 
-    Doubles L starting from 4 until both |f(-L) - r_minus| and
-    |f(L) - r_plus| drop below _FLAT_TOL, up to L = 512.
+    Doubles L starting from 4, up to L = 512, until the wall lies within
+    _FLAT_TOL of its end radius at both ends x = +-L, and within
+    _STATION_TOL at both far-field stations x = +-(L - FAR_FIELD_OFFSET).
     """
+    ends = ((-1.0, profile.r_minus), (1.0, profile.r_plus))
     length = 4.0
     while length <= 512.0:
-        flat_left = abs(float(profile.wall(-length)) - profile.r_minus) < _FLAT_TOL
-        flat_right = abs(float(profile.wall(length)) - profile.r_plus) < _FLAT_TOL
-        if flat_left and flat_right:
+        stations = ((length, _FLAT_TOL), (length - FAR_FIELD_OFFSET, _STATION_TOL))
+        if all(abs(float(profile.wall(sign * x)) - radius) < tol
+               for sign, radius in ends for x, tol in stations):
             return length
         length *= 2.0
     raise ValueError(f"pick_domain_length: wall not flat to {_FLAT_TOL:g} within L <= 512")

@@ -260,24 +260,23 @@ def _armijo_by_derivative(trial_state: CellState, grid: MappedGrid,
 
 
 def _line_search(psi, state: CellState, energy: float, grad_int: np.ndarray,
-                 grad_norm: float, factor: np.ndarray, grid: MappedGrid, gas: GasModel,
-                 trials: int):
+                 factor: np.ndarray, grid: MappedGrid, gas: GasModel, trials: int):
     """Solve for a step with factor and backtrack along it; None if no trial passes.
 
-    The step is -grad back-solved with the factor, or steepest descent if
-    that is not a descent direction.  Up to trials step lengths 1, 1/2, ...
+    The step is -grad back-solved with the factor.  Any SPD factor F gives
+    it the slope -g^T F^-1 g < 0, so a slope >= 0 comes from rounding alone
+    and fails like a rejected trial.  Up to trials step lengths 1, 1/2, ...
     are tried against the Armijo test (or, at full length, its derivative
     form).  Returns the accepted point as (psi, cell state, energy); its
     cell state, the one gas evaluation of the trial, also gives the next
     gradient and Hessian.
     """
     step_int = _back_solve(factor, -grad_int)
+    slope = float(grad_int @ step_int)
+    if slope >= 0.0:
+        return None
     step = np.zeros_like(psi)
     step[1:-1, 1:-1] = step_int.reshape(grid.nx - 1, grid.nr - 1)
-    slope = float(grad_int @ step_int)
-    if slope >= 0.0:  # not a descent direction: fall back to steepest descent
-        step[1:-1, 1:-1] = -grad_int.reshape(grid.nx - 1, grid.nr - 1)
-        slope = -grad_norm**2
     t = 1.0
     for _ in range(trials):
         trial = psi + t * step
@@ -314,13 +313,13 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
     with the factor in hand, a chord step, tried at full length only.  The
     Hessian at the current iterate is factored again, into the same
     buffer, when there is no factor, when the last step contracted less,
-    or when the chord step fails the Armijo test; that step backtracks, and
-    only its failure stops the solve short of tol.  Any SPD factor gives a
-    descent direction, so the line search and the gradient tolerance
-    certify a solve whichever factor its steps used, and the energy
-    history is nonincreasing up to rounding.  A solution flagged
-    cutoff_active touched momenta above the truncation threshold and is
-    not a certified subsonic flow.
+    or when the chord step fails _line_search; that step backtracks, and
+    only its failure stops the solve short of tol, flagged by the gradient
+    check.  Any SPD factor gives a descent direction, so the line search
+    and the gradient tolerance certify a solve whichever factor its steps
+    used, and the energy history is nonincreasing up to rounding.  A
+    solution flagged cutoff_active touched momenta above the truncation
+    threshold and is not a certified subsonic flow.
     """
     if not 0.0 <= m < np.inf:  # NaN fails too
         raise ValueError("newton_solve: m must be finite and >= 0")
@@ -349,13 +348,13 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
             break
         accepted = None
         if factor is not None and grad_norm <= _CHORD_CONTRACTION * last_norm:
-            accepted = _line_search(psi, state, energy, grad_int, grad_norm, factor,
-                                    grid, gas, trials=1)
+            accepted = _line_search(psi, state, energy, grad_int, factor, grid, gas,
+                                    trials=1)
         if accepted is None:
             factor = _cholesky(assemble_hessian(state, grid, out=factor))
             factorizations += 1
-            accepted = _line_search(psi, state, energy, grad_int, grad_norm, factor,
-                                    grid, gas, trials=45)
+            accepted = _line_search(psi, state, energy, grad_int, factor, grid, gas,
+                                    trials=45)
         if accepted is None:
             break  # energy floor reached; left flagged by the gradient check
         psi, state, energy = accepted
@@ -371,8 +370,8 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         grad_norm=grad_norm,
         iterations=len(history) - 1,
         factorizations=factorizations,
-        cutoff_active=max_s > gas.s_lo,
-        converged=grad_norm <= tol,
+        cutoff_active=bool(max_s > gas.s_lo),  # numpy scalars in m, tol or the gas
+        converged=bool(grad_norm <= tol),       # would make these numpy bools
         max_momentum_sq=max_s,
         energy_history=history,
         factor=factor,

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from axinozzle import GasModel, build_grid, diagnostics_report, make_profile, newton_solve
+from axinozzle import (GasModel, build_grid, diagnostics_report, irrotationality_residual,
+                       make_profile, newton_solve, velocity_from_stream)
 from axinozzle.cli import (
     _CSV_BLOCK_STATIONS,
     BAND_LIMIT,
@@ -639,6 +640,75 @@ def test_every_config_exits_0_to_3_without_traceback(draw):
             assert {p.name for p in out.iterdir()} == expected_outputs(command, cfg)
             if (out / "diagnostics.txt").exists():
                 assert "passed = true" in (out / "diagnostics.txt").read_text()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[flux\nm0 = 1\n", "malformed configuration"),
+    (BASE.replace("[flux]\nm0 = 1.0", ""), "missing required section [flux]"),
+    (BASE + "m1 = 2\n", "unknown keys in [flux]: ['m1']"),
+    (BASE.replace("nx = 48", "nx = abc"), "nx: not an integer: 'abc'"),
+    (BASE.replace("m0 = 1.0", "sweep = 0.5, 1.0"), "solve needs [flux] m0"),
+], ids=["malformed", "no-flux", "unknown-flux-key", "nx-abc", "solve-sweep"])
+def test_configuration_errors_exit_2(tmp_path, capsys, text, message):
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+    assert not out.exists()
+
+
+BUMP_W1 = """
+[nozzle]
+kind = bump
+a0 = 1.0
+h = -0.25
+w = 1.0
+length = auto
+
+[grid]
+nx = 256
+nr = 64
+
+[flux]
+m0 = 0.9
+"""
+
+
+def test_auto_length_passes_the_far_field_check(tmp_path):
+    # the wall is flat to 1e-6 at x = +-4 but 4.6e-3 off flat at the
+    # far-field stations x = +-2; length = auto picked 4 and failed there
+    # with far_field 5.6e-3, and now picks 8
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", write(tmp_path, BUMP_W1), "--out", str(out)]) == 0
+    diag = dict(line.split(" = ") for line in (out / "diagnostics.txt").read_text().splitlines())
+    assert diag["check_far_field"] == "true"
+    assert max(float(diag["far_field_left"]), float(diag["far_field_right"])) < 1e-6
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("diagnose", ""), ("solve", ""), ("solve", "\n[outputs]\ndiagnostics = no\n"),
+], ids=["diagnose", "solve", "solve-no-diagnostics"])
+def test_length_below_the_far_field_offset(tmp_path, capsys, command, outputs):
+    # at length 1.5 each far-field station lies in the other half of the nozzle
+    text = BUMP_W1.replace("length = auto", "length = 1.5").replace("256", "32") + outputs
+    out = tmp_path / "out"
+    code = main([command, "--config", write(tmp_path, text), "--out", str(out)])
+    if outputs:  # without diagnostics no far-field check runs
+        assert code == 0 and (out / "field.csv").exists()
+        return
+    assert code == 2
+    assert "diagnostics need length >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_library_shape_errors():
+    # the checks behind two command-line rules: a start of another shape
+    # and a grid too coarse for the irrotationality residual
+    grid = build_grid(make_profile("cylinder", a=1.0), length=4.0, nx=16, nr=4)
+    with pytest.raises(ValueError, match="init shape"):
+        newton_solve(grid, GasModel(), 0.3, init=np.zeros((16, 4)))
+    flow = velocity_from_stream(newton_solve(grid, GasModel(), 0.3), GasModel())
+    with pytest.raises(ValueError, match="grid too coarse"):
+        irrotationality_residual(flow)
 
 
 def test_command_config_consistency(tmp_path):

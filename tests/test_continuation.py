@@ -1,5 +1,7 @@
 """Shield shrinking, flux sweeps, the critical flux, and the sonic approach."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,7 +16,9 @@ from axinozzle import (
     shrink_delta,
     sonic_limit_study,
 )
-from axinozzle.continuation import CriticalToleranceError, _extrapolated_start
+import axinozzle.continuation as continuation
+from axinozzle.continuation import (_SHRINK_MAX_STEPS, CriticalToleranceError,
+                                    _critical_signal, _extrapolated_start)
 
 GAS = GasModel()
 
@@ -123,6 +127,32 @@ def test_shrink_delta_limit_matches_unshielded_solve(kind, radius, shape, bump, 
     direct = newton_solve(grid, GAS, m)
     assert res.converged and direct.converged and not direct.cutoff_active
     assert np.abs(res.solution.psi - direct.psi).max() <= 0.1 * res.tol
+
+
+def test_shrink_delta_stops_at_a_flagged_solve(monkeypatch):
+    # no cheap real input fails a step, so the second solve is flagged by hand
+    solves = []
+
+    def flag_second(*args, **kwargs):
+        solution = newton_solve(*args, **kwargs)
+        solves.append(solution)
+        return dataclasses.replace(solution, converged=len(solves) != 2)
+
+    monkeypatch.setattr(continuation, "newton_solve", flag_second)
+    res = tanh_chain()
+    assert len(solves) == 2 and not res.converged
+    assert len(res.steps) == 1  # the flagged step is not recorded
+    assert not res.solution.converged and res.solution.factor is None
+
+
+def test_shrink_delta_that_never_settles():
+    # consecutive solves at delta and 0.9 delta never agree to 1e-300
+    grid = cylinder_grid(nx=8, nr=4, length=1.0)
+    res = shrink_delta(grid, GAS, 0.1, factor=0.9, tol=1e-300)
+    assert not res.converged
+    assert len(res.steps) == _SHRINK_MAX_STEPS
+    assert all(step.diff > 0.0 for step in res.steps[1:])
+    assert res.solution.converged and res.solution.factor is None
 
 
 def test_shrink_delta_validation():
@@ -276,6 +306,20 @@ def test_find_critical_flux_illinois_saves_a_probe():
     assert len(est.probes) <= 5
 
 
+def test_critical_signal_flags_mach_at_the_truncation_onset():
+    # with m_tilde = 0.7 a node of this coarse bump reaches Mach m_tilde
+    # while every cell stays below the cutoff and every node below sonic
+    gas = GasModel(m_tilde=0.7)
+    grid = build_grid(make_profile("bump", a0=1.0, h=-0.3, w=1.0), length=8.0,
+                      nx=16, nr=4, delta=1e-6)
+    for m0, expected in ((1.08, "subcritical"), (1.12, "mach")):
+        solution = newton_solve(grid, gas, m0 / (2.0 * np.pi))
+        assert solution.converged and not solution.cutoff_active
+        reason, flow = _critical_signal(solution, gas)
+        assert reason == expected
+        assert (flow.mach.max() >= gas.m_tilde) == (expected == "mach")
+
+
 def test_find_critical_flux_classifies_supersonic_nodes_as_mach():
     # on a coarse bump the nodal momentum passes sonic before the cell
     # momentum reaches the cutoff; that probe is flagged, not an error
@@ -371,10 +415,49 @@ def test_sonic_limit_study_certifies():
     assert len(study.entropy_plus) == 7
 
 
+@pytest.fixture(scope="module")
+def tanh_64x16():
+    grid = build_grid(make_profile("tanh_step", a=0.8, ell=2.0), length=16.0,
+                      nx=64, nr=16, delta=1e-6)
+    return grid, find_critical_flux(grid, GAS)
+
+
+def test_sonic_limit_study_certifies_from_the_bracket(tanh_64x16):
+    grid, est = tanh_64x16
+    study = sonic_limit_study(grid, GAS, m0_anchor=est.lo)
+    assert study.certified, study.reasons
+    assert len(study.mach_values) == 6 and max(study.mach_values) < GAS.m_tilde
+
+
+@pytest.mark.parametrize("scale", [1.1, 1.3])
+def test_sonic_limit_study_refuses_a_supercritical_anchor(tanh_64x16, scale):
+    # the study stops at its first solve past the cutoff; both anchors
+    # were certified when only a failed solve stopped it, 1.3 lo with
+    # max Mach 1.13 and a negative gap bound
+    grid, est = tanh_64x16
+    study = sonic_limit_study(grid, GAS, m0_anchor=scale * est.lo)
+    assert not study.certified
+    (key, m0), = study.reasons.items()
+    assert key == "cutoff_at" and est.lo < m0 < scale * est.lo
+    assert np.isnan(study.gap_bound)
+    assert len(study.mach_values) < 6 and max(study.mach_values) < GAS.m_tilde
+
+
+def test_sonic_limit_study_refuses_a_wide_sonic_gap(tanh_64x16):
+    # half the critical flux converges in the Cauchy sense but stays far
+    # from sonic
+    grid, est = tanh_64x16
+    study = sonic_limit_study(grid, GAS, m0_anchor=0.5 * est.lo)
+    assert not study.certified
+    assert list(study.reasons) == ["sonic_gap_too_wide"]
+    assert study.gap_bound > 10.0 * (1.0 - GAS.m_tilde)
+
+
 def test_sonic_limit_study_validation():
     grid = cylinder_grid(nx=8, nr=4, length=1.0)
-    with pytest.raises(ValueError):
-        sonic_limit_study(grid, GAS, m0_anchor=1.0, n_terms=1)
+    for n_terms in (1, 2):  # two terms give one difference, which cannot shrink
+        with pytest.raises(ValueError, match="at least three terms"):
+            sonic_limit_study(grid, GAS, m0_anchor=1.0, n_terms=n_terms)
     # the default window r in [0.06, 0.24] falls between this grid's radii
     grid = build_grid(make_profile("tanh_step", a=0.3, ell=2.0), length=8.0, nx=2, nr=2)
     with pytest.raises(ValueError, match="window contains no grid nodes"):

@@ -70,11 +70,12 @@ def test_make_profile_validation():
 
 def test_pick_domain_length():
     # tanh with ell = 2 is flat to 1e-6 only past |x| ~ 14, so doubling
-    # from 4 lands on 16; the quickly decaying bump stops at the floor
+    # from 4 lands on 16; the quickly decaying bump is flat at x = +-4 but
+    # still 3.7e-3 off flat at the far-field stations x = +-2, so it gets 8
     prof = make_profile("tanh_step", a=0.8, ell=2.0)
     assert pick_domain_length(prof) == 16.0
     prof2 = make_profile("bump", a0=1.0, h=-0.2, w=1.0)
-    assert pick_domain_length(prof2) == 4.0
+    assert pick_domain_length(prof2) == 8.0
     prof3 = make_profile("cylinder", a=1.0)
     assert pick_domain_length(prof3) == 4.0
 

@@ -16,6 +16,7 @@ import pytest
 
 import axinozzle.cli as cli
 import axinozzle.gas as gas_module
+import axinozzle.nozzle as nozzle
 from axinozzle import GasModel, build_grid, make_profile, newton_solve, pick_domain_length
 from axinozzle._reprfmt import _HIGH, _LOW
 from axinozzle.cli import BAND_LIMIT, ConfigError, parse_config
@@ -123,6 +124,13 @@ def test_readme_domain_length_cap():
     assert pick_domain_length(step_wall(300.0)) == 512.0
     with pytest.raises(ValueError):
         pick_domain_length(step_wall(600.0))
+
+
+def test_readme_domain_length_rule():
+    states("doubles L from 4 until the wall lies within 1e-6 of its end radius at "
+           "x = ±L and within 1e-4 at the far-field stations x = ±(L − 2)")
+    states("or with a given `length` below 2, where each far-field station would lie")
+    assert (nozzle._FLAT_TOL, nozzle._STATION_TOL, nozzle.FAR_FIELD_OFFSET) == (1e-6, 1e-4, 2.0)
 
 
 def test_readme_diagnostics_grid_floor():

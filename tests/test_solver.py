@@ -479,6 +479,15 @@ def test_cutoff_flag_set_past_onset():
     assert hot.cutoff_active
 
 
+@pytest.mark.parametrize("m", [np.float64(0.4), np.float64(1.5)])
+def test_solution_flags_are_bool(m):
+    # mass_flux_sweep passes numpy fluxes; above m = 1 the default tol
+    # 1e-10 max(1, m) is then a numpy scalar too
+    sol = newton_solve(cylinder_grid(nx=16, nr=6, delta=1e-6), GAS, m)
+    assert sol.cutoff_active == (m > 0.5)
+    assert type(sol.converged) is bool and type(sol.cutoff_active) is bool
+
+
 def test_one_gas_evaluation_per_energy_evaluation(monkeypatch):
     # the cells of the accepted line-search trial also feed the next gradient
     # and Hessian, so with full Newton steps every evaluation is an energy
