@@ -13,7 +13,9 @@ slope blows up).  The solver works with a truncation Htilde of it: exact
 up to momentum m_tilde, a quintic blend over [m_tilde**2,
 ((m_tilde+1)/2)**2] in the squared momentum, and constant beyond.  Htilde
 is C^2, decreasing and uniformly elliptic, which makes the stream-function
-energy strictly convex.  GasModel._evaluate is its one evaluator.
+energy strictly convex.  GasModel._evaluate is its one evaluator; it builds
+the blend and tail constants at the first point with s >= s_lo, which no
+certified subsonic state has.
 """
 
 from __future__ import annotations
@@ -289,7 +291,9 @@ class GasModel:
         The quintic matches value, slope and curvature of the exact relation
         at t = 0 and (rho_hi, 0, 0) at t = 1.  Monotonicity is verified on a
         dense sample; the endpoint data keep it decreasing for physically
-        admissible (gamma, m_tilde).
+        admissible (gamma, m_tilde).  Built, and so checked, at the first
+        evaluation that reaches the blend or tail, not with the model: a
+        model that only sees s < s_lo never raises here.
         """
         h = self.s_hi - self.s_lo
         rho_lo = self._density_root(np.array([self.s_lo]))
@@ -300,18 +304,14 @@ class GasModel:
         rho1, d1 = float(rho_lo[0]), float((1.0 / d)[0]) * h
         c1 = float((-c * (1.0 - g * p) / (d * d * d))[0]) * h * h
         lhs = np.array([[1.0, 1.0, 1.0], [3.0, 4.0, 5.0], [6.0, 12.0, 20.0]])
-        rhs = np.array(
-            [self.rho_hi - (rho1 + d1 + c1 / 2.0), -(d1 + c1), -c1]
-        )
+        rhs = np.array([self.rho_hi - (rho1 + d1 + c1 / 2.0), -(d1 + c1), -c1])
         a3, a4, a5 = np.linalg.solve(lhs, rhs)
         coeffs = np.array([rho1, d1, c1 / 2.0, a3, a4, a5])
         t = np.linspace(0.0, 1.0, 4097)
         slope = self._blend_poly(t, coeffs, order=1)
         if np.any(slope > 1e-12 * abs(d1)):
-            raise ValueError(
-                "GasModel: truncation blend lost monotonicity; "
-                f"gamma={self.gamma}, m_tilde={self.m_tilde}"
-            )
+            raise ValueError("GasModel: truncation blend lost monotonicity; "
+                             f"gamma={self.gamma}, m_tilde={self.m_tilde}")
         return coeffs
 
     @staticmethod
@@ -337,8 +337,7 @@ class GasModel:
     @cached_property
     def _gauss_nodes(self):
         # 24-point Gauss-Legendre handles the short blend interval to roundoff
-        nodes, weights = np.polynomial.legendre.leggauss(24)
-        return nodes, weights
+        return np.polynomial.legendre.leggauss(24)
 
     def _coenergy_exact(self, rho):
         """Closed-form coenergy below the truncation, at branch density rho.
@@ -376,37 +375,42 @@ class GasModel:
     # the single evaluator of the truncated relation, and what reads it
     # ------------------------------------------------------------------
 
-    def _evaluate(self, s, name) -> _Truncated:
+    def _evaluate(self, s, name, coenergy=True) -> _Truncated:
         """F, Htilde and Htilde' at squared momenta s >= 0.
 
-        The one below/blend/tail dispatch of the truncated relation: below
-        s_lo the branch root is solved once and every quantity is read
-        from it, on the blend the quintic is evaluated, and beyond s_hi
-        the density is constant.  Returns arrays of at least one dimension;
-        a negative or NaN s raises ValueError naming the public caller.
+        The one below/blend/tail dispatch of the truncated relation.  The
+        branch root is solved once at every point, with s clamped at s_lo,
+        and every quantity is read from it.  Only if some point has
+        s >= s_lo are the blend constants read (built on first use) and
+        those entries overwritten: with the constant tail, then with the
+        quintic on [s_lo, s_hi).  coenergy=False, for the readers of Htilde
+        and Htilde' alone, skips F (value is None) with its knots and
+        quadrature.  Returns arrays of at least one dimension; a negative
+        or NaN s raises ValueError naming the public caller.
         """
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if not np.all(s >= 0.0):  # NaN fails too
             raise ValueError(f"{name}: s must be >= 0")
-        f_lo, f_hi = self._coenergy_knots
-        value = f_hi + (s - self.s_hi) / self.rho_hi
-        rho = np.full_like(s, self.rho_hi)
-        slope = np.zeros_like(s)
-        below = s < self.s_lo
-        if np.any(below):
-            rb = self._density_root(s[below])
-            rho[below] = rb
-            slope[below] = self._branch_slope(rb)
-            value[below] = self._coenergy_exact(rb)
-        mid = ~below & (s < self.s_hi)
-        if np.any(mid):
-            rho[mid], slope[mid] = self._blend(s[mid])
-            value[mid] = f_lo + self._coenergy_blend_tail(s[mid])
+        rho = self._density_root(np.minimum(s, self.s_lo))
+        slope = self._branch_slope(rho)
+        value = self._coenergy_exact(rho) if coenergy else None
+        above = s >= self.s_lo
+        if np.any(above):
+            rho[above], slope[above] = self.rho_hi, 0.0
+            if coenergy:
+                f_lo, f_hi = self._coenergy_knots
+                value[above] = f_hi + (s[above] - self.s_hi) / self.rho_hi
+            mid = above & (s < self.s_hi)
+            if np.any(mid):
+                rho[mid], slope[mid] = self._blend(s[mid])
+                if coenergy:
+                    value[mid] = f_lo + self._coenergy_blend_tail(s[mid])
         return _Truncated(value, rho, slope)
 
     def truncated_density_from_momentum(self, s):
         """Truncated density relation, defined for every squared momentum >= 0."""
-        return _like_input(s, self._evaluate(s, "truncated_density_from_momentum").rho)
+        e = self._evaluate(s, "truncated_density_from_momentum", coenergy=False)
+        return _like_input(s, e.rho)
 
     def coenergy(self, s):
         """Convex increasing energy density F with F' = 1/Htilde, F(0) = 0."""
@@ -416,7 +420,8 @@ class GasModel:
         """Coenergy F, F' = 1/Htilde and F'' = -Htilde'/Htilde**2 >= 0, as arrays.
 
         The subsonic-branch root is solved once for all three, which
-        matters inside assembly loops.
+        matters inside assembly loops; the coenergy knots are built only if
+        some s reaches s_lo.
         """
         e = self._evaluate(s, "coenergy_bundle")
         return CoenergyBundle(e.value, 1.0 / e.rho, -e.slope / e.rho**2)
@@ -463,7 +468,7 @@ class GasModel:
         it is pinched between the returned positive bounds (nu, lam).
         """
         s = self._momentum_from_speed(q_sq)
-        e = self._evaluate(s, "truncated_density_from_speed")
+        e = self._evaluate(s, "truncated_density_from_speed", coenergy=False)
         coeff = e.rho**2 / (e.rho - 2.0 * e.slope * s)
         nu, lam = self.ellipticity_bounds
         return SpeedDensity(_like_input(q_sq, e.rho), _like_input(q_sq, coeff), nu, lam)
@@ -477,7 +482,7 @@ class GasModel:
         relative margin to cover points between samples.
         """
         s = np.linspace(0.0, self.s_hi, 20001)
-        e = self._evaluate(s, "ellipticity_bounds")
+        e = self._evaluate(s, "ellipticity_bounds", coenergy=False)
         coeff = e.rho**2 / (e.rho - 2.0 * e.slope * s)
         lo = min(coeff.min(), self.rho_hi)
         hi = max(coeff.max(), self.rho_hi)

@@ -202,6 +202,19 @@ class MappedGrid:
         """Node array shape."""
         return self.nx + 1, self.nr + 1
 
+    @cached_property
+    def corner_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """d psi_x / d psi_k and d psi_r / d psi_k of the bilinear field at
+        cell centers, per corner k in the order SW, SE, NW, NE; (4, nx, nr) each."""
+        beta = (self.fpc / self.fc)[:, None] * self.sc[None, :]  # sigma f'/f at centers
+        cxi = np.array([-1.0, 1.0, -1.0, 1.0]) / (2.0 * self.dxi)
+        csg = np.array([-1.0, -1.0, 1.0, 1.0]) / (2.0 * self.dsigma)
+        coef_x = cxi[:, None, None] - beta[None, :, :] * csg[:, None, None]
+        coef_r = np.broadcast_to(
+            csg[:, None, None] / self.fc[None, :, None], (4, self.nx, self.nr)
+        ).copy()
+        return coef_x, coef_r
+
     @property
     def h_max(self) -> float:
         """Largest physical grid spacing (axial or radial)."""

@@ -72,9 +72,7 @@ def _load_flapack():
 
 lapack = _load_flapack()
 
-# corner order per cell: SW, SE, NW, NE
-_CXI = np.array([-1.0, 1.0, -1.0, 1.0])
-_CSG = np.array([-1.0, -1.0, 1.0, 1.0])
+# corner order per cell: SW, SE, NW, NE, as in MappedGrid.corner_coefficients
 _CORNER_NODE = ((0, 0), (1, 0), (0, 1), (1, 1))  # (station, radius) shift from the cell
 # corner pairs (k, l) whose unknown index of l minus that of k is 0, 1,
 # nr-2 (NW-SE), nr-1 or nr: the upper triangle of each cell block
@@ -107,24 +105,6 @@ def _datum(grid: MappedGrid, m: float) -> np.ndarray:
     sigma = grid.sigma[None, :]
     return m * sigma**2 + (2.0 * m * grid.delta * sigma * (1.0 - sigma)
                            / (grid.f_nodes[:, None] + 2.0 * grid.delta))
-
-
-def _geometry(grid: MappedGrid):
-    """Per-cell derivative coefficients for the four corner values (cached)."""
-    cache = getattr(grid, "_assembly_cache", None)
-    if cache is not None:
-        return cache
-    beta = (grid.fpc / grid.fc)[:, None] * grid.sc[None, :]  # sigma f'/f at centers
-    cxi = _CXI / (2.0 * grid.dxi)
-    csg = _CSG / (2.0 * grid.dsigma)
-    # coef_x[k] = d psi_x / d psi_corner_k, coef_r[k] likewise, shape (4, nx, nr)
-    coef_x = cxi[:, None, None] - beta[None, :, :] * csg[:, None, None]
-    coef_r = np.broadcast_to(
-        csg[:, None, None] / grid.fc[None, :, None], (4, grid.nx, grid.nr)
-    ).copy()
-    cache = (coef_x, coef_r)
-    grid._assembly_cache = cache
-    return cache
 
 
 class CellState(NamedTuple):
@@ -161,7 +141,7 @@ def assemble_gradient(state: CellState, grid: MappedGrid) -> np.ndarray:
     w1 = 2.0 * grid.measure * prime / grid.r_shield
     gx = w1 * state.psi_x
     gr = w1 * state.psi_r
-    coef_x, coef_r = _geometry(grid)
+    coef_x, coef_r = grid.corner_coefficients
     grad = np.zeros(grid.shape)
     grad[:-1, :-1] += gx * coef_x[0] + gr * coef_r[0]
     grad[1:, :-1] += gx * coef_x[1] + gr * coef_r[1]
@@ -187,7 +167,7 @@ def assemble_hessian(state: CellState, grid: MappedGrid,
     second = state.coenergy.second.reshape(state.s.shape)
     w1 = 2.0 * grid.measure * prime / grid.r_shield
     w2 = 4.0 * grid.measure * second / grid.r_shield**3
-    ax, ar = _geometry(grid)
+    ax, ar = grid.corner_coefficients
     proj = state.psi_x * ax + state.psi_r * ar  # (4, nx, nr)
     nx, nr = grid.nx, grid.nr
     band = np.empty((nr + 1, (nx - 1) * (nr - 1)), order="F") if out is None else out

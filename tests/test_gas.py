@@ -266,12 +266,11 @@ def test_truncated_density_from_speed_reference():
 
 
 def test_blend_inversion_skips_the_coenergy_quadrature(monkeypatch):
-    # the Newton residual on the blend reads only Htilde and Htilde', so
-    # the 24-point coenergy quadrature runs once, in the final evaluation
-    # at the inverted momenta, and not on every Newton iteration
+    # the Newton residual on the blend, the final evaluation at the inverted
+    # momenta and the ellipticity bounds read only Htilde and Htilde', so
+    # the 24-point coenergy quadrature never runs, not even for the knots
     gas = GasModel(gamma=1.3)
     q_sq = np.linspace(gas.speed_from_momentum(gas.s_lo), gas.s_hi / gas.rho_hi**2, 101)
-    gas.truncated_density_from_speed(q_sq)  # builds the cached constants
     quadrature = GasModel._coenergy_blend_tail
     calls = []
 
@@ -281,7 +280,54 @@ def test_blend_inversion_skips_the_coenergy_quadrature(monkeypatch):
 
     monkeypatch.setattr(GasModel, "_coenergy_blend_tail", counting)
     gas.truncated_density_from_speed(q_sq)
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+BLEND_CONSTANTS = ("_coenergy_knots", "_blend_coeffs", "_gauss_nodes", "rho_hi")
+
+
+def test_branch_only_evaluation_builds_no_blend_constants():
+    # a certified subsonic state has every s below s_lo; evaluating it
+    # must not pay for the blend and tail constants
+    gas = GasModel(gamma=1.3, m_tilde=0.95)
+    s = np.linspace(0.0, gas.s_lo, 301)[:-1]
+    gas.coenergy_bundle(s)
+    gas.truncated_density_from_momentum(s)
+    assert [name for name in BLEND_CONSTANTS if name in gas.__dict__] == []
+    gas.coenergy(gas.s_lo)  # the lower knot is a blend point
+    assert all(name in gas.__dict__ for name in BLEND_CONSTANTS)
+
+
+def test_mixed_bundle_equals_each_branch_alone():
+    below = np.linspace(0.0, GAS.s_lo, 41)[:-1]
+    knots = np.array([GAS.s_lo, GAS.s_hi])
+    blend = np.linspace(GAS.s_lo, GAS.s_hi, 23)[1:-1]
+    tail = np.linspace(GAS.s_hi, 3.0, 17)[1:]
+    parts = (below, knots, blend, tail)
+    mixed = np.concatenate(parts)
+    order = np.random.default_rng(5).permutation(mixed.size)
+    whole = GAS.coenergy_bundle(mixed[order])
+    position = np.argsort(order)  # of each entry of mixed in the shuffled array
+    start = 0
+    for part in parts:
+        where = position[start:start + part.size]
+        for a, b in zip(whole, GAS.coenergy_bundle(part)):
+            assert np.array_equal(a[where], b)
+        start += part.size
+
+
+def test_blend_monotonicity_gate():
+    # a tail density above the branch density at s_lo makes the quintic
+    # rise; the gate fires at the first blend evaluation and not before
+    gas = GasModel()
+    gas.__dict__["rho_hi"] = 1.01 * gas.density_from_momentum(gas.s_lo)
+    below = np.array([0.0, 0.5 * gas.s_lo])
+    gas.coenergy_bundle(below)
+    gas.truncated_density_from_momentum(below)
+    with pytest.raises(ValueError, match="lost monotonicity"):
+        gas.truncated_density_from_momentum(0.5 * (gas.s_lo + gas.s_hi))
+    with pytest.raises(ValueError, match="lost monotonicity"):
+        gas.coenergy_bundle(np.array([0.1, gas.s_hi]))
 
 
 def test_ellipticity_bounds_bracket_coefficient():

@@ -35,7 +35,7 @@ from axinozzle import (
     velocity_from_stream,
 )
 from axinozzle import solver
-from axinozzle.solver import _back_solve, _cholesky, _datum, _geometry
+from axinozzle.solver import _back_solve, _cholesky, _datum
 
 GAS = GasModel()
 
@@ -123,7 +123,7 @@ def reference_hessian(psi, grid):
     state = cell_state(psi, grid, GAS)
     prime = state.coenergy.prime.reshape(state.s.shape)
     second = state.coenergy.second.reshape(state.s.shape)
-    coef_x, coef_r = _geometry(grid)
+    coef_x, coef_r = grid.corner_coefficients
 
     def unknown(i, j):
         if 0 < i < grid.nx and 0 < j < grid.nr:
