@@ -21,7 +21,7 @@ import numpy as np
 
 from .gas import GasModel
 from .nozzle import MappedGrid
-from .solver import StreamSolution, newton_solve
+from .solver import StreamSolution, _datum, newton_solve
 from .fields import (
     FlowField,
     SonicOvershootError,
@@ -66,15 +66,18 @@ def shrink_delta(grid: MappedGrid, gas: GasModel, m: float, factor: float = 0.02
     b / (2 nr) at nr = 48 (less on coarser grids), where psi is already
     linear in delta to first order, so the consecutive differences
     shrink like delta from the first step.  Each solve starts from the
-    Lagrange extrapolation in delta through the last (up to) three
-    solutions, a predictor-corrector continuation; the second step
-    starts from the first solution alone.  The nodes do not move when
-    delta changes, so states transfer directly.  A step may take 0
-    Newton iterations when its start already meets newton_solve's
-    gradient tolerance; it is still certified by that check at its own
-    delta.  Stops once the sup difference between consecutive solutions
-    drops below tol (default 1e-8 * max(1, m)).  The later differences
-    would shrink by factor each, so the result lies within
+    datum at its delta (solver._datum, the shielded uniform flow, which
+    carries psi's O(delta) axis term) plus the Lagrange extrapolation in
+    delta of the last (up to) three deviations psi - datum, a
+    predictor-corrector continuation; the second step starts from the
+    first deviation alone, and in a pipe, whose exact discrete solution
+    is the datum, no step iterates.  The nodes do not move when delta
+    changes, so states transfer directly.  A step may take 0 Newton
+    iterations when its start already meets newton_solve's gradient
+    tolerance; it is still certified by that check at its own delta.
+    Stops once the sup difference between consecutive solutions drops
+    below tol (default 1e-8 * max(1, m)).  The later differences would
+    shrink by factor each, so the result lies within
     factor / (1 - factor) * tol of the delta -> 0 limit, about 0.02 tol
     at the default factor.
     """
@@ -86,20 +89,22 @@ def shrink_delta(grid: MappedGrid, gas: GasModel, m: float, factor: float = 0.02
         raise ValueError("shrink_delta: tol must be > 0")
     delta = 1e-4 * grid.profile.b
     steps: list[DeltaStep] = []
-    recent: list[np.ndarray] = []  # the last three solutions, oldest first
+    recent: list[np.ndarray] = []  # the last three deviations from the datum, oldest first
     solution = None
     for _ in range(_SHRINK_MAX_STEPS):
         work = grid.with_delta(delta)
-        init = _extrapolated_start(recent, factor) if recent else None
+        datum = _datum(work, m)
+        init = datum + _extrapolated_start(recent, factor) if recent else None
+        previous = solution
         solution = newton_solve(work, gas, m, init=init,
-                                factor=solution.factor if recent else None)
+                                factor=previous.factor if recent else None)
         if not solution.converged:
             return ShrinkResult(_released(solution), steps, False, tol)
-        diff = float("nan") if not recent else float(np.abs(solution.psi - recent[-1]).max())
+        diff = float(np.abs(solution.psi - previous.psi).max()) if recent else float("nan")
         steps.append(DeltaStep(delta, diff, solution.iterations, solution.factorizations))
         if recent and diff <= tol:
             return ShrinkResult(_released(solution), steps, True, tol)
-        recent = recent[-2:] + [solution.psi]
+        recent = recent[-2:] + [solution.psi - datum]
         delta *= factor
     return ShrinkResult(_released(solution), steps, False, tol)
 
@@ -115,13 +120,15 @@ def _released(solution: StreamSolution | None) -> StreamSolution | None:
 
 
 def _extrapolated_start(recent: list[np.ndarray], factor: float) -> np.ndarray:
-    """Lagrange extrapolation to the next shield through the recent solutions.
+    """Lagrange extrapolation to the next shield through the recent fields.
 
-    recent[-k] was solved at delta / factor**k for the next delta, so in
+    recent[-k] belongs to delta / factor**k for the next delta, so in
     units of that delta its node is t_k = factor**-k and the weight of
     recent[-k] at t = 1 is prod_{j != k} (1 - t_j) / (t_k - t_j).  Exact
-    when psi is a polynomial in delta of degree len(recent) - 1; a single
-    solution is returned unchanged.
+    when the field is a polynomial in delta of degree len(recent) - 1; a
+    single field is returned unchanged.  The weights sum to 1, so adding the
+    datum back to extrapolated deviations gives psi's extrapolation minus
+    its error on the datum.
     """
     nodes = [factor ** -k for k in range(1, len(recent) + 1)]
     start = np.zeros_like(recent[-1])

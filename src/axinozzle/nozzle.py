@@ -16,6 +16,7 @@ available in closed form.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 import math
@@ -164,15 +165,11 @@ class MappedGrid:
         _check_scale("MappedGrid: length", length)
         if nx < 2 or nr < 2:
             raise ValueError("MappedGrid: need at least 2 cells in each direction")
-        if not 0.0 <= delta <= profile.b:
-            raise ValueError(
-                f"MappedGrid: delta must lie in [0, b] = [0, {profile.b}], got {delta}"
-            )
+        self.delta = _checked_delta(profile, delta)
         self.profile = profile
         self.length = float(length)
         self.nx = int(nx)
         self.nr = int(nr)
-        self.delta = float(delta)
 
         self.dxi = 2.0 * self.length / self.nx
         self.dsigma = 1.0 / self.nr
@@ -221,8 +218,20 @@ class MappedGrid:
         return max(self.dxi, self.dsigma * float(self.f_nodes.max()))
 
     def with_delta(self, delta: float) -> "MappedGrid":
-        """Same grid with a different axis shield."""
-        return MappedGrid(self.profile, self.length, self.nx, self.nr, delta)
+        """Same grid with a different axis shield; only delta and r_shield are
+        new, and every other array, corner_coefficients too, is shared."""
+        self.corner_coefficients  # built here once and cached in __dict__, so copies share it
+        grid = copy.copy(self)
+        grid.delta = _checked_delta(self.profile, delta)
+        grid.r_shield = grid.rc + grid.delta
+        return grid
+
+
+def _checked_delta(profile: NozzleProfile, delta: float) -> float:
+    if not 0.0 <= delta <= profile.b:  # nan fails too
+        raise ValueError(f"MappedGrid: delta must lie in [0, b] = [0, {profile.b}], "
+                         f"got {delta}")
+    return float(delta)
 
 
 def build_grid(profile: NozzleProfile, length: float, nx: int, nr: int,

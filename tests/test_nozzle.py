@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from axinozzle import MappedGrid, build_grid, make_profile, pick_domain_length
+from axinozzle import (GasModel, MappedGrid, build_grid, make_profile, newton_solve,
+                       pick_domain_length)
 
 
 def test_cylinder_profile():
@@ -158,6 +159,26 @@ def test_with_delta_moves_only_the_shield():
     assert moved.delta == 0.05
     assert np.abs(moved.r_nodes - grid.r_nodes).max() == 0.0
     assert np.abs(moved.r_shield - (grid.r_shield - 0.05)).max() < 1e-15
+    # the shield-free geometry is shared, not rebuilt
+    for name in ("xi", "sigma", "f_nodes", "fp_nodes", "x_nodes", "r_nodes",
+                 "xc", "sc", "fc", "fpc", "rc", "measure"):
+        assert getattr(moved, name) is getattr(grid, name)
+    assert moved.corner_coefficients is grid.corner_coefficients
+    assert grid.delta == 0.1 and grid.r_shield is not moved.r_shield
+    for bad in (-0.1, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            grid.with_delta(bad)
+
+
+def test_with_delta_solves_like_a_fresh_grid():
+    prof = make_profile("tanh_step", a=0.8, ell=2.0)
+    grid = build_grid(prof, length=8.0, nx=16, nr=6)
+    gas = GasModel()
+    for delta in (1e-6, 0.05):
+        moved = newton_solve(grid.with_delta(delta), gas, 0.2)
+        fresh = newton_solve(build_grid(prof, length=8.0, nx=16, nr=6, delta=delta), gas, 0.2)
+        assert moved.converged and moved.iterations > 0
+        assert np.array_equal(moved.psi, fresh.psi)
 
 
 def test_wall_slope_recorded_on_grid():
