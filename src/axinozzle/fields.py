@@ -205,15 +205,28 @@ def wall_speed_max(flow: FlowField) -> float:
     return float(flow.q[:, -1].max())
 
 
-def _bump(t):
-    """C^3 compactly supported polynomial bump (1 - t^2)^4 on |t| < 1."""
+def _on_support(t: np.ndarray, kernel) -> np.ndarray:
+    """kernel(t) where |t| < 1 and +0.0 elsewhere, kernel run on the support only."""
+    out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
-    return np.where(inside, (1.0 - t**2) ** 4, 0.0)
+    out[inside] = kernel(t[inside])
+    return out
 
 
-def _bump_prime(t):
-    inside = np.abs(t) < 1.0
-    return np.where(inside, -8.0 * t * (1.0 - t**2) ** 3, 0.0)
+def _bump(t: np.ndarray) -> np.ndarray:
+    """C^3 compactly supported polynomial bump (1 - t^2)^4 on |t| < 1, +0.0 elsewhere.
+
+    The power is taken on the support only, where 1 - t^2 > 0: off it the
+    base is negative, and numpy's power leaves its vectorized loop for
+    negative bases (about 40 times slower per value).  Each value equals
+    np.where(|t| < 1, (1 - t^2)^4, 0.0) bit for bit.
+    """
+    return _on_support(t, lambda s: (1.0 - s**2) ** 4)
+
+
+def _bump_prime(t: np.ndarray) -> np.ndarray:
+    """Derivative -8 t (1 - t^2)^3 of _bump on |t| < 1, +0.0 elsewhere."""
+    return _on_support(t, lambda s: -8.0 * s * (1.0 - s**2) ** 3)
 
 
 _PLACEMENTS = (  # (center offset x, center offset r, half-width factor)
@@ -249,7 +262,9 @@ def entropy_pair_residual(flow: FlowField, gas: GasModel,
     zero array of all nx + 1 stations and integrated over x as before.
     On a finite field this equals the full-grid sum bit for bit: off the
     support every integrand is an exact +-0, every summed array keeps its
-    length, and a bump that misses every station contributes 0.
+    length, and a bump that misses every station contributes 0.  The
+    bump kernels take their powers on the support only, since off it
+    1 - t^2 is negative and numpy's power is far slower on negative bases.
     """
     grid = flow.grid
     if rect is None:

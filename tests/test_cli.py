@@ -24,6 +24,7 @@ from axinozzle.cli import (
     write_field_csv,
     write_report,
 )
+from axinozzle import cli
 from axinozzle._reprfmt import _format, repr_csv
 from axinozzle.fields import FlowField
 
@@ -212,6 +213,20 @@ def test_field_csv_matches_row_wise_writer(tmp_path):
     assert written.count(b"\n") == 1 + 41 * 4
     assert b",-0.0," in written and b"5e-324" in written and b"1e+16" in written
     assert b"nan" in written and b"-inf" in written and b"1e-07" in written
+
+
+def test_field_csv_bytes_do_not_depend_on_the_block(tmp_path, monkeypatch):
+    # a real solve on 97 stations; nx + 2 puts every station in one block
+    grid = build_grid(make_profile("cylinder", a=1.0), length=6.0, nx=96, nr=24, delta=1e-6)
+    sol = newton_solve(grid, GasModel(), 0.3)
+    assert sol.converged
+    flow = velocity_from_stream(sol, GasModel())
+    write_field_csv(tmp_path / "default.csv", flow)
+    expected = (tmp_path / "default.csv").read_bytes()
+    for stations in (1, 8, 24, 32, grid.nx + 2):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_STATIONS", stations)
+        write_field_csv(tmp_path / f"blocks{stations}.csv", flow)
+        assert (tmp_path / f"blocks{stations}.csv").read_bytes() == expected, stations
 
 
 def repr_rows(table):

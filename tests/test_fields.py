@@ -152,8 +152,37 @@ def test_entropy_residual_rejects_bad_window(cylinder_flow):
         entropy_pair_residual(flow, GAS, rect=(-2.0, 2.0, 0.2, 5.0))
 
 
+def closed_form_bump(t):
+    """(1 - t^2)^4 on |t| < 1 and +0.0 elsewhere, the power taken at every value."""
+    return np.where(np.abs(t) < 1.0, (1.0 - t**2) ** 4, 0.0)
+
+
+def closed_form_bump_prime(t):
+    return np.where(np.abs(t) < 1.0, -8.0 * t * (1.0 - t**2) ** 3, 0.0)
+
+
+def test_bump_kernels_equal_their_closed_forms_bit_for_bit():
+    # compared as bytes, so a -0.0 in place of +0.0 off the support fails
+    below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    edges = np.array([0.0, -0.0, 1.0, -1.0, below, -below, above, -above,
+                      0.5, -0.5, 1e-300, 5e-324, 1e3, -1e3])
+    rng = np.random.default_rng(29)
+    t = np.concatenate([edges, rng.uniform(-1.5, 1.5, 4000), rng.uniform(-1e3, 1e3, 4000)])
+    rng.shuffle(t)
+    for values in (t, t.reshape(2, -1).T, t[::3], edges):
+        assert _bump(values).tobytes() == closed_form_bump(values).tobytes()
+        assert _bump_prime(values).tobytes() == closed_form_bump_prime(values).tobytes()
+    off = np.abs(t) >= 1.0
+    for kernel in (_bump, _bump_prime):
+        values = kernel(t)[off]
+        assert not values.any() and not np.signbit(values).any()
+
+
 def full_grid_entropy_residual(flow, gas, rect=None):
-    """Reference: every bump placement evaluated on every node of the grid."""
+    """Reference: every bump placement evaluated on every node of the grid.
+
+    The bumps are the closed forms above, not the kernels under test.
+    """
     grid = flow.grid
     x_lo, x_hi, r_lo, r_hi = default_compact(grid) if rect is None else rect
     x = grid.x_nodes
@@ -178,9 +207,9 @@ def full_grid_entropy_residual(flow, gas, rect=None):
         cx, cr = cx0 + ox * 2.0 * wx0, cr0 + orr * 2.0 * wr0
         wx, wr = scale * wx0, scale * wr0
         tx, tr = (x - cx) / wx, (r - cr) / wr
-        chi = _bump(tx) * _bump(tr)
-        chi_x = _bump_prime(tx) * _bump(tr) / wx
-        chi_r = _bump(tx) * _bump_prime(tr) / wr
+        chi = closed_form_bump(tx) * closed_form_bump(tr)
+        chi_x = closed_form_bump_prime(tx) * closed_form_bump(tr) / wx
+        chi_r = closed_form_bump(tx) * closed_form_bump_prime(tr) / wr
         plus = eta_plus * chi_x + lam_plus * chi_r + source_plus * chi
         minus = eta_minus * chi_x + lam_minus * chi_r + source_minus * chi
         worst_plus = max(worst_plus, integral(plus))

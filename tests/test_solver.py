@@ -182,6 +182,20 @@ def test_hessian_symmetric_and_positive_definite():
     assert eigvals.min() > 0.0
 
 
+def test_hessian_into_a_used_buffer_equals_a_fresh_band():
+    # a reused factor holds stale values; assembly must overwrite every entry
+    grid = tanh_grid(12, 6)
+    rng = np.random.default_rng(29)
+    psi = shielded_quadratic(grid, 0.2)
+    psi[1:-1, 1:-1] *= 1.0 + 0.05 * rng.standard_normal((grid.nx - 1, grid.nr - 1))
+    state = cell_state(psi, grid, GAS)
+    fresh = assemble_hessian(state, grid)
+    stale = np.full_like(fresh, np.nan, order="F")
+    band = assemble_hessian(state, grid, out=stale)
+    assert band is stale
+    assert band.tobytes() == fresh.tobytes()
+
+
 def test_hessian_is_second_derivative_of_energy():
     grid = cylinder_grid(nx=8, nr=6, delta=0.1, length=1.0)
     rng = np.random.default_rng(3)
