@@ -41,7 +41,7 @@ from .continuation import CriticalToleranceError, find_critical_flux, mass_flux_
 
 FIELD_HEADER = "x,r,psi,U,V,rho,mach,omega"
 SWEEP_HEADER = "m0,M,q_min,cutoff_active,flux_drift,farfield_left,farfield_right"
-_CSV_BLOCK_STATIONS = 16  # stations of field.csv formatted per write
+_CSV_BLOCK_ROWS = 2064  # rows of field.csv formatted per write: 16 stations at nr = 128
 BAND_LIMIT = 2**31  # bytes of Newton band a grid may need, (nr+1)(nx-1)(nr-1) doubles
 
 # Annotation of a key that also accepts the value 'auto' (parsed to None).
@@ -287,11 +287,13 @@ def write_field_csv(path: Path, flow) -> None:
     x_text = lead_templates(grid.xi)
     with open(path, "wb") as handle:
         handle.write(FIELD_HEADER.encode() + b"\n")
-        # a few stations at a time keep the kernel's arrays in cache and
-        # bound its byte templates; at nr = 128, larger blocks can push its
-        # temporaries past malloc's mmap threshold, to page-fault every block
-        for start in range(0, grid.nx + 1, _CSV_BLOCK_STATIONS):
-            block = slice(start, start + _CSV_BLOCK_STATIONS)
+        # blocks of whole stations, about _CSV_BLOCK_ROWS rows whatever nr,
+        # keep the kernel's arrays in cache and bound its byte templates;
+        # larger blocks can push its temporaries past malloc's mmap
+        # threshold, to page-fault every block
+        stations = max(1, _CSV_BLOCK_ROWS // (grid.nr + 1))
+        for start in range(0, grid.nx + 1, stations):
+            block = slice(start, start + stations)
             table = np.stack([column[block] for column in columns], axis=-1)
             handle.write(repr_csv(table.reshape(-1, len(columns)),
                                   lead=np.repeat(x_text[block], grid.nr + 1, axis=0)))

@@ -40,6 +40,22 @@ _GAMMA_MIN_EXCESS = float(np.sqrt(np.finfo(float).eps))
 # They also take (gamma + 1) / (gamma - 1) = 1 + 2 / (gamma - 1); past this
 # excess the 2 / (gamma - 1) loses over half its digits in that sum.
 _GAMMA_MAX_EXCESS = 2.0 / _GAMMA_MIN_EXCESS
+# Positive nodes and their weights of the 24-point Gauss-Legendre rule, the
+# digits of numpy.polynomial.legendre.leggauss(24) (GasModel._gauss_nodes).
+_GAUSS_HALF = (
+    (0.06405689286260563, 0.12793819534675202),
+    (0.1911188674736163, 0.12583745634682825),
+    (0.3150426796961634, 0.1216704729278033),
+    (0.4337935076260451, 0.11550566805372552),
+    (0.5454214713888396, 0.10744427011596556),
+    (0.6480936519369755, 0.09761865210411393),
+    (0.7401241915785544, 0.0861901615319532),
+    (0.820001985973903, 0.07334648141108016),
+    (0.8864155270044011, 0.05929858491543636),
+    (0.9382745520027328, 0.04427743881741941),
+    (0.9747285559713095, 0.02853138862893356),
+    (0.9951872199970213, 0.01234122979998869),
+)
 
 
 class SpeedDensity(NamedTuple):
@@ -262,7 +278,11 @@ class GasModel:
         Hermite interpolant of _start_table at v = sqrt(1 - s).  The start
         is within 1e-9 relative of the root, so the first Newton correction
         lands at roundoff and the second confirms it: every point stops
-        after two residual evaluations.
+        after two residual evaluations.  The bracket still acts: of 400001
+        equispaced s in [0, s_lo] (gamma = 1.4), 1608 have their second
+        Newton point outside a bracket at most 3.3e-16 wide and bisect it.
+        Two plain Newton steps would move about 0.3% of the densities by
+        a few 1e-16 relative, and with them most solver outputs' last bits.
         """
         u = np.ravel(1.0 - s)
         # the start is formed in its own call, so that its temporaries are
@@ -336,8 +356,15 @@ class GasModel:
 
     @cached_property
     def _gauss_nodes(self):
-        # 24-point Gauss-Legendre handles the short blend interval to roundoff
-        return np.polynomial.legendre.leggauss(24)
+        """24-point Gauss-Legendre rule on [-1, 1], nodes ascending.
+
+        It handles the short blend interval to roundoff.  Mirrored from its
+        positive half: numpy's leggauss(24) has exactly antisymmetric nodes
+        and symmetric weights.  Read from literals, so that no process
+        imports numpy.polynomial for it.
+        """
+        nodes, weights = np.array(_GAUSS_HALF).T
+        return np.concatenate([-nodes[::-1], nodes]), np.concatenate([weights[::-1], weights])
 
     def _coenergy_exact(self, rho):
         """Closed-form coenergy below the truncation, at branch density rho.
@@ -477,13 +504,19 @@ class GasModel:
     def ellipticity_bounds(self) -> tuple[float, float]:
         """Bounds (nu, lam) for the ellipticity coefficient, 0 < nu <= lam.
 
-        Computed from a dense sample of the coefficient over the momentum
-        range [0, s_hi] plus its constant tail value, widened by a small
-        relative margin to cover points between samples.
+        On the exact branch the coefficient H^2 / (H - 2 H' s) equals
+        rho (1 - M^2), M the Mach number, which falls monotonically as s
+        rises, so the branch takes its extremes at its ends s = 0 and s_lo.
+        The blend is sampled by its quintic alone at 4097 points of
+        [s_lo, s_hi], and beyond it the coefficient is rho_hi.  The range is
+        widened by a small relative margin to cover points between samples.
         """
-        s = np.linspace(0.0, self.s_hi, 20001)
-        e = self._evaluate(s, "ellipticity_bounds", coenergy=False)
-        coeff = e.rho**2 / (e.rho - 2.0 * e.slope * s)
+        ends = np.array([0.0, self.s_lo])
+        e = self._evaluate(ends, "ellipticity_bounds", coenergy=False)
+        s = np.linspace(self.s_lo, self.s_hi, 4097)
+        rho, slope = self._blend(s)
+        coeff = np.concatenate([e.rho**2 / (e.rho - 2.0 * e.slope * ends),
+                                rho**2 / (rho - 2.0 * slope * s)])
         lo = min(coeff.min(), self.rho_hi)
         hi = max(coeff.max(), self.rho_hi)
         return 0.999 * lo, 1.001 * hi

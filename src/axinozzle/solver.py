@@ -224,7 +224,7 @@ def _check_info(info: int) -> None:
 
 
 def _armijo_by_derivative(trial_state: CellState, grid: MappedGrid,
-                          step: np.ndarray, slope: float) -> bool:
+                          step: np.ndarray, slope: float) -> np.ndarray | None:
     """Armijo's test in derivative form, for a full step the energy cannot resolve.
 
     Near the minimizer the predicted decrease can sit below the rounding of
@@ -233,10 +233,11 @@ def _armijo_by_derivative(trial_state: CellState, grid: MappedGrid,
     keeps its precision there, so a full step whose energy rose by no more
     than _ENERGY_NOISE (relative) is accepted when the directional
     derivative at it meets the quadratic-model form of the Armijo condition,
-    phi'(1) <= (2 c - 1) phi'(0) (Hager and Zhang 2005).
+    phi'(1) <= (2 c - 1) phi'(0) (Hager and Zhang 2005).  Returns the
+    gradient at the trial point if the test passes, else None.
     """
-    trial_slope = float((assemble_gradient(trial_state, grid) * step).sum())
-    return trial_slope <= (2.0 * _ARMIJO_SLOPE - 1.0) * slope
+    grad = assemble_gradient(trial_state, grid)
+    return grad if float((grad * step).sum()) <= (2.0 * _ARMIJO_SLOPE - 1.0) * slope else None
 
 
 def _line_search(psi, state: CellState, energy: float, grad_int: np.ndarray,
@@ -247,9 +248,10 @@ def _line_search(psi, state: CellState, energy: float, grad_int: np.ndarray,
     it the slope -g^T F^-1 g < 0, so a slope >= 0 comes from rounding alone
     and fails like a rejected trial.  Up to trials step lengths 1, 1/2, ...
     are tried against the Armijo test (or, at full length, its derivative
-    form).  Returns the accepted point as (psi, cell state, energy); its
-    cell state, the one gas evaluation of the trial, also gives the next
-    gradient and Hessian.
+    form).  Returns the accepted point as (psi, cell state, energy,
+    gradient); its cell state, the one gas evaluation of the trial, also
+    gives the next gradient and Hessian.  The gradient is the one the
+    derivative form assembled at the accepted point, or None if it did not run.
     """
     step_int = _back_solve(factor, -grad_int)
     slope = float(grad_int @ step_int)
@@ -262,11 +264,12 @@ def _line_search(psi, state: CellState, energy: float, grad_int: np.ndarray,
         trial = psi + t * step
         trial_state = cell_state(trial, grid, gas)
         trial_energy = assemble_energy(trial_state, grid)
-        if (trial_energy <= energy + _ARMIJO_SLOPE * t * slope
-                or t == 1.0
-                and trial_energy - energy <= _ENERGY_NOISE * max(abs(energy), 1.0)
-                and _armijo_by_derivative(trial_state, grid, step, slope)):
-            return trial, trial_state, trial_energy
+        if trial_energy <= energy + _ARMIJO_SLOPE * t * slope:
+            return trial, trial_state, trial_energy, None
+        if t == 1.0 and trial_energy - energy <= _ENERGY_NOISE * max(abs(energy), 1.0):
+            grad = _armijo_by_derivative(trial_state, grid, step, slope)
+            if grad is not None:
+                return trial, trial_state, trial_energy, grad
         t *= 0.5
     return None
 
@@ -321,8 +324,11 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
     history = [energy]
     last_norm = np.inf
     factorizations = 0
+    grad = None  # of the accepted point, when the line search assembled it
     while True:
-        grad_int = assemble_gradient(state, grid)[1:-1, 1:-1].ravel()
+        if grad is None:
+            grad = assemble_gradient(state, grid)
+        grad_int = grad[1:-1, 1:-1].ravel()
         grad_norm = float(np.linalg.norm(grad_int))
         if grad_norm <= tol or len(history) > _MAX_ITER:
             break
@@ -337,7 +343,7 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
                                     trials=45)
         if accepted is None:
             break  # energy floor reached; left flagged by the gradient check
-        psi, state, energy = accepted
+        psi, state, energy, grad = accepted
         history.append(energy)
         last_norm = grad_norm
 

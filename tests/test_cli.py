@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 from axinozzle import (GasModel, build_grid, diagnostics_report, irrotationality_residual,
                        make_profile, newton_solve, velocity_from_stream)
 from axinozzle.cli import (
-    _CSV_BLOCK_STATIONS,
     BAND_LIMIT,
     ConfigError,
     FIELD_HEADER,
@@ -193,10 +192,11 @@ def row_wise_field_csv(path, flow):
         handle.write("\n".join(lines) + "\n")
 
 
-def test_field_csv_matches_row_wise_writer(tmp_path):
-    # 41 stations: one full block of stations and a partial last one
+def test_field_csv_matches_row_wise_writer(tmp_path, monkeypatch):
+    # 41 stations of 4 rows in blocks of 66 // 4 = 16 stations: two full
+    # blocks and a partial last one
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 66)
     grid = build_grid(make_profile("cylinder", a=1.0), length=4.0, nx=40, nr=3)
-    assert grid.nx + 1 > _CSV_BLOCK_STATIONS and (grid.nx + 1) % _CSV_BLOCK_STATIONS
     special = np.array([0.0, -0.0, 1e16, 1e-05, 5e-324, 1.0 / 3.0, -2.5, 123456.789,
                         np.nan, np.inf, -np.inf, 1e-4, 1e15, 1e-07])
     rng = np.random.default_rng(5)
@@ -216,17 +216,18 @@ def test_field_csv_matches_row_wise_writer(tmp_path):
 
 
 def test_field_csv_bytes_do_not_depend_on_the_block(tmp_path, monkeypatch):
-    # a real solve on 97 stations; nx + 2 puts every station in one block
+    # a real solve on 97 stations of 25 rows; fewer rows than a station
+    # still make one-station blocks, and (nx + 2) 25 puts every station in one
     grid = build_grid(make_profile("cylinder", a=1.0), length=6.0, nx=96, nr=24, delta=1e-6)
     sol = newton_solve(grid, GasModel(), 0.3)
     assert sol.converged
     flow = velocity_from_stream(sol, GasModel())
     write_field_csv(tmp_path / "default.csv", flow)
     expected = (tmp_path / "default.csv").read_bytes()
-    for stations in (1, 8, 24, 32, grid.nx + 2):
-        monkeypatch.setattr(cli, "_CSV_BLOCK_STATIONS", stations)
-        write_field_csv(tmp_path / f"blocks{stations}.csv", flow)
-        assert (tmp_path / f"blocks{stations}.csv").read_bytes() == expected, stations
+    for rows in (1, 25, 8 * 25, 24 * 25 + 7, 32 * 25, (grid.nx + 2) * 25):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", rows)
+        write_field_csv(tmp_path / f"blocks{rows}.csv", flow)
+        assert (tmp_path / f"blocks{rows}.csv").read_bytes() == expected, rows
 
 
 def repr_rows(table):

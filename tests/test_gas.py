@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import axinozzle.gas as gas_module
 from axinozzle import GasModel
+from test_solver import run_fresh
 
 
 GAS = GasModel()  # gamma = 1.4, m_tilde = 0.98, quintic blend
@@ -341,6 +342,78 @@ def test_ellipticity_bounds_bracket_coefficient():
     coeff = GAS.truncated_density_from_speed(q_sq).coefficient
     assert np.all(coeff >= nu)
     assert np.all(coeff <= lam)
+
+
+ELLIPTIC_GAMMA_EXCESS = (1e-4, 0.05, 0.2, 0.4, 2.0 / 3.0, 2.0)
+ELLIPTIC_M_TILDE = (0.5, 0.9, 0.98, 0.999)
+
+
+def dense_coefficient(gas):
+    """The ellipticity coefficient on 20001 points of [0, s_hi], 20001 more of
+    the blend [s_lo, s_hi], and the tail value."""
+    s = np.concatenate([np.linspace(0.0, gas.s_hi, 20001),
+                        np.linspace(gas.s_lo, gas.s_hi, 20001)])
+    e = gas._evaluate(s, "dense_coefficient", coenergy=False)
+    return np.append(e.rho**2 / (e.rho - 2.0 * e.slope * s), gas.rho_hi)
+
+
+@pytest.mark.parametrize("excess", ELLIPTIC_GAMMA_EXCESS)
+def test_ellipticity_bounds_bracket_a_dense_sample(excess):
+    # the bounds read the branch at its two ends and the blend alone; a
+    # dense sample of the whole evaluator must stay between them.  The
+    # blend is sampled on its own too: at m_tilde = 0.999 it is 0.1% of
+    # [0, s_hi], and 20001 points of [0, s_hi] miss its minimum by 0.2%
+    for m_tilde in ELLIPTIC_M_TILDE:
+        gas = GasModel(gamma=1.0 + excess, m_tilde=m_tilde)
+        nu, lam = gas.ellipticity_bounds
+        coeff = dense_coefficient(gas)
+        assert nu <= coeff.min() and coeff.max() <= lam, m_tilde
+        assert lam == pytest.approx(1.001 * gas.rho_stag, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("excess", ELLIPTIC_GAMMA_EXCESS)
+def test_branch_coefficient_is_rho_times_one_minus_mach_squared(excess):
+    # why the bounds need only the branch ends: H^2 / (H - 2 H' s) equals
+    # rho (1 - M^2), M^2 = q^2 / c^2 = s / rho^(gamma + 1), which falls in s
+    for m_tilde in ELLIPTIC_M_TILDE:
+        gas = GasModel(gamma=1.0 + excess, m_tilde=m_tilde)
+        s = np.linspace(0.0, gas.s_lo, 4001)[:-1]
+        e = gas._evaluate(s, "branch_coefficient", coenergy=False)
+        coeff = e.rho**2 / (e.rho - 2.0 * e.slope * s)
+        subsonic = 1.0 - s / e.rho ** gas.gamma / e.rho  # 1 - M^2
+        closed = e.rho * subsonic
+        # rounding: the slope's 1 - rho^(gamma - 1) carries eps / (gamma - 1),
+        # and H - 2 H' s cancels as 1 - M^2 does
+        rounding = 8.0 * np.finfo(float).eps * (1.0 + 1.0 / excess) / subsonic
+        assert np.all(np.abs(coeff - closed) <= rounding * closed), m_tilde
+        assert np.all(np.diff(coeff) <= 0.0), m_tilde
+
+
+def test_gauss_rule_is_numpy_leggauss():
+    # the literal rule must agree with leggauss(24) within 1 ulp on every
+    # numpy this package supports (on numpy 2.4 it is bit for bit equal)
+    nodes, weights = GAS._gauss_nodes
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(24)
+    assert np.all(np.abs(nodes - ref_nodes) <= np.spacing(np.abs(ref_nodes)))
+    assert np.all(np.abs(weights - ref_weights) <= np.spacing(ref_weights))
+    assert np.all(np.diff(nodes) > 0.0)
+    assert weights.sum() == pytest.approx(2.0, rel=1e-15, abs=0.0)
+
+
+def test_gas_constants_leave_numpy_polynomial_unimported():
+    # the Gauss rule is read from literals, so deriving every constant of
+    # a model (as the CLI and the benchmark's set-up do) imports no
+    # numpy.polynomial, which took 2-3 ms of a process's set-up
+    out = run_fresh("import sys, numpy\n"
+                    "imported = 'numpy.polynomial' in sys.modules\n"
+                    "from axinozzle import GasModel\n"
+                    "gas = GasModel(gamma=1.3)\n"
+                    "gas.coenergy(numpy.array([0.5, 0.5 * (gas.s_lo + gas.s_hi), 2.0]))\n"
+                    "gas.ellipticity_bounds\n"
+                    "print(imported, 'numpy.polynomial' in sys.modules)").split()
+    if out[0] == "True":
+        pytest.skip("this numpy imports numpy.polynomial itself")
+    assert out == ["False", "False"]
 
 
 def test_bernoulli_residual():

@@ -443,14 +443,37 @@ def test_energy_history_decreases():
 
 
 def test_newton_takes_full_step_below_energy_rounding():
-    # after one step the predicted decrease (2.3e-15) sits below the energy's
-    # rounding (about 5e-15 here); energy backtracking alone then accepts
-    # roundoff-size steps for all 50 iterations, stalling at gradient 1.9e-7
-    prof = make_profile("bump", a0=1.230736063874653, h=-0.16443750006526298,
-                        w=1.7548240095016205)
-    grid = build_grid(prof, length=8.0, nx=24, nr=6)
-    sol = newton_solve(grid, GAS, 0.5 * 0.10189196373799178 * prof.b**2)
+    # after one step the predicted decrease sits below the energy's
+    # rounding; energy backtracking alone then accepts roundoff-size steps
+    # for all 50 iterations, stalling at gradient 5.1e-9, and the
+    # derivative form of Armijo accepts the full step instead
+    grid = tanh_grid(16, 4)
+    sol = newton_solve(grid, GAS, 0.0475 * grid.profile.b**2)
     assert sol.converged and sol.iterations <= 3
+
+
+def test_no_two_consecutive_gradients_share_a_cell_state(monkeypatch):
+    # the derivative form of Armijo assembles the gradient at the point it
+    # accepts, and newton_solve steps on from that gradient instead of
+    # assembling it again; the solve of the test above accepts such a step
+    states, accepted = [], []
+    armijo = solver._armijo_by_derivative
+
+    def recording(state, grid):
+        states.append(state)
+        return assemble_gradient(state, grid)
+
+    def recording_armijo(*args):
+        grad = armijo(*args)
+        accepted.append(grad is not None)
+        return grad
+
+    monkeypatch.setattr(solver, "assemble_gradient", recording)
+    monkeypatch.setattr(solver, "_armijo_by_derivative", recording_armijo)
+    grid = tanh_grid(16, 4)
+    sol = newton_solve(grid, GAS, 0.0475 * grid.profile.b**2)
+    assert sol.converged and any(accepted)
+    assert all(a is not b for a, b in zip(states, states[1:]))
 
 
 def test_independent_starts_agree():
