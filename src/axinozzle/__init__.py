@@ -30,7 +30,6 @@ from .fields import (
     EntropyResiduals,
     FlowField,
     ResidualNorms,
-    SonicOvershootError,
     diagnostics_report,
     entropy_pair_residual,
     far_field_error,

@@ -14,9 +14,9 @@ from a vectorized kernel (_reprfmt), which falls back to repr value by
 value; the other files call repr directly.
 
 Exit codes: 0 success, 1 diagnostics failed (or, for solve with
-diagnostics off, the momentum cutoff engaged; or a node past sonic
-without the cutoff flag), 2 configuration error, 3 solver
-non-convergence.
+diagnostics off, the momentum cutoff engaged: the squared momentum of a
+cell or an off-axis node passed the truncation onset), 2 configuration
+error, 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .gas import GasModel
 from .nozzle import (FAR_FIELD_OFFSET, SCALE_LIMIT, NozzleProfile, build_grid, make_profile,
                      pick_domain_length)
 from .solver import newton_solve
-from .fields import (DEFAULT_THRESHOLDS, MIN_DIAGNOSTIC_CELLS, TWO_PI, SonicOvershootError,
-                     diagnostics_report, velocity_from_stream)
+from .fields import (DEFAULT_THRESHOLDS, MIN_DIAGNOSTIC_CELLS, TWO_PI, diagnostics_report,
+                     velocity_from_stream)
 from .continuation import CriticalToleranceError, find_critical_flux, mass_flux_sweep, SweepPoint
 
 FIELD_HEADER = "x,r,psi,U,V,rho,mach,omega"
@@ -348,12 +348,7 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
             print(f"m0 = {cfg.flux.m0}: momentum cutoff active, not a subsonic flow; "
                   "field.csv not written", file=sys.stderr)
             return 1
-        try:
-            flow = velocity_from_stream(solution, gas)
-        except SonicOvershootError as exc:
-            print(f"m0 = {cfg.flux.m0}: {exc}; not a subsonic flow, no output written",
-                  file=sys.stderr)
-            return 1
+        flow = velocity_from_stream(solution, gas)
         out_dir.mkdir(parents=True, exist_ok=True)
         if cfg.outputs.fields:
             write_field_csv(out_dir / "field.csv", flow)
@@ -372,11 +367,7 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
         return code
 
     if command == "sweep":
-        try:
-            points = mass_flux_sweep(grid, gas, cfg.flux.sweep)
-        except SonicOvershootError as exc:
-            print(f"sweep: {exc}; not a subsonic flow, no output written", file=sys.stderr)
-            return 1
+        points = mass_flux_sweep(grid, gas, cfg.flux.sweep)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_sweep_csv(out_dir / "sweep.csv", points)
         print(f"swept {len(points)} fluxes; "

@@ -24,7 +24,6 @@ from .nozzle import MappedGrid
 from .solver import StreamSolution, _datum, newton_solve
 from .fields import (
     FlowField,
-    SonicOvershootError,
     default_compact,
     entropy_pair_residual,
     far_field_error,
@@ -203,7 +202,7 @@ class CriticalProbe(NamedTuple):
 
     m0: float
     max_momentum_sq: float
-    reason: str        # subcritical, non_convergence, cutoff or mach
+    reason: str        # subcritical, non_convergence or cutoff (cutoff_active)
 
 
 @dataclass
@@ -227,31 +226,25 @@ class CriticalFluxEstimate:
         return 0.5 * (self.lo + self.hi)
 
 
-def _critical_signal(solution: StreamSolution,
-                     gas: GasModel) -> tuple[str, FlowField | None]:
+def _critical_signal(solution: StreamSolution) -> str:
     """Why the subsonic continuation past this flux is barred, or subcritical.
 
-    The one rule by which every certificate calls a solve subcritical.
-    Returns the reason with the flow it reconstructed, if it got that far.
+    The one rule by which every certificate calls a solve subcritical: it
+    converged, and its peak squared momentum over the cells and the
+    off-axis nodes stays at or below s_lo (not cutoff_active).
     """
     if not solution.converged:
-        return "non_convergence", None
-    if solution.cutoff_active:
-        return "cutoff", None
-    try:
-        flow = velocity_from_stream(solution, gas)
-    except SonicOvershootError:  # a node past sonic is past the Mach onset too
-        return "mach", None
-    return "mach" if flow.mach.max() >= gas.m_tilde else "subcritical", flow
+        return "non_convergence"
+    return "cutoff" if solution.cutoff_active else "subcritical"
 
 
 def find_critical_flux(grid: MappedGrid, gas: GasModel,
                        tol: float | None = None) -> CriticalFluxEstimate:
     """Bracket the largest flux carrying a strictly subsonic solve.
 
-    The supercritical signal is the momentum cutoff engaging anywhere (or
-    the Mach number reaching the truncation onset, or a failed solve).
-    Each probe is classified by that signal alone, so lo is a certified
+    The supercritical signal is the momentum cutoff engaging at a cell or
+    an off-axis node (cutoff_active), or a failed solve; _critical_signal
+    classifies each probe by that signal alone, so lo is a certified
     subcritical solve and hi a flagged one or the throat bound, and probes
     records every solve.
 
@@ -271,15 +264,15 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
     the exact bound.  A tol of B or more raises it too: its bracket
     [0, B + 0.45 tol] would hold the whole subcritical range and take no
     probe.  The lower start is probed, not assumed: the critical flux can
-    lie well below B (1-2 per cent on bumps) or the Mach signal fire
-    first.  A flagged lo becomes hi and steps 3 per cent down, then
-    halves.
+    lie well below B (1-3 per cent on bumps, whose wall nodes may reach
+    s_lo before any cell does).  A flagged lo becomes hi and steps 3 per
+    cent down, then halves.
 
     Between the ends the next probe goes where Illinois regula falsi
     (Dowell and Jarratt 1971) on the monotone distance g = max_momentum_sq
     - s_lo to the cutoff puts it, at least tol/4 inside the bracket; it is
-    the midpoint while an end has no g (a failed solve, or one flagged only
-    by the Mach number).  _CRITICAL_MAX_PROBES caps all solves.
+    the midpoint while an end is a failed solve, which has no g.
+    _CRITICAL_MAX_PROBES caps all solves.
     """
     bound = np.pi * gas.m_tilde * float((grid.fc * (grid.fc + 2.0 * grid.delta)).min())
     if tol is None:
@@ -298,11 +291,10 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
         """Solve at m0, warm started from warm; True if subcritical, and g
         where the probe carries one."""
         solution = newton_solve(grid, gas, m0 / TWO_PI, **_warm_start(warm, m0))
-        reason, _ = _critical_signal(solution, gas)
+        reason = _critical_signal(solution)
         probes.append(CriticalProbe(m0, solution.max_momentum_sq, reason))
-        has_g = reason in ("subcritical", "cutoff")  # where g <= 0 and g > 0
         return (reason == "subcritical",
-                solution.max_momentum_sq - gas.s_lo if has_g else None, solution)
+                solution.max_momentum_sq - gas.s_lo if solution.converged else None, solution)
 
     best_sub: StreamSolution | None = None
     g_lo = g_hi = None
@@ -360,11 +352,11 @@ def sonic_limit_study(grid: MappedGrid, gas: GasModel, m0_anchor: float,
     warm started from the last; the anchor is a certified subcritical
     flux, such as the lo end of find_critical_flux's bracket.  Each solve
     is classified by _critical_signal, the rule find_critical_flux uses,
-    and the study stops at the first one that is not subcritical,
-    recording {reason}_at: m0 and certifying nothing.  On the compact
-    window default_compact(grid), away from the axis and the wall, the
-    consecutive velocity and momentum differences are recorded in rms,
-    together with the entropy pair residuals.  A grid with no node in
+    before its flow is built, and the study stops at the first one that is
+    not subcritical, recording {reason}_at: m0 and certifying nothing.  On
+    the compact window default_compact(grid), away from the axis and the
+    wall, the consecutive velocity and momentum differences are recorded
+    in rms, together with the entropy pair residuals.  A grid with no node in
     that window raises ValueError, and so does n_terms < 3, which leaves
     fewer than two differences to compare.  Certification requires the
     max Mach numbers to be nondecreasing, the window differences to
@@ -390,10 +382,11 @@ def sonic_limit_study(grid: MappedGrid, gas: GasModel, m0_anchor: float,
     prev_solution: StreamSolution | None = None
     for m0 in m0s:
         solution = newton_solve(grid, gas, m0 / TWO_PI, **_warm_start(prev_solution, m0))
-        reason, flow = _critical_signal(solution, gas)
+        reason = _critical_signal(solution)
         if reason != "subcritical":
             gap, reasons = float("nan"), {f"{reason}_at": m0}
             break
+        flow = velocity_from_stream(solution, gas)
         machs.append(float(flow.mach.max()))
         ent = entropy_pair_residual(flow, gas, rect=window)
         ent_plus.append(ent.plus)

@@ -29,15 +29,11 @@ import numpy as np
 
 from .gas import GasModel
 from .nozzle import FAR_FIELD_OFFSET, MappedGrid
-from .solver import StreamSolution
+from .solver import StreamSolution, nodal_gradients
 
 TWO_PI = 2.0 * np.pi
 # the irrotationality residual differences two node layers in from each edge
 MIN_DIAGNOSTIC_CELLS = 5
-
-
-class SonicOvershootError(ValueError):
-    """Raised when a solve not flagged cutoff_active has a supersonic node."""
 
 
 class AngleCheck(NamedTuple):
@@ -80,26 +76,15 @@ class FlowField:
         return TWO_PI * self.m
 
 
-def nodal_gradients(psi: np.ndarray, grid: MappedGrid):
-    """Physical gradient at the nodes by second-order finite differences."""
-    dpsi_dxi, dpsi_dsg = np.gradient(psi, grid.xi, grid.sigma, edge_order=2)
-    f = grid.f_nodes[:, None]
-    fp = grid.fp_nodes[:, None]
-    sg = grid.sigma[None, :]
-    psi_x = dpsi_dxi - sg * fp / f * dpsi_dsg
-    psi_r = dpsi_dsg / f
-    return psi_x, psi_r
-
-
 def velocity_from_stream(solution: StreamSolution, gas: GasModel) -> FlowField:
     """Reconstruct the meridian velocity field from a stream solution.
 
     The density comes from the truncated density-momentum relation the
-    solve minimized, so a solution flagged cutoff_active yields a field of
-    that truncated problem, not a subsonic flow (diagnostic only); no
-    momentum is clamped.  Raises SonicOvershootError if the squared
-    momentum off the axis exceeds 1 while the solution is not flagged
-    cutoff_active, which coarse grids allow near a throat.
+    solve minimized; no momentum is clamped.  The off-axis nodes evaluated
+    here count in the solution's max_momentum_sq, so a solution not
+    flagged cutoff_active has every such node on the subsonic branch, and
+    a flagged one yields a field of the truncated problem, not a subsonic
+    flow (diagnostic only).
     """
     grid = solution.grid
     psi_x, psi_r = nodal_gradients(solution.psi, grid)
@@ -108,14 +93,6 @@ def velocity_from_stream(solution: StreamSolution, gas: GasModel) -> FlowField:
     # and rebuilt by extrapolation below, so silence the intermediate
     with np.errstate(divide="ignore", invalid="ignore"):
         s = (psi_x**2 + psi_r**2) / r_shield**2
-    # the axis row is rebuilt by extrapolation below; its raw momentum is
-    # dominated by the 1/(r + delta) factor and must not trip the check
-    overshoot = float(s[:, 1:].max()) - 1.0
-    if overshoot > 1e-10 and not solution.cutoff_active:
-        raise SonicOvershootError(
-            "velocity_from_stream: momentum exceeds the sonic value "
-            f"by {overshoot:.3e} on a solve without the truncation flag"
-        )
     # use the same truncated relation the solve minimized, so flagged
     # near-sonic fields stay interpretable instead of erroring out; the
     # raw axis row (NaN at a zero shield) is replaced before it is rebuilt

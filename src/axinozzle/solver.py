@@ -92,7 +92,7 @@ class StreamSolution:
     factorizations: int
     cutoff_active: bool
     converged: bool
-    max_momentum_sq: float
+    max_momentum_sq: float  # peak over the cells and the off-axis nodes
     energy_history: list = field(default_factory=list)
     # banded Cholesky factor the last step solved with; a solve passed it
     # as factor= refactors into this buffer, so it may change afterwards
@@ -127,6 +127,17 @@ def cell_state(psi, grid: MappedGrid, gas: GasModel) -> CellState:
     del psi_xi, psi_sg, beta  # freed before the gas evaluation, which sets peak memory
     s = (psi_x**2 + psi_r**2) / grid.r_shield**2
     return CellState(s, psi_x, psi_r, gas.coenergy_bundle(s.ravel()))
+
+
+def nodal_gradients(psi: np.ndarray, grid: MappedGrid):
+    """Physical gradient at the nodes by second-order finite differences."""
+    dpsi_dxi, dpsi_dsg = np.gradient(psi, grid.xi, grid.sigma, edge_order=2)
+    f = grid.f_nodes[:, None]
+    fp = grid.fp_nodes[:, None]
+    sg = grid.sigma[None, :]
+    psi_x = dpsi_dxi - sg * fp / f * dpsi_dsg
+    psi_r = dpsi_dsg / f
+    return psi_x, psi_r
 
 
 def assemble_energy(state: CellState, grid: MappedGrid) -> float:
@@ -300,9 +311,11 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
     only its failure stops the solve short of tol, flagged by the gradient
     check.  Any SPD factor gives a descent direction, so the line search
     and the gradient tolerance certify a solve whichever factor its steps
-    used, and the energy history is nonincreasing up to rounding.  A
-    solution flagged cutoff_active touched momenta above the truncation
-    threshold and is not a certified subsonic flow.
+    used, and the energy history is nonincreasing up to rounding.
+    max_momentum_sq is the peak squared momentum over the cells the solve
+    minimized and the off-axis nodes the velocity field is evaluated at.  A
+    solution flagged cutoff_active has that peak above the truncation
+    onset s_lo and is not a certified subsonic flow.
     """
     if not 0.0 <= m < np.inf:  # NaN fails too
         raise ValueError("newton_solve: m must be finite and >= 0")
@@ -347,7 +360,11 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         history.append(energy)
         last_norm = grad_norm
 
-    max_s = float(state.s.max())
+    # the off-axis nodes fields.velocity_from_stream evaluates the gas at;
+    # it rebuilds the axis row by extrapolation (NaN here at delta = 0)
+    psi_x, psi_r = nodal_gradients(psi, grid)
+    nodal = (psi_x[:, 1:]**2 + psi_r[:, 1:]**2) / (grid.r_nodes[:, 1:] + grid.delta)**2
+    max_s = float(np.maximum(state.s.max(), nodal.max()))  # NaN stays NaN
     return StreamSolution(
         grid=grid,
         psi=psi,

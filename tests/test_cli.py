@@ -360,27 +360,9 @@ def test_solve_without_diagnostics_on_coarse_grid(tmp_path):
 
 
 SUPERCRITICAL = BASE.replace("m0 = 1.0", "m0 = 10.0")  # critical flux ~ pi * 0.98
-
-
-def test_cutoff_fails_diagnostics(tmp_path):
-    cfg = write(tmp_path, SUPERCRITICAL)
-    out = tmp_path / "hot"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
-    diag = (out / "diagnostics.txt").read_text()
-    assert "check_cutoff = false" in diag
-    assert "passed = false" in diag
-
-
-def test_cutoff_without_diagnostics_exits_1(tmp_path, capsys):
-    coarse = SUPERCRITICAL.replace("nr = 12", "nr = 4")
-    cfg = write(tmp_path, coarse + "\n[outputs]\ndiagnostics = no\n")
-    out = tmp_path / "hot"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
-    assert "momentum cutoff active" in capsys.readouterr().err
-    assert not (out / "field.csv").exists()
-
-
-OVERSHOOT = """
+# above the critical flux of this coarse bump every cell stays below the
+# truncation onset s_lo, but wall nodes, whose gradient is one-sided, pass it
+NODAL_CUTOFF = """
 [nozzle]
 kind = bump
 a0 = 1.0
@@ -395,22 +377,41 @@ nr = 6
 [flux]
 m0 = 1.85
 """
+# certified by the cells alone, just below their bracket [1.68679, 1.68683],
+# this flux wrote 2 wall nodes at Mach 0.873, past M(s_lo) = 0.851; with
+# the nodes its bracket is [1.67594, 1.67599]
+NODAL_CUTOFF_FINE = (NODAL_CUTOFF.replace("h = -0.2", "h = -0.25").replace("nx = 24", "nx = 128")
+                     .replace("nr = 6", "nr = 32").replace("m0 = 1.85", "m0 = 1.6867"))
 
 
-@pytest.mark.parametrize("command", ["solve", "diagnose", "sweep"])
-def test_sonic_overshoot_exits_1_without_output(tmp_path, capsys, command):
-    # above this coarse bump's critical bracket [1.77466, 1.77479] the solve
-    # converges without the cutoff flag, but a node lands past sonic; a
-    # sweep through that flux stops the same way
-    text = OVERSHOOT.replace("m0 = 1.85", "sweep = 1.0, 1.85") if command == "sweep" else OVERSHOOT
-    cfg = write(tmp_path, text)
-    out = tmp_path / "over"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "not a subsonic flow" in err
-    assert not (out / "field.csv").exists()
-    assert not (out / "diagnostics.txt").exists()
-    assert not (out / "sweep.csv").exists()
+def test_cutoff_fails_diagnostics(tmp_path):
+    for command, text in (("solve", SUPERCRITICAL), ("diagnose", NODAL_CUTOFF),
+                          ("diagnose", NODAL_CUTOFF_FINE)):
+        cfg = write(tmp_path, text)
+        out = tmp_path / "hot"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        diag = (out / "diagnostics.txt").read_text()
+        assert "check_cutoff = false" in diag
+        assert "passed = false" in diag
+
+
+def test_cutoff_without_diagnostics_exits_1(tmp_path, capsys):
+    coarse = SUPERCRITICAL.replace("nr = 12", "nr = 4")
+    for text in (coarse, NODAL_CUTOFF):
+        cfg = write(tmp_path, text + "\n[outputs]\ndiagnostics = no\n")
+        out = tmp_path / "hot"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        assert "momentum cutoff active" in capsys.readouterr().err
+        assert not (out / "field.csv").exists()
+
+
+def test_sweep_records_a_nodal_cutoff_row(tmp_path):
+    # a flux whose cutoff engages only at the nodes is a cutoff row like any other
+    cfg = write(tmp_path, NODAL_CUTOFF.replace("m0 = 1.85", "sweep = 1.0, 1.85"))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [(row[0], row[3]) for row in rows] == [("1.0", "false"), ("1.85", "true")]
 
 
 def test_sweep_table(tmp_path):

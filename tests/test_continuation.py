@@ -4,11 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from axinozzle import (
     GasModel,
     build_grid,
+    cell_state,
     find_critical_flux,
     make_profile,
     mass_flux_sweep,
@@ -230,7 +231,7 @@ def test_find_critical_flux_pipe_oracle():
     assert est.lo < oracle * 1.001
     assert est.hi > oracle * 0.999
     assert abs(est.midpoint - oracle) / oracle < 2e-3
-    # lo is a probed solve that converged without the cutoff or the Mach signal
+    # lo is a probed solve that converged without the cutoff
     assert [p.reason for p in est.probes if p.m0 == est.lo] == ["subcritical"]
 
 
@@ -269,7 +270,7 @@ def test_find_critical_flux_brackets_cylinder_oracle(a, gamma, m_tilde):
     assert max(sub) == est.lo
     assert est.hi == min(flagged, default=bound + 0.45 * (1e-4 * bound))
     for p in est.probes:
-        assert p.reason in ("subcritical", "non_convergence", "cutoff", "mach")
+        assert p.reason in ("subcritical", "non_convergence", "cutoff")
         if p.reason != "non_convergence":
             assert (p.reason == "cutoff") == (p.max_momentum_sq > gas.s_lo)
 
@@ -319,27 +320,29 @@ def test_find_critical_flux_illinois_saves_a_probe():
     assert len(est.probes) <= 5
 
 
-def test_critical_signal_flags_mach_at_the_truncation_onset():
-    # with m_tilde = 0.7 a node of this coarse bump reaches Mach m_tilde
-    # while every cell stays below the cutoff and every node below sonic
-    gas = GasModel(m_tilde=0.7)
-    grid = build_grid(make_profile("bump", a0=1.0, h=-0.3, w=1.0), length=8.0,
-                      nx=16, nr=4, delta=1e-6)
-    for m0, expected in ((1.08, "subcritical"), (1.12, "mach")):
-        solution = newton_solve(grid, gas, m0 / (2.0 * np.pi))
-        assert solution.converged and not solution.cutoff_active
-        reason, flow = _critical_signal(solution, gas)
-        assert reason == expected
-        assert (flow.mach.max() >= gas.m_tilde) == (expected == "mach")
-
-
-def test_find_critical_flux_classifies_supersonic_nodes_as_mach():
-    # on a coarse bump the nodal momentum passes sonic before the cell
-    # momentum reaches the cutoff; that probe is flagged, not an error
+def test_critical_signal_flags_a_node_past_the_cutoff():
+    # on this coarse bump a wall node passes s_lo while every cell stays
+    # below it; that solve is past the cutoff all the same
     grid = build_grid(make_profile("bump", a0=1.0, h=-0.2, w=1.0), length=8.0,
                       nx=24, nr=6)
+    for m0, expected in ((1.7, "subcritical"), (1.85, "cutoff")):
+        solution = newton_solve(grid, GAS, m0 / (2.0 * np.pi))
+        assert solution.converged
+        assert cell_state(solution.psi, grid, GAS).s.max() <= GAS.s_lo
+        assert _critical_signal(solution) == expected
+
+
+@pytest.mark.parametrize("h, nx", [(-0.2, 24), (-0.25, 48), (-0.3, 64)],
+                         ids=["24x6", "48x12", "64x16"])
+def test_find_critical_flux_closes_bump_brackets_without_bisection(h, nx):
+    # on these coarse bumps the nodal momentum passes s_lo before the cell
+    # momentum does; judged by the cells alone, those probes carried no
+    # distance to the cutoff and each bracket bisected for 16 probes
+    grid = build_grid(make_profile("bump", a0=1.0, h=h, w=1.0), length=8.0,
+                      nx=nx, nr=nx // 4)
     est = find_critical_flux(grid, GAS)
-    assert "mach" in [p.reason for p in est.probes]
+    assert {p.reason for p in est.probes} == {"subcritical", "cutoff"}
+    assert len(est.probes) <= 8
     assert max(p.m0 for p in est.probes if p.reason == "subcritical") == est.lo
 
 
@@ -387,6 +390,9 @@ THROAT_WALLS = st.one_of(
 @given(profile=THROAT_WALLS, gamma=st.floats(1.0, 3.0, exclude_min=True),
        m_tilde=st.floats(0.9, 0.99), nx=st.sampled_from([16, 24, 32, 48]),
        delta=st.sampled_from([0.0, 1e-6, 1e-2]))
+# a coarse narrow bump, whose wall nodes pass s_lo first: the most probes seen
+@example(profile=make_profile("bump", a0=1.0, h=-0.28125, w=1.0), gamma=2.0,
+         m_tilde=0.9375, nx=16, delta=0.0)
 def test_critical_bracket_respects_throat_bound(profile, gamma, m_tilde, nx, delta):
     # no subcritical solve carries more than the throat bound B, so hi is
     # the smallest flagged probe or B + 0.45 tol, which needs no solve: a
@@ -403,13 +409,14 @@ def test_critical_bracket_respects_throat_bound(profile, gamma, m_tilde, nx, del
     flagged = [p.m0 for p in est.probes if p.reason != "subcritical"]
     assert max(sub) == est.lo
     assert est.hi == min(flagged, default=bound + 0.45 * tol)
+    for p in est.probes:
+        if p.reason != "non_convergence":
+            assert (p.reason == "cutoff") == (p.max_momentum_sq > gas.s_lo)
     if not flagged:
         for m0 in (est.hi, bound + 0.45 * (1e-12 * bound)):
             above = newton_solve(grid, gas, m0 / (2.0 * np.pi))
             assert above.cutoff_active or not above.converged
-    # a Mach-flagged end carries no g, and the bracket then bisects
-    if all(p.reason in ("subcritical", "cutoff") for p in est.probes):
-        assert len(est.probes) <= 8
+    assert len(est.probes) <= 9  # the draws take up to 8, the example 9
 
 
 def test_sonic_limit_study_certifies():

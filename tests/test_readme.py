@@ -184,6 +184,19 @@ def test_readme_newton_tolerances(tmp_path):
             cli.run(cfg, "solve", tmp_path / "out")
 
 
+def test_readme_cutoff_counts_cells_and_off_axis_nodes():
+    states("the squared momentum of a cell or of an off-axis node passes the truncation "
+           "onset `m_tilde**2`")
+    states("its `max_momentum_sq`, the peak squared momentum over its cells and the "
+           "off-axis nodes of its field, passes `m_tilde**2`")
+    gas = GasModel()
+    # a coarse bump above its critical flux: only wall nodes pass the onset
+    grid = build_grid(make_profile("bump", a0=1.0, h=-0.2, w=1.0), length=8.0, nx=24, nr=6)
+    sol = newton_solve(grid, gas, 1.85 / TWO_PI)
+    assert cell_state(sol.psi, grid, gas).s.max() <= gas.m_tilde**2 < sol.max_momentum_sq
+    assert sol.cutoff_active
+
+
 def test_readme_exit_codes(tmp_path, monkeypatch):
     states("Exit codes: 0 success, 1 diagnostics failure, 2 bad config or arguments, "
            "3 solver did not converge.")

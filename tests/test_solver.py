@@ -516,6 +516,19 @@ def test_cutoff_flag_set_past_onset():
     assert hot.cutoff_active
 
 
+def test_cutoff_flag_covers_the_off_axis_nodes():
+    # above this coarse bump's critical flux every cell stays below s_lo,
+    # but wall nodes, whose gradient is one-sided, pass it; the peak is
+    # the squared momentum (rho q)^2 of the off-axis nodes of the field
+    grid = build_grid(make_profile("bump", a0=1.0, h=-0.2, w=1.0), length=8.0, nx=24, nr=6)
+    sol = newton_solve(grid, GAS, 1.85 / (2.0 * np.pi))
+    assert sol.converged and sol.cutoff_active
+    assert cell_state(sol.psi, grid, GAS).s.max() <= GAS.s_lo < sol.max_momentum_sq
+    flow = velocity_from_stream(sol, GAS)
+    nodal = ((flow.rho * flow.q)[:, 1:] ** 2).max()
+    assert nodal == pytest.approx(sol.max_momentum_sq, rel=1e-12)
+
+
 @pytest.mark.parametrize("m", [np.float64(0.4), np.float64(1.5)])
 def test_solution_flags_are_bool(m):
     # mass_flux_sweep passes numpy fluxes; above m = 1 the default tol
