@@ -385,24 +385,44 @@ NODAL_CUTOFF_FINE = (NODAL_CUTOFF.replace("h = -0.2", "h = -0.25").replace("nx =
 
 
 def test_cutoff_fails_diagnostics(tmp_path):
-    for command, text in (("solve", SUPERCRITICAL), ("diagnose", NODAL_CUTOFF),
-                          ("diagnose", NODAL_CUTOFF_FINE)):
-        cfg = write(tmp_path, text)
-        out = tmp_path / "hot"
-        assert main([command, "--config", cfg, "--out", str(out)]) == 1
-        diag = (out / "diagnostics.txt").read_text()
-        assert "check_cutoff = false" in diag
-        assert "passed = false" in diag
+    cfg = write(tmp_path, SUPERCRITICAL)
+    out = tmp_path / "hot"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    diag = (out / "diagnostics.txt").read_text()
+    assert "check_cutoff = false" in diag
+    assert "passed = false" in diag
 
 
 def test_cutoff_without_diagnostics_exits_1(tmp_path, capsys):
     coarse = SUPERCRITICAL.replace("nr = 12", "nr = 4")
-    for text in (coarse, NODAL_CUTOFF):
-        cfg = write(tmp_path, text + "\n[outputs]\ndiagnostics = no\n")
-        out = tmp_path / "hot"
+    cfg = write(tmp_path, coarse + "\n[outputs]\ndiagnostics = no\n")
+    out = tmp_path / "hot"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert "momentum cutoff active" in capsys.readouterr().err
+    assert not (out / "field.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_sonic_overshoot_exits_1_without_output(tmp_path, capsys, command):
+    # a wall node past s_lo is the momentum cutoff: solve without diagnostics
+    # writes nothing, diagnose writes a report that fails check_cutoff
+    if command == "solve":
+        cfg = write(tmp_path, NODAL_CUTOFF + "\n[outputs]\ndiagnostics = no\n")
+        out = tmp_path / "over"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
-        assert "momentum cutoff active" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "momentum cutoff active" in err
         assert not (out / "field.csv").exists()
+        assert not (out / "diagnostics.txt").exists()
+        return
+    for text in (NODAL_CUTOFF, NODAL_CUTOFF_FINE):
+        cfg = write(tmp_path, text)
+        out = tmp_path / "over"
+        assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 1
+        assert "failed checks: " in capsys.readouterr().err
+        diag = (out / "diagnostics.txt").read_text()
+        assert "check_cutoff = false" in diag
+        assert "passed = false" in diag
 
 
 def test_sweep_records_a_nodal_cutoff_row(tmp_path):
