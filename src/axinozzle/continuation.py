@@ -209,8 +209,9 @@ class CriticalProbe(NamedTuple):
 class CriticalFluxEstimate:
     """Regula falsi bracket [lo, hi] for the critical three-dimensional flux.
 
-    len(probes) is the number of solves; hi is the smallest flagged probe,
-    or the upper end find_critical_flux takes without a solve.
+    len(probes) is the number of solves; lo is the largest subcritical
+    probe, or 0, the rest state, and hi the smallest flagged probe, or the
+    upper end find_critical_flux takes without a solve.
     """
 
     lo: float
@@ -245,8 +246,8 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
     The supercritical signal is the momentum cutoff engaging at a cell or
     an off-axis node (cutoff_active), or a failed solve; _critical_signal
     classifies each probe by that signal alone, so lo is a certified
-    subcritical solve and hi a flagged one or the throat bound, and probes
-    records every solve.
+    subcritical solve or the rest state, hi a flagged one or the throat
+    bound, and probes records every solve.
 
     The upper end comes from the discrete throat bound B.  Across each
     column of cells psi rises from 0 on the axis to m on the wall, so
@@ -263,16 +264,17 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
     CriticalToleranceError; above that floor fl(B) + 0.45 tol lies above
     the exact bound.  A tol of B or more raises it too: its bracket
     [0, B + 0.45 tol] would hold the whole subcritical range and take no
-    probe.  The lower start is probed, not assumed: the critical flux can
-    lie well below B (1-3 per cent on bumps, whose wall nodes may reach
-    s_lo before any cell does).  A flagged lo becomes hi and steps 3 per
-    cent down, then halves.
+    probe.  The lower end without a solve is the rest state m0 = 0: psi =
+    0 there, so the distance g below is -s_lo.  The critical flux can lie
+    well below B (1-3 per cent on bumps, whose wall nodes may reach s_lo
+    before any cell does); the first probe is then flagged and becomes hi.
 
-    Between the ends the next probe goes where Illinois regula falsi
-    (Dowell and Jarratt 1971) on the monotone distance g = max_momentum_sq
-    - s_lo to the cutoff puts it, at least tol/4 inside the bracket; it is
-    the midpoint while an end is a failed solve, which has no g.
-    _CRITICAL_MAX_PROBES caps all solves.
+    Every later probe goes where Illinois regula falsi (Dowell and Jarratt
+    1971) on the monotone distance g = max_momentum_sq - s_lo to the
+    cutoff puts it, at least tol/4 inside the bracket; it is the midpoint
+    while hi is a failed solve, which has no g.  g is convex in m0, so the
+    secant from the rest state lands subcritical.  _CRITICAL_MAX_PROBES
+    caps all solves; if each of them is flagged, lo stays 0.
     """
     bound = np.pi * gas.m_tilde * float((grid.fc * (grid.fc + 2.0 * grid.delta)).min())
     if tol is None:
@@ -282,51 +284,30 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
             f"find_critical_flux: tol must be > 0, at least 1e-12 times the throat "
             f"bound B = {bound!r} and below B; got tol = {tol!r}")
     start = 0.45 * tol  # not tol/2: the ends must be at most tol apart after rounding
-    hi = bound + start
-    lo = min(bound - start, hi - 2.0 * start)  # > 0 since tol < B
-
+    lo, g_lo = 0.0, -gas.s_lo  # the rest state, psi = 0
+    hi, g_hi = bound + start, None
+    m0 = min(bound - start, hi - 2.0 * start)  # > 0 since tol < B
     probes: list[CriticalProbe] = []
-
-    def probe(m0: float, warm=None) -> tuple[bool, float | None, StreamSolution]:
-        """Solve at m0, warm started from warm; True if subcritical, and g
-        where the probe carries one."""
-        solution = newton_solve(grid, gas, m0 / TWO_PI, **_warm_start(warm, m0))
-        reason = _critical_signal(solution)
-        probes.append(CriticalProbe(m0, solution.max_momentum_sq, reason))
-        return (reason == "subcritical",
-                solution.max_momentum_sq - gas.s_lo if solution.converged else None, solution)
-
     best_sub: StreamSolution | None = None
-    g_lo = g_hi = None
-
-    # push lo down until it is genuinely subcritical
-    while True:
-        ok, g, sol = probe(lo)
-        if ok:
-            best_sub, g_lo = sol, g
-            break
-        hi, g_hi = lo, g
-        lo *= 0.97 if len(probes) == 1 else 0.5  # bump roots lie 1-3% below B
-        if len(probes) >= _CRITICAL_MAX_PROBES:
-            raise RuntimeError("find_critical_flux: no subcritical flux found")
-
     moved = None  # the end the last probe replaced
     while hi - lo > tol and len(probes) < _CRITICAL_MAX_PROBES:
-        if g_lo is not None and g_hi is not None:
-            m0 = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-            m0 = min(max(m0, lo + 0.25 * tol), hi - 0.25 * tol)
-        else:
-            m0 = 0.5 * (lo + hi)
-        ok, g, sol = probe(m0, best_sub)
-        if ok:
-            best_sub, lo, g_lo = sol, m0, g
+        solution = newton_solve(grid, gas, m0 / TWO_PI, **_warm_start(best_sub, m0))
+        reason = _critical_signal(solution)
+        probes.append(CriticalProbe(m0, solution.max_momentum_sq, reason))
+        g = solution.max_momentum_sq - gas.s_lo
+        if reason == "subcritical":
             if moved == "lo" and g_hi is not None:
                 g_hi *= 0.5  # Illinois: the end kept twice in a row counts half
+            best_sub, lo, g_lo, moved = solution, m0, g, "lo"
         else:
-            hi, g_hi = m0, g
-            if moved == "hi" and g_lo is not None:
+            if moved == "hi":
                 g_lo *= 0.5
-        moved = "lo" if ok else "hi"
+            hi, g_hi, moved = m0, g if solution.converged else None, "hi"
+        if g_hi is None:
+            m0 = 0.5 * (lo + hi)
+        else:
+            m0 = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+            m0 = min(max(m0, lo + 0.25 * tol), hi - 0.25 * tol)
     return CriticalFluxEstimate(lo, hi, tuple(probes))
 
 

@@ -101,6 +101,11 @@ def test_readme_repr_window():
     assert (_LOW, _HIGH) == (1e-40, 1e16)
 
 
+def test_readme_bracket_starts_from_the_rest_state():
+    states("the rest state `m0 = 0` and the throat bound, so its lower end is the largest "
+           "subcritical probe, or 0 if every probe was flagged")
+
+
 def test_readme_gamma_range():
     states("a `gamma` less than 1.5e-8 above 1")
     states("more than 2^27 (about 1.3e8) above 1")
