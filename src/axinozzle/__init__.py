@@ -7,7 +7,7 @@ the mass flux to its critical value, with diagnostics certifying each
 limit.
 """
 
-from .gas import CoenergyBundle, GasModel, SpeedDensity
+from .gas import CoenergyBundle, GasModel
 from .nozzle import (
     MappedGrid,
     NozzleProfile,

@@ -16,7 +16,7 @@ value; the other files call repr directly.
 Exit codes: 0 success, 1 diagnostics failed (or, for solve with
 diagnostics off, the momentum cutoff engaged: the squared momentum of a
 cell or an off-axis node passed the truncation onset), 2 configuration
-error, 3 solver non-convergence.
+error, 3 solver non-convergence (or a critical bracket that did not close).
 """
 
 from __future__ import annotations
@@ -217,6 +217,9 @@ def parse_config(text: str) -> RunConfig:
         value = getattr(sections["tolerances"], key)
         if value is not None and value <= 0.0:
             raise ConfigError(f"tolerances: {key} must be > 0 or 'auto'")
+    for key in DEFAULT_THRESHOLDS:  # every measured quantity is >= 0
+        if getattr(sections["tolerances"], key) < 0.0:
+            raise ConfigError(f"tolerances: {key} must be >= 0")
     return RunConfig(flux=_read_flux(parser), **sections)
 
 
@@ -378,6 +381,10 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
         estimate = find_critical_flux(grid, gas, tol=cfg.tolerances.critical)
     except CriticalToleranceError as exc:  # raised before the first probe
         raise ConfigError(f"tolerances: critical: {exc}") from exc
+    if estimate.width > estimate.tol:
+        print(f"critical flux bracket [{estimate.lo!r}, {estimate.hi!r}] did not close to "
+              f"tol = {estimate.tol!r} in {len(estimate.probes)} probes", file=sys.stderr)
+        return 3
     out_dir.mkdir(parents=True, exist_ok=True)
     pairs = [
         ("m0_lo", estimate.lo),

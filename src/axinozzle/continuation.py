@@ -211,11 +211,13 @@ class CriticalFluxEstimate:
 
     len(probes) is the number of solves; lo is the largest subcritical
     probe, or 0, the rest state, and hi the smallest flagged probe, or the
-    upper end find_critical_flux takes without a solve.
+    upper end find_critical_flux takes without a solve.  tol is the
+    resolved tolerance: a width above it means the probe cap ran out.
     """
 
     lo: float
     hi: float
+    tol: float
     probes: tuple[CriticalProbe, ...] = ()
 
     @property
@@ -308,7 +310,7 @@ def find_critical_flux(grid: MappedGrid, gas: GasModel,
         else:
             m0 = hi - g_hi * (hi - lo) / (g_hi - g_lo)
             m0 = min(max(m0, lo + 0.25 * tol), hi - 0.25 * tol)
-    return CriticalFluxEstimate(lo, hi, tuple(probes))
+    return CriticalFluxEstimate(lo, hi, tol, tuple(probes))
 
 
 @dataclass

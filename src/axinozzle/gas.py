@@ -58,15 +58,6 @@ _GAUSS_HALF = (
 )
 
 
-class SpeedDensity(NamedTuple):
-    """Density and ellipticity data of the truncated speed relation."""
-
-    rho: np.ndarray | float
-    coefficient: np.ndarray | float  # g + 2 q^2 dg/d(q^2), stays in [nu, lam]
-    nu: float
-    lam: float
-
-
 class CoenergyBundle(NamedTuple):
     """Coenergy with its first two derivatives at the same points."""
 
@@ -91,8 +82,8 @@ def _like_input(s, out):
 def _bracketed_newton(residual, x0, lo, hi):
     """Elementwise root in [lo, hi] of an increasing residual, by Newton.
 
-    The one root solver of this module: the branch density (_branch_root)
-    and the blend of the truncated speed relation (_momentum_from_speed).
+    The one root solver of this module; its one caller, _branch_root,
+    solves the branch density on the increasing fold gap.
 
     residual(x) returns the residual and its slope at the whole array of
     iterates x.  Each entry keeps the bracket its residual signs allow, and
@@ -189,10 +180,10 @@ class GasModel:
     def momentum_from_speed(self, q_sq):
         """Squared momentum (rho*q)**2 at squared speed q_sq in [0, 1].
 
-        Close to the sonic point the value is computed through log1p and
-        expm1 in the variable 1 - q_sq; the direct product loses a few
-        ulps there, which matters because the map flattens at its sonic
-        maximum and inversions divide by the slope.
+        Close to the sonic point the value is computed through log1p in
+        1 - q_sq.  The direct product loses a few ulps there, which
+        density_from_momentum, steep at the fold, turns into 2.3-4.4e-12 errors
+        of acceptance criterion 01's identity H(G(q^2)) = g(q^2) (gate 1e-12).
         """
         q = np.atleast_1d(np.asarray(q_sq, dtype=float))
         out = self.density_from_speed(q) ** 2 * q
@@ -453,59 +444,15 @@ class GasModel:
         e = self._evaluate(s, "coenergy_bundle")
         return CoenergyBundle(e.value, 1.0 / e.rho, -e.slope / e.rho**2)
 
-    # ------------------------------------------------------------------
-    # truncated speed relation and ellipticity
-    # ------------------------------------------------------------------
-
-    def _momentum_from_speed(self, q_sq):
-        """Invert q^2 = s / Htilde(s)^2 for squared momentum s >= 0.
-
-        Below the blend the relation is the exact branch, so s is the closed
-        form momentum_from_speed(q^2); beyond it Htilde is constant and
-        s = rho_hi^2 q^2.  Only on the blend is a Newton iteration needed,
-        on the quintic alone, started from the chord between the knots and
-        safeguarded by the bracket kept from the residual signs.
-        """
-        q = np.atleast_1d(np.asarray(q_sq, dtype=float))
-        if not np.all(q >= 0.0):  # NaN fails too
-            raise ValueError("truncated_density_from_speed: q_sq must be >= 0")
-        out = self.rho_hi**2 * q
-        qsq_lo = self.s_lo / self._blend_coeffs[0] ** 2  # the blend starts at H(s_lo)
-        qsq_hi = self.s_hi / self.rho_hi**2
-        below = q < qsq_lo
-        if np.any(below):
-            out[below] = self.momentum_from_speed(q[below])
-        mid = ~below & (q < qsq_hi)
-        if np.any(mid):
-            target = q[mid]
-
-            def residual(s):
-                rho, slope = self._blend(s)
-                return s / rho**2 - target, (rho - 2.0 * slope * s) / rho**3
-
-            chord = self.s_lo + (target - qsq_lo) / (qsq_hi - qsq_lo) * (self.s_hi - self.s_lo)
-            out[mid] = _bracketed_newton(residual, chord, self.s_lo, self.s_hi)
-        return _like_input(q_sq, out)
-
-    def truncated_density_from_speed(self, q_sq) -> SpeedDensity:
-        """Density and ellipticity coefficient of the truncated speed relation.
-
-        The coefficient g + 2 q^2 dg/d(q^2) equals
-        Htilde(s)^2 / (Htilde(s) - 2 Htilde'(s) s) at s inverted from q^2;
-        it is pinched between the returned positive bounds (nu, lam).
-        """
-        s = self._momentum_from_speed(q_sq)
-        e = self._evaluate(s, "truncated_density_from_speed", coenergy=False)
-        coeff = e.rho**2 / (e.rho - 2.0 * e.slope * s)
-        nu, lam = self.ellipticity_bounds
-        return SpeedDensity(_like_input(q_sq, e.rho), _like_input(q_sq, coeff), nu, lam)
-
     @cached_property
     def ellipticity_bounds(self) -> tuple[float, float]:
         """Bounds (nu, lam) for the ellipticity coefficient, 0 < nu <= lam.
 
-        On the exact branch the coefficient H^2 / (H - 2 H' s) equals
-        rho (1 - M^2), M the Mach number, which falls monotonically as s
+        The coefficient H^2 / (H - 2 H' s) is the inverse of the coenergy
+        Hessian's eigenvalue F' + 2 s F'' along the momentum, read from
+        coenergy_bundle as 1 / (prime + 2 s second); the other eigenvalue
+        F' = 1/H lies in [1/rho_stag, 1/rho_hi].  On the exact branch the
+        coefficient equals rho (1 - M^2), M the Mach number, which falls as s
         rises, so the branch takes its extremes at its ends s = 0 and s_lo.
         The blend is sampled by its quintic alone at 4097 points of
         [s_lo, s_hi], and beyond it the coefficient is rho_hi.  The range is

@@ -79,9 +79,15 @@ def test_criterion_01_gas_identities():
         rho = gas.density_from_speed(q_sq)
         inv = gas.sound_speed_sq(rho) / (gamma - 1.0) + q_sq / 2.0
         bern = np.abs(inv - inv[0]).max()
+        # the coenergy Hessian's eigenvalues F' = 1/H and F' + 2 s F'' on
+        # s in [0, 4], past every state of q^2 in [0, 2], and densely on the blend
         nu, lam = gas.ellipticity_bounds
-        coeff = gas.truncated_density_from_speed(np.linspace(0.0, 2.0, 5001)).coefficient
+        s = np.concatenate([np.linspace(0.0, 4.0, 5001), np.linspace(gas.s_lo, gas.s_hi, 2001)])
+        hess = gas.coenergy_bundle(s)
+        coeff = 1.0 / (hess.prime + 2.0 * s * hess.second)
         bounds_ok &= nu > 0.0 and np.all(coeff >= nu) and np.all(coeff <= lam)
+        # H in [rho_hi, rho_stag], stated on F' = 1/H, whose rounding keeps the order
+        bounds_ok &= np.all((hess.prime >= 1.0 / gas.rho_stag) & (hess.prime <= 1.0 / gas.rho_hi))
         worst_ident = max(worst_ident, float(ident))
         worst_bern = max(worst_bern, float(bern))
     ok = worst_ident <= 1e-12 and worst_bern <= 1e-10 and bounds_ok

@@ -23,9 +23,9 @@ from axinozzle.cli import (
     write_field_csv,
     write_report,
 )
-from axinozzle import cli
+from axinozzle import cli, continuation
 from axinozzle._reprfmt import _format, repr_csv
-from axinozzle.fields import FlowField
+from axinozzle.fields import DEFAULT_THRESHOLDS, FlowField
 
 
 BASE = """
@@ -473,13 +473,17 @@ def test_critical_report(tmp_path):
     ("solve", "m0 = 1.0", "newton", "-1"),
     ("solve", "m0 = 1.0", "newton", "0"),
     ("solve", "m0 = 1.0", "critical", "-0.5"),
+    *[("diagnose", "m0 = 1.0", key, "-1") for key in DEFAULT_THRESHOLDS],
 ])
 def test_non_positive_tolerances_exit_2(tmp_path, capsys, command, flux, key, value):
-    # before, critical ran all 70 probes and exited 0, and solve exited 3
+    # before, critical ran all 70 probes and exited 0, and solve exited 3;
+    # a diagnostics threshold may be 0, but every quantity it bounds is >= 0,
+    # so no flow meets a negative one (diagnose exited 1)
     text = BASE.replace("m0 = 1.0", flux) + f"\n[tolerances]\n{key} = {value}\n"
     out = tmp_path / "out"
     assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
-    assert f"{key} must be > 0" in capsys.readouterr().err
+    bound = ">= 0" if key in DEFAULT_THRESHOLDS else "> 0"
+    assert f"{key} must be {bound}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -496,6 +500,20 @@ def test_unresolvable_critical_tolerance_exits_2(tmp_path, capsys):
         assert err.startswith("configuration error: tolerances: critical:")
         assert f"tol = {float(value)!r}" in err
         assert not out.exists()
+
+
+def test_unclosed_critical_bracket_exits_3(tmp_path, capsys, monkeypatch):
+    # with the probe cap at 3 this bump's bracket stays 0.166 wide against
+    # its tol of 1.7e-4; critical exited 0 and wrote it
+    monkeypatch.setattr(continuation, "_CRITICAL_MAX_PROBES", 3)
+    text = NODAL_CUTOFF.replace("h = -0.2", "h = -0.25").replace("nx = 24", "nx = 48")
+    text = text.replace("nr = 6", "nr = 12").replace("m0 = 1.85", "critical = yes")
+    out = tmp_path / "crit"
+    assert main(["critical", "--config", write(tmp_path, text), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "did not close to tol = " in err
+    assert "in 3 probes" in err
+    assert not out.exists()
 
 
 SMALL_CYLINDER = BASE.replace("nx = 48\nnr = 12\ndelta = 1e-6", "nx = 16\nnr = 8")

@@ -49,7 +49,6 @@ def test_validation():
 
 @pytest.mark.parametrize("name", [
     "truncated_density_from_momentum", "coenergy", "coenergy_bundle",
-    "truncated_density_from_speed",
 ])
 def test_truncated_views_refuse_nan(name):
     # s < 0 is False for NaN, so the evaluator tests s >= 0 instead
@@ -251,27 +250,24 @@ def test_coenergy_bundle_matches_parts():
     assert np.abs(bundle.second - -e.slope / e.rho**2).max() == 0.0
 
 
-def test_truncated_speed_inversion():
-    # q^2 -> s -> q^2 round trip through the truncated relation
-    q_sq = np.linspace(0.0, 0.9, 901)
-    s = GAS._momentum_from_speed(q_sq)
-    rho = GAS.truncated_density_from_momentum(s)
-    assert np.abs(s - rho**2 * q_sq).max() < 1e-12
+def ellipticity_coefficient(gas, s):
+    """H^2 / (H - 2 H' s), the inverse of the coenergy Hessian's eigenvalue F' + 2 s F''."""
+    hess = gas.coenergy_bundle(s)
+    return 1.0 / (hess.prime + 2.0 * s * hess.second)
 
 
-def test_truncated_density_from_speed_reference():
-    # ellipticity coefficient at q^2 = Ginv(0.5), mpmath value
-    state = GAS.truncated_density_from_speed(0.24819953835270634)
-    assert state.coefficient == pytest.approx(1.1131009274030152, rel=1e-10)
-    assert state.rho == pytest.approx(GAS.density_from_momentum(0.5), rel=1e-12)
+def test_ellipticity_coefficient_reference():
+    # ellipticity coefficient at s = 0.5 (q^2 = Ginv(0.5)), mpmath value
+    assert ellipticity_coefficient(GAS, np.array([0.5]))[0] == pytest.approx(
+        1.1131009274030152, rel=1e-10)
 
 
-def test_blend_inversion_skips_the_coenergy_quadrature(monkeypatch):
-    # the Newton residual on the blend, the final evaluation at the inverted
-    # momenta and the ellipticity bounds read only Htilde and Htilde', so
-    # the 24-point coenergy quadrature never runs, not even for the knots
+def test_blend_readers_skip_the_coenergy_quadrature(monkeypatch):
+    # the truncated density and the ellipticity bounds read only Htilde and
+    # Htilde', so on blend points the 24-point coenergy quadrature never
+    # runs, not even for the knots
     gas = GasModel(gamma=1.3)
-    q_sq = np.linspace(gas.speed_from_momentum(gas.s_lo), gas.s_hi / gas.rho_hi**2, 101)
+    s = np.linspace(gas.s_lo, gas.s_hi, 101)
     quadrature = GasModel._coenergy_blend_tail
     calls = []
 
@@ -280,8 +276,11 @@ def test_blend_inversion_skips_the_coenergy_quadrature(monkeypatch):
         return quadrature(self, s)
 
     monkeypatch.setattr(GasModel, "_coenergy_blend_tail", counting)
-    gas.truncated_density_from_speed(q_sq)
+    gas.truncated_density_from_momentum(s)
+    gas.ellipticity_bounds
     assert len(calls) == 0
+    gas.coenergy(s)  # the counter sees the quadrature: the upper knot, then the blend points
+    assert calls == [1, 100]
 
 
 BLEND_CONSTANTS = ("_coenergy_knots", "_blend_coeffs", "_gauss_nodes", "rho_hi")
@@ -335,11 +334,12 @@ def test_ellipticity_bounds_bracket_coefficient():
     nu, lam = GAS.ellipticity_bounds
     assert 0.0 < nu < lam
     # the coefficient at rest equals the stagnation density
-    at_rest = GAS.truncated_density_from_speed(0.0)
-    assert at_rest.coefficient == pytest.approx(GAS.rho_stag, rel=1e-12)
+    assert ellipticity_coefficient(GAS, np.array([0.0]))[0] == pytest.approx(GAS.rho_stag,
+                                                                             rel=1e-12)
     assert nu <= GAS.rho_stag <= lam
-    q_sq = np.linspace(0.0, 2.0, 2501)
-    coeff = GAS.truncated_density_from_speed(q_sq).coefficient
+    # s = 4 lies past s(q^2 = 2) = 2 rho_hi^2 ~ 2.4; the blend is sampled on its own too
+    s = np.concatenate([np.linspace(0.0, 4.0, 2501), np.linspace(GAS.s_lo, GAS.s_hi, 2501)])
+    coeff = ellipticity_coefficient(GAS, s)
     assert np.all(coeff >= nu)
     assert np.all(coeff <= lam)
 
@@ -443,15 +443,9 @@ def test_scalar_equals_array_entry():
         r = float(rho[k])
         assert GAS.pressure(r) == GAS.pressure(np.array([r]))[0]
         assert GAS.sound_speed_sq(r) == GAS.sound_speed_sq(np.array([r]))[0]
-    # the Newton inversions too: on the blend the entries of the truncated
-    # speed inversion stop at different iterations, and a stopped entry
-    # keeps its value while the others go on
+    # the Newton branch density too, up to the fold
     for gamma in (1.0 + 1e-4, 1.05, 1.4, 3.0):
         gas = GasModel(gamma=gamma)
-        q_sq = rng.uniform(gas.speed_from_momentum(gas.s_lo), gas.s_hi / gas.rho_hi**2, 150)
-        s = gas._momentum_from_speed(q_sq)
-        for k, q in enumerate(q_sq):
-            assert gas._momentum_from_speed(float(q)) == s[k], (gamma, q)
         s = np.concatenate([rng.uniform(0.0, 1.0, 100), 1.0 - np.logspace(-16, -2, 50)])
         rho = gas.density_from_momentum(s)
         for k, sk in enumerate(s):
@@ -499,12 +493,6 @@ def test_gas_round_trips(gamma, m_tilde):
     rho = gas.density_from_speed(q_sq)
     assert np.abs(gas.density_from_momentum(s) - rho).max() <= tol * rho.max()
     assert np.abs(gas.speed_from_momentum(s) - q_sq).max() <= tol
-
-    # the truncated speed relation q^2 = s / Htilde(s)^2, into the constant tail
-    q_sq = np.linspace(0.0, 1.5 * gas.s_hi / gas.rho_hi**2, 257)
-    s = gas._momentum_from_speed(q_sq)
-    back = s / gas.truncated_density_from_momentum(s) ** 2
-    assert np.all(np.abs(back - q_sq) <= tol * q_sq)
 
     # the density stays in [1, rho_stag] and does not increase, up to the fold
     s = np.sort(np.concatenate([np.linspace(0.0, 1.0, 1001), 1.0 - np.logspace(-16, -3, 60)]))
