@@ -21,7 +21,7 @@ import numpy as np
 
 from .gas import GasModel
 from .nozzle import MappedGrid
-from .solver import StreamSolution, _datum, newton_solve
+from .solver import StreamSolution, _datum, _with_nodal_peak, newton_solve
 from .fields import (
     FlowField,
     default_compact,
@@ -78,7 +78,9 @@ def shrink_delta(grid: MappedGrid, gas: GasModel, m: float, factor: float = 0.02
     below tol (default 1e-8 * max(1, m)).  The later differences would
     shrink by factor each, so the result lies within
     factor / (1 - factor) * tol of the delta -> 0 limit, about 0.02 tol
-    at the default factor.
+    at the default factor.  The steps skip newton_solve's peak over the
+    off-axis nodes, which only the returned solution reads; _finished takes
+    it once, so that solution carries the same peak and flag as newton_solve's.
     """
     if not 0.0 < factor < 1.0:
         raise ValueError("shrink_delta: factor must lie in (0, 1)")
@@ -96,26 +98,25 @@ def shrink_delta(grid: MappedGrid, gas: GasModel, m: float, factor: float = 0.02
         init = datum + _extrapolated_start(recent, factor) if recent else None
         previous = solution
         solution = newton_solve(work, gas, m, init=init,
-                                factor=previous.factor if recent else None)
+                                factor=previous.factor if recent else None, _nodal_peak=False)
         if not solution.converged:
-            return ShrinkResult(_released(solution), steps, False, tol)
+            return ShrinkResult(_finished(solution, gas), steps, False, tol)
         diff = float(np.abs(solution.psi - previous.psi).max()) if recent else float("nan")
         steps.append(DeltaStep(delta, diff, solution.iterations, solution.factorizations))
         if recent and diff <= tol:
-            return ShrinkResult(_released(solution), steps, True, tol)
+            return ShrinkResult(_finished(solution, gas), steps, True, tol)
         recent = recent[-2:] + [solution.psi - datum]
         delta *= factor
-    return ShrinkResult(_released(solution), steps, False, tol)
+    return ShrinkResult(_finished(solution, gas), steps, False, tol)
 
 
-def _released(solution: StreamSolution | None) -> StreamSolution | None:
-    """A solution returned from a continuation, without the factor its solves shared.
+def _finished(solution: StreamSolution, gas: GasModel) -> StreamSolution:
+    """The step a chain returns, with its nodal peak and without the shared factor.
 
-    A kept result would otherwise hold a whole band (67 MB at 512x128).
+    A kept factor would hold a whole band (67 MB at 512x128).
     """
-    if solution is not None:
-        solution.factor = None
-    return solution
+    solution.factor = None
+    return _with_nodal_peak(solution, gas)
 
 
 def _extrapolated_start(recent: list[np.ndarray], factor: float) -> np.ndarray:

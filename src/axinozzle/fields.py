@@ -361,6 +361,9 @@ def diagnostics_report(solution: StreamSolution, gas: GasModel,
         unknown = thresholds.keys() - cfg.keys()
         if unknown:
             raise ValueError(f"diagnostics_report: unknown thresholds {sorted(unknown)}")
+        negative = sorted(key for key, value in thresholds.items() if not value >= 0.0)  # NaN too
+        if negative:  # every measured quantity is >= 0, so no flow could meet one
+            raise ValueError(f"diagnostics_report: thresholds {negative} must be >= 0")
         cfg.update(thresholds)
     if flow is None:
         flow = velocity_from_stream(solution, gas)

@@ -82,8 +82,10 @@ def _like_input(s, out):
 def _bracketed_newton(residual, x0, lo, hi):
     """Elementwise root in [lo, hi] of an increasing residual, by Newton.
 
-    The one root solver of this module; its one caller, _branch_root,
-    solves the branch density on the increasing fold gap.
+    The one general root loop of this module; its one caller, _branch_root,
+    solves the branch density on the increasing fold gap for the nodes of
+    _start_table and for the points of _density_root that its straight-line
+    copy of the first two iterations does not settle.
 
     residual(x) returns the residual and its slope at the whole array of
     iterates x.  Each entry keeps the bracket its residual signs allow, and
@@ -204,8 +206,8 @@ class GasModel:
     # density-momentum relation H and its truncation
     # ------------------------------------------------------------------
 
-    def _fold_gap(self, e):
-        """1 - M(1 + e) and its e-derivative, M the squared momentum on the branch.
+    def _fold_gap(self, e, u):
+        """1 - M(1 + e) - u and its e-derivative, M the squared momentum on the branch.
 
         With X = expm1((gamma - 1) log1p(e)) the gap is
         2 rho^2 X / (gamma - 1) - e (2 + e) and its derivative
@@ -215,22 +217,24 @@ class GasModel:
         nothing cancelled is divided by gamma - 1.
         """
         g = self.gamma
-        x = np.expm1((g - 1.0) * np.log1p(e)) * (2.0 / (g - 1.0)) * (1.0 + e)
-        return x * (1.0 + e) - e * (2.0 + e), (g + 1.0) * x
+        x = np.log1p(e)  # in place: the density root's temporaries set the heap peak
+        x *= g - 1.0
+        np.expm1(x, out=x)
+        x *= 2.0 / (g - 1.0)
+        x *= 1.0 + e
+        gap = x * (1.0 + e)
+        gap -= e * (2.0 + e)
+        gap -= u
+        return gap, (g + 1.0) * x
 
     def _branch_root(self, u, e0):
         """Branch density e = rho - 1 in [0, rho_stag - 1] at gaps u = 1 - s.
 
         Newton from e0 inside the bracket on the increasing residual
-        _fold_gap(e) - u, which keeps the density close to full precision
+        _fold_gap(e, u), which keeps the density close to full precision
         right up to the sonic fold, where the slope of M vanishes.
         """
-
-        def residual(e):
-            gap, slope = self._fold_gap(e)
-            return gap - u, slope
-
-        return _bracketed_newton(residual, e0, 0.0, self.rho_stag - 1.0)
+        return _bracketed_newton(lambda e: self._fold_gap(e, u), e0, 0.0, self.rho_stag - 1.0)
 
     @cached_property
     def _start_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +251,7 @@ class GasModel:
         v = np.linspace(0.0, 1.0, _START_NODES)
         above = np.minimum(np.sqrt(2.0 / (self.gamma + 1.0)) * v, self.rho_stag - 1.0)
         e = self._branch_root(v * v, above)
-        dgap_de = self._fold_gap(e[1:])[1]
+        dgap_de = self._fold_gap(e[1:], 0.0)[1]
         slope = np.concatenate([[1.0 / np.sqrt(self.gamma + 1.0)], 2.0 * v[1:] / dgap_de])
         return e, slope * v[1]
 
@@ -268,17 +272,40 @@ class GasModel:
         Newton in e = rho - 1 (see _branch_root), started from the cubic
         Hermite interpolant of _start_table at v = sqrt(1 - s).  The start
         is within 1e-9 relative of the root, so the first Newton correction
-        lands at roundoff and the second confirms it: every point stops
-        after two residual evaluations.  The bracket still acts: of 400001
-        equispaced s in [0, s_lo] (gamma = 1.4), 1608 have their second
-        Newton point outside a bracket at most 3.3e-16 wide and bisect it.
-        Two plain Newton steps would move about 0.3% of the densities by
-        a few 1e-16 relative, and with them most solver outputs' last bits.
+        lands at roundoff and the second confirms it: _bracketed_newton
+        stops there.  Those two steps are taken here for the whole array,
+        bit for bit as the loop takes them.  A point gets the second Newton
+        point or, where that leaves its bracket, the bisection midpoint: 1608
+        of 400001 equispaced s in [0, s_lo] (gamma = 1.4), brackets at most
+        3.3e-16 wide.  A point the loop would not stop there, as the fold
+        s = 1 with its 0/0 step, goes to _branch_root from the same start.
+        Two plain Newton steps would move those 0.4% of the densities by a
+        few 1e-16 relative, and with them most solver outputs' last bits.
         """
         u = np.ravel(1.0 - s)
         # the start is formed in its own call, so that its temporaries are
-        # freed before the Newton iteration reaches its peak memory
-        e = self._branch_root(u, self._table_start(u))
+        # freed before the Newton steps reach their peak memory
+        e0 = self._table_start(u)
+        top = self.rho_stag - 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite steps go to the loop
+            val0, slope = self._fold_gap(e0, u)
+            step0 = np.divide(val0, slope, out=slope)
+            e1 = e0 - step0
+            val1, slope = self._fold_gap(e1, u)
+            step1 = np.divide(val1, slope, out=slope)
+        e = e1 - step1
+        # a Newton point moves away from the end that its residual's sign sets
+        # at its iterate, so e1 leaves the loop's bracket where it leaves
+        # [0, top], and e where it leaves [lo, hi], the bracket val0 leaves
+        lo, hi = np.where(val0 < 0.0, e0, 0.0), np.where(val0 > 0.0, e0, top)
+        stop = ((e1 >= 0.0) & (e1 <= top) & (np.abs(step0) <= 1e-7 * e0)
+                & (np.abs(step1) <= 1e-7 * e1))
+        out = np.flatnonzero(stop & ((e < lo) | (e > hi)))
+        e1, val1 = e1[out], val1[out]
+        e[out] = 0.5 * (np.where(val1 < 0.0, e1, lo[out]) + np.where(val1 > 0.0, e1, hi[out]))
+        if not stop.all():
+            rest = ~stop
+            e[rest] = self._branch_root(u[rest], e0[rest])
         # the stagnation end is pinned so that the coenergy vanishes at rest
         return np.where(s == 0.0, self.rho_stag, 1.0 + e.reshape(np.shape(s)))
 

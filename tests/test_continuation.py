@@ -18,6 +18,7 @@ from axinozzle import (
     sonic_limit_study,
 )
 import axinozzle.continuation as continuation
+import axinozzle.solver as solver
 from axinozzle.continuation import (_SHRINK_MAX_STEPS, CriticalToleranceError,
                                     _critical_signal, _extrapolated_start)
 
@@ -157,6 +158,30 @@ def test_shrink_delta_stops_at_a_flagged_solve(monkeypatch):
     assert len(solves) == 2 and not res.converged
     assert len(res.steps) == 1  # the flagged step is not recorded
     assert not res.solution.converged and res.solution.factor is None
+
+
+def test_shrink_delta_takes_the_nodal_peak_once(monkeypatch):
+    # only the returned step's max_momentum_sq and cutoff_active are read,
+    # so a chain of four solves takes the off-axis nodal peak once, and the
+    # returned peak is the one newton_solve would give that psi
+    calls = []
+    gradients = solver.nodal_gradients
+
+    def counting(psi, grid):
+        calls.append(grid.delta)
+        return gradients(psi, grid)
+
+    monkeypatch.setattr(solver, "nodal_gradients", counting)
+    res = tanh_chain()
+    monkeypatch.undo()
+    sol = res.solution
+    assert res.converged and len(res.steps) == 4
+    assert calls == [sol.grid.delta]
+    psi_x, psi_r = gradients(sol.psi, sol.grid)
+    nodal = (psi_x[:, 1:]**2 + psi_r[:, 1:]**2) / (sol.grid.r_nodes[:, 1:] + sol.grid.delta)**2
+    peak = np.maximum(cell_state(sol.psi, sol.grid, GAS).s.max(), nodal.max())
+    assert np.float64(sol.max_momentum_sq).view(np.int64) == peak.view(np.int64)
+    assert sol.cutoff_active == (peak > GAS.s_lo)
 
 
 def test_shrink_delta_that_never_settles():

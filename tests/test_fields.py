@@ -23,8 +23,8 @@ from axinozzle import (
     station_fluxes,
     velocity_from_stream,
 )
-from axinozzle.fields import (_PLACEMENTS, _bump, _bump_prime, default_compact,
-                              nodal_gradients)
+from axinozzle.fields import (_PLACEMENTS, DEFAULT_THRESHOLDS, _bump, _bump_prime,
+                              default_compact, nodal_gradients)
 
 GAS = GasModel()
 
@@ -312,6 +312,17 @@ def test_diagnostics_threshold_validation(tanh_flow):
     tight = diagnostics_report(sol, GAS, thresholds={"flux_drift": 1e-12})
     assert not tight.checks["flux_drift"]
     assert not tight.passed
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULT_THRESHOLDS))
+@pytest.mark.parametrize("value", [-1.0, -1e-300, np.nan])
+def test_diagnostics_report_refuses_negative_or_nan_thresholds(tanh_flow, key, value):
+    # every measured quantity is >= 0, so no flow could meet such a bound;
+    # the report used to fail the check instead of raising.  0 stays allowed
+    flow, sol = tanh_flow
+    with pytest.raises(ValueError, match=f"thresholds \\['{key}'\\] must be >= 0"):
+        diagnostics_report(sol, GAS, flow=flow, thresholds={key: value})
+    assert diagnostics_report(sol, GAS, flow=flow, thresholds={key: 0.0}).thresholds[key] == 0.0
 
 
 def failed_checks(report):

@@ -525,29 +525,89 @@ def mp_branch_density(gamma, s, start):
 def test_density_root_two_residual_evaluations_per_point(monkeypatch):
     # the Hermite start is within 1e-9 relative of the root, so the first
     # Newton correction is already below the 1e-7 stopping threshold and
-    # the second confirms it: every point stops at its second evaluation,
-    # so the whole-array iteration makes exactly two residual calls, each
-    # on the whole batch; the start above the fold asymptote that the
+    # the second confirms it: _density_root's two straight-line Newton
+    # steps, one residual call each on the whole batch, settle every point
+    # of (0, 1).  Only the pinned rest state s = 0 and the fold s = 1,
+    # whose step is 0/0, may reach the loop, which stops them at their
+    # second evaluation too.  The start above the fold asymptote that the
     # table replaced, sqrt(2 (1 - s) / (gamma + 1)), takes 4 to 6 here
     s = np.sort(np.concatenate([np.linspace(0.0, 1.0, 2001), 1.0 - np.logspace(-16, -2, 200)]))
-    newton = gas_module._bracketed_newton
-    sizes = []
+    fold_gap, branch_root = GasModel._fold_gap, GasModel._branch_root
+    sizes, looped = [], []
 
-    def counting(residual, x0, lo, hi):
-        def counted(x):
-            sizes.append(x.size)
-            return residual(x)
+    def counting(self, e, u):
+        sizes.append(e.size)
+        return fold_gap(self, e, u)
 
-        return newton(counted, x0, lo, hi)
+    def recording(self, u, e0):
+        looped.extend(1.0 - u)
+        return branch_root(self, u, e0)
 
     for gamma in (1.0 + 1e-4, 1.001, 1.05, 1.2, 1.4, 5.0 / 3.0, 2.0, 3.0):
         gas = GasModel(gamma=gamma)
         gas.density_from_momentum(0.5)  # builds the start table
         sizes.clear()
-        monkeypatch.setattr(gas_module, "_bracketed_newton", counting)
+        looped.clear()
+        monkeypatch.setattr(GasModel, "_fold_gap", counting)
+        monkeypatch.setattr(GasModel, "_branch_root", recording)
         gas.density_from_momentum(s)
-        monkeypatch.setattr(gas_module, "_bracketed_newton", newton)
-        assert sizes == [s.size, s.size], gamma
+        monkeypatch.undo()
+        assert set(looped) <= {0.0, 1.0} and 1.0 in looped, gamma
+        assert sizes == [s.size, s.size, len(looped), len(looped)], gamma
+
+
+def two_newton_steps(gas, u, e0):
+    """The first two Newton points from e0, with no bracket."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val, slope = gas._fold_gap(e0, u)
+        e1 = e0 - val / slope
+        val, slope = gas._fold_gap(e1, u)
+        return e1 - val / slope
+
+
+@pytest.mark.parametrize("gamma", [1.0 + 1e-4, 1.001, 1.05, 1.2, 1.4, 5.0 / 3.0, 2.0, 3.0])
+def test_density_root_equals_the_bracketed_loop_bit_for_bit(gamma, monkeypatch):
+    # _density_root takes _bracketed_newton's first two steps in
+    # straight-line code; the oracle is the loop alone from the same
+    # start, with the same pin at rest
+    def loop_only(self, s):
+        u = np.ravel(1.0 - s)
+        e = self._branch_root(u, self._table_start(u))
+        return np.where(s == 0.0, self.rho_stag, 1.0 + e.reshape(np.shape(s)))
+
+    branch_root = GasModel._branch_root
+    looped = []
+
+    def recording(self, u, e0):
+        looped.extend(1.0 - u)
+        return branch_root(self, u, e0)
+
+    rng = np.random.default_rng(35)
+    midpoints = 0
+    for m_tilde in (0.5, 0.98, 0.999):
+        gas = GasModel(gamma=gamma, m_tilde=m_tilde)
+        s = np.concatenate([rng.uniform(0.0, gas.s_lo, 4000),
+                            [0.0, gas.s_lo, np.nextafter(1.0, 0.0), 1.0]])
+        gas.density_from_momentum(0.5)  # builds the start table
+        monkeypatch.setattr(GasModel, "_branch_root", recording)
+        rho = gas.density_from_momentum(s)
+        monkeypatch.undo()
+        bundle = gas.coenergy_bundle(s)
+        monkeypatch.setattr(GasModel, "_density_root", loop_only)
+        oracle = GasModel(gamma=gamma, m_tilde=m_tilde)
+        assert np.array_equal(rho.view(np.int64), oracle.density_from_momentum(s).view(np.int64))
+        for got, want in zip(bundle, oracle.coenergy_bundle(s)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        monkeypatch.undo()
+        # the rare paths: the loop at the fold's 0/0 step, and a bisection
+        # midpoint where the second Newton point leaves its bracket
+        assert 1.0 in looped
+        inner = (s > 0.0) & (s < 1.0)
+        u = 1.0 - s[inner]
+        plain = 1.0 + two_newton_steps(gas, u, gas._table_start(u))
+        midpoints += np.count_nonzero(plain != rho[inner])
+    assert set(looped) <= {0.0, 1.0}
+    assert midpoints > 0
 
 
 def arctan_residual(t, seen):
