@@ -1,15 +1,16 @@
-"""Parameter continuation: shield shrinking, flux sweeps, the critical flux.
+"""Limits and continuation: the shield limit, flux sweeps, the critical flux.
 
 The solves carry two regularizations besides the grid: the axis shield
 delta > 0 that keeps the 1/(r + delta) weights bounded, and the finite
 truncation length L of the nozzle.  Physical answers are the limits
-delta -> 0, which shrink_delta takes, and L -> infinity, which no function
-takes: nozzle.pick_domain_length picks L and fields.far_field_error checks
-it.  The mass flux enters as the three-dimensional flux m0 = 2 pi m.
-Raising m0 raises the speed everywhere; past a critical value the subsonic
-branch ceases to exist and the momentum cutoff engages.
-find_critical_flux brackets that value, mass_flux_sweep solves a list of
-fluxes, and sonic_limit_study approaches the sonic state from below.
+delta -> 0, which shrink_delta solves directly and certifies with one
+shielded solve, and L -> infinity, which no function takes:
+nozzle.pick_domain_length picks L and fields.far_field_error checks it.
+The mass flux enters as the three-dimensional flux m0 = 2 pi m.  Raising
+m0 raises the speed everywhere; past a critical value the subsonic branch
+ceases to exist and the momentum cutoff engages.  find_critical_flux
+brackets that value, mass_flux_sweep solves a list of fluxes, and
+sonic_limit_study approaches the sonic state from below.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .gas import GasModel
 from .nozzle import MappedGrid
-from .solver import StreamSolution, _datum, _with_nodal_peak, newton_solve
+from .solver import StreamSolution, _datum, newton_solve
 from .fields import (
     FlowField,
     default_compact,
@@ -33,7 +34,7 @@ from .fields import (
     TWO_PI,
 )
 
-_SHRINK_MAX_STEPS = 60     # cap on the solves of one shield schedule
+_CERTIFY_SHIELD = 1e-7     # shrink_delta's certifying shield, in units of b
 _CRITICAL_MAX_PROBES = 70  # cap on the solves of one critical-flux bracket
 _SONIC_GAP_FACTOR = 10.0   # certified 1 - M is within this many 1 - m_tilde
 _SONIC_RATIO = 0.5         # the flux gaps to the anchor shrink by this factor
@@ -41,14 +42,14 @@ _SONIC_RATIO = 0.5         # the flux gaps to the anchor shrink by this factor
 
 class DeltaStep(NamedTuple):
     delta: float
-    diff: float        # sup |psi - psi at previous delta|
+    diff: float        # sup |psi - psi at delta = 0|, NaN at delta = 0 itself
     iterations: int    # accepted steps, chord steps included
     factorizations: int
 
 
 @dataclass
 class ShrinkResult:
-    """Outcome of driving the axis shield to zero at fixed grid."""
+    """The unshielded solve and its certificate as the axis-shield limit."""
 
     solution: StreamSolution
     steps: list[DeltaStep]
@@ -56,86 +57,44 @@ class ShrinkResult:
     tol: float
 
 
-def shrink_delta(grid: MappedGrid, gas: GasModel, m: float, factor: float = 0.02,
+def shrink_delta(grid: MappedGrid, gas: GasModel, m: float,
                  tol: float | None = None) -> ShrinkResult:
-    """Solve along a geometric shield schedule until the iterates settle.
+    """Solve at delta = 0 and certify that solve as the limit delta -> 0.
 
-    Starts at delta = 1e-4 b and multiplies by factor each step.  The
-    start is about 1 per cent of the innermost cell-centre radius
-    b / (2 nr) at nr = 48 (less on coarser grids), where psi is already
-    linear in delta to first order, so the consecutive differences
-    shrink like delta from the first step.  Each solve starts from the
-    datum at its delta (solver._datum, the shielded uniform flow, which
-    carries psi's O(delta) axis term) plus the Lagrange extrapolation in
-    delta of the last (up to) three deviations psi - datum, a
-    predictor-corrector continuation; the second step starts from the
-    first deviation alone, and in a pipe, whose exact discrete solution
-    is the datum, no step iterates.  The nodes do not move when delta
-    changes, so states transfer directly.  A step may take 0 Newton
-    iterations when its start already meets newton_solve's gradient
-    tolerance; it is still certified by that check at its own delta.
-    Stops once the sup difference between consecutive solutions drops
-    below tol (default 1e-8 * max(1, m)).  The later differences would
-    shrink by factor each, so the result lies within
-    factor / (1 - factor) * tol of the delta -> 0 limit, about 0.02 tol
-    at the default factor.  The steps skip newton_solve's peak over the
-    off-axis nodes, which only the returned solution reads; _finished takes
-    it once, so that solution carries the same peak and flag as newton_solve's.
+    The midpoint quadrature never evaluates 1/r on the axis, so the
+    discrete problem at delta = 0 is solved directly; that solve, psi0,
+    is the returned solution, whatever the shield of grid.  One shielded
+    solve at delta_c = _CERTIFY_SHIELD * b certifies it.  It starts from
+    psi0 plus the datum change from 0 to delta_c (solver._datum, the
+    shielded uniform flow, which carries psi's O(delta) axis term), with
+    psi0's Cholesky factor; the nodes do not move when delta changes, so
+    the state transfers directly.  converged is set when that solve
+    converges and ends at most tol (default 1e-8 * max(1, m)) from its
+    start: psi's deviation from the datum moves by at most tol between 0
+    and delta_c.  steps holds one record per solve: delta = 0 with diff
+    NaN, then delta_c with diff = sup |psi(delta_c) - psi0|, which is
+    linear in delta_c.  A failed delta = 0 solve is returned flagged, with
+    one step and no certificate.  The returned solution keeps no factor,
+    which would hold a whole band (67 MB at 512x128).
     """
-    if not 0.0 < factor < 1.0:
-        raise ValueError("shrink_delta: factor must lie in (0, 1)")
     if tol is None:
         tol = 1e-8 * max(1.0, m)
     if not tol > 0.0:  # NaN fails too
         raise ValueError("shrink_delta: tol must be > 0")
-    delta = 1e-4 * grid.profile.b
-    steps: list[DeltaStep] = []
-    recent: list[np.ndarray] = []  # the last three deviations from the datum, oldest first
-    solution = None
-    for _ in range(_SHRINK_MAX_STEPS):
-        work = grid.with_delta(delta)
-        datum = _datum(work, m)
-        init = datum + _extrapolated_start(recent, factor) if recent else None
-        previous = solution
-        solution = newton_solve(work, gas, m, init=init,
-                                factor=previous.factor if recent else None, _nodal_peak=False)
-        if not solution.converged:
-            return ShrinkResult(_finished(solution, gas), steps, False, tol)
-        diff = float(np.abs(solution.psi - previous.psi).max()) if recent else float("nan")
-        steps.append(DeltaStep(delta, diff, solution.iterations, solution.factorizations))
-        if recent and diff <= tol:
-            return ShrinkResult(_finished(solution, gas), steps, True, tol)
-        recent = recent[-2:] + [solution.psi - datum]
-        delta *= factor
-    return ShrinkResult(_finished(solution, gas), steps, False, tol)
-
-
-def _finished(solution: StreamSolution, gas: GasModel) -> StreamSolution:
-    """The step a chain returns, with its nodal peak and without the shared factor.
-
-    A kept factor would hold a whole band (67 MB at 512x128).
-    """
+    base = grid.with_delta(0.0)
+    solution = newton_solve(base, gas, m)
+    steps = [DeltaStep(0.0, float("nan"), solution.iterations, solution.factorizations)]
+    converged = False
+    if solution.converged:
+        work = grid.with_delta(_CERTIFY_SHIELD * grid.profile.b)
+        start = solution.psi + (_datum(work, m) - _datum(base, m))
+        shielded = newton_solve(work, gas, m, init=start, factor=solution.factor)
+        diff = float(np.abs(shielded.psi - solution.psi).max())
+        steps.append(DeltaStep(work.delta, diff, shielded.iterations,
+                               shielded.factorizations))
+        converged = shielded.converged and float(np.abs(shielded.psi - start).max()) <= tol
     solution.factor = None
-    return _with_nodal_peak(solution, gas)
-
-
-def _extrapolated_start(recent: list[np.ndarray], factor: float) -> np.ndarray:
-    """Lagrange extrapolation to the next shield through the recent fields.
-
-    recent[-k] belongs to delta / factor**k for the next delta, so in
-    units of that delta its node is t_k = factor**-k and the weight of
-    recent[-k] at t = 1 is prod_{j != k} (1 - t_j) / (t_k - t_j).  Exact
-    when the field is a polynomial in delta of degree len(recent) - 1; a
-    single field is returned unchanged.  The weights sum to 1, so adding the
-    datum back to extrapolated deviations gives psi's extrapolation minus
-    its error on the datum.
-    """
-    nodes = [factor ** -k for k in range(1, len(recent) + 1)]
-    start = np.zeros_like(recent[-1])
-    for k, t_k in enumerate(nodes):
-        weight = np.prod([(1.0 - t_j) / (t_k - t_j) for j, t_j in enumerate(nodes) if j != k])
-        start += weight * recent[-1 - k]
-    return start
+    return ShrinkResult(solution, steps, converged, tol)
 
 
 @dataclass
@@ -182,12 +141,14 @@ def _warm_start(solution: StreamSolution | None, m0: float) -> dict:
 
 def mass_flux_sweep(grid: MappedGrid, gas: GasModel, m0_values) -> list[SweepPoint]:
     """Solve a sequence of mass fluxes on one grid, each warm started from
-    the solve before it (_warm_start).  Failures are recorded, not raised."""
+    the solve before it (_warm_start).  Every flux is checked before the
+    first solve; failed solves are recorded, not raised."""
+    m0_values = np.asarray(m0_values, dtype=float)
+    if not ((m0_values >= 0.0) & (m0_values < np.inf)).all():  # NaN fails too
+        raise ValueError("mass_flux_sweep: fluxes must be finite and >= 0")
     points: list[SweepPoint] = []
     prev: StreamSolution | None = None
-    for m0 in np.asarray(m0_values, dtype=float):
-        if m0 < 0.0:
-            raise ValueError("mass_flux_sweep: fluxes must be >= 0")
+    for m0 in m0_values:
         solution = newton_solve(grid, gas, m0 / TWO_PI, **_warm_start(prev, m0))
         points.append(_survey(solution, gas))
         prev = solution

@@ -309,7 +309,7 @@ def irrotationality_residual(flow: FlowField) -> ResidualNorms:
     grid = flow.grid
     if min(grid.nx, grid.nr) < MIN_DIAGNOSTIC_CELLS:
         raise ValueError("irrotationality_residual: grid too coarse")
-    _, u_r = nodal_gradients(flow.U, grid)
+    u_r = np.gradient(flow.U, grid.sigma, axis=1, edge_order=2) / grid.f_nodes[:, None]
     v_x, _ = nodal_gradients(flow.V, grid)
     curl = (u_r - v_x)[2:-2, 2:-2]
     return ResidualNorms(float(np.abs(curl).max()), float(np.sqrt(np.mean(curl**2))))

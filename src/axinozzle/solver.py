@@ -287,8 +287,7 @@ def _line_search(psi, state: CellState, energy: float, grad_int: np.ndarray,
 
 def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
                  init: np.ndarray | None = None, tol: float | None = None,
-                 factor: np.ndarray | None = None, *,
-                 _nodal_peak: bool = True) -> StreamSolution:
+                 factor: np.ndarray | None = None) -> StreamSolution:
     """Minimize the discrete energy by damped Newton and chord iteration.
 
     Parameters
@@ -316,9 +315,7 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
     max_momentum_sq is the peak squared momentum over the cells the solve
     minimized and the off-axis nodes the velocity field is evaluated at.  A
     solution flagged cutoff_active has that peak above the truncation
-    onset s_lo and is not a certified subsonic flow.  The private
-    _nodal_peak=False, which shrink_delta passes for its steps, leaves the
-    peak over the cells alone, for _with_nodal_peak to complete.
+    onset s_lo and is not a certified subsonic flow.
     """
     if not 0.0 <= m < np.inf:  # NaN fails too
         raise ValueError("newton_solve: m must be finite and >= 0")
@@ -363,8 +360,12 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         history.append(energy)
         last_norm = grad_norm
 
-    cell_peak = float(state.s.max())
-    solution = StreamSolution(
+    # the off-axis nodes fields.velocity_from_stream evaluates the gas at;
+    # it rebuilds the axis row by extrapolation (NaN here at delta = 0)
+    psi_x, psi_r = nodal_gradients(psi, grid)
+    nodal = (psi_x[:, 1:]**2 + psi_r[:, 1:]**2) / (grid.r_nodes[:, 1:] + grid.delta)**2
+    max_s = float(np.maximum(state.s.max(), nodal.max()))  # NaN stays NaN
+    return StreamSolution(
         grid=grid,
         psi=psi,
         m=float(m),
@@ -372,23 +373,9 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         grad_norm=grad_norm,
         iterations=len(history) - 1,
         factorizations=factorizations,
-        cutoff_active=bool(cell_peak > gas.s_lo),  # numpy scalars in m, tol or the gas
-        converged=bool(grad_norm <= tol),          # would make these numpy bools
-        max_momentum_sq=cell_peak,
+        cutoff_active=bool(max_s > gas.s_lo),  # numpy scalars in m, tol or the gas
+        converged=bool(grad_norm <= tol),       # would make these numpy bools
+        max_momentum_sq=max_s,
         energy_history=history,
         factor=factor,
     )
-    return _with_nodal_peak(solution, gas) if _nodal_peak else solution
-
-
-def _with_nodal_peak(solution: StreamSolution, gas: GasModel) -> StreamSolution:
-    """solution, its max_momentum_sq and cutoff_active raised to cover the off-axis nodes.
-
-    velocity_from_stream rebuilds the axis row by extrapolation (NaN here at delta = 0).
-    """
-    grid = solution.grid
-    psi_x, psi_r = nodal_gradients(solution.psi, grid)
-    nodal = (psi_x[:, 1:]**2 + psi_r[:, 1:]**2) / (grid.r_nodes[:, 1:] + grid.delta)**2
-    peak = float(np.maximum(solution.max_momentum_sq, nodal.max()))  # NaN stays NaN
-    solution.max_momentum_sq, solution.cutoff_active = peak, bool(peak > gas.s_lo)
-    return solution

@@ -19,8 +19,7 @@ from axinozzle import (
 )
 import axinozzle.continuation as continuation
 import axinozzle.solver as solver
-from axinozzle.continuation import (_SHRINK_MAX_STEPS, CriticalToleranceError,
-                                    _critical_signal, _extrapolated_start)
+from axinozzle.continuation import CriticalToleranceError, _critical_signal
 
 GAS = GasModel()
 
@@ -41,25 +40,13 @@ def test_shrink_delta_certifies_limit():
     assert np.abs(res.solution.psi - flat).max() < 100.0 * res.tol
 
 
-def test_shrink_delta_differences_scale_linearly():
-    # the default schedule settles after three differences, so halve delta
-    # instead to see six ratios
-    grid = cylinder_grid()
-    res = shrink_delta(grid, GAS, 0.3, factor=0.5)
-    diffs = np.array([step.diff for step in res.steps[1:]])
-    ratios = diffs[3:9] / diffs[2:8]
-    assert len(ratios) == 6
-    # the solution moves like delta, so halving delta halves the step
-    assert np.all(np.abs(ratios - 0.5) < 0.1)
-
-
 def test_shrink_delta_pipe_chain_takes_no_newton_steps():
     # in a pipe the datum at each shield is the exact discrete solution, so
-    # every deviation is zero and every start meets the gradient tolerance
+    # the deviation is zero and both starts meet the gradient tolerance
     res = shrink_delta(cylinder_grid(), GAS, 0.3)
     assert res.converged
-    assert len(res.steps) == 4
-    assert [step.iterations for step in res.steps] == [0, 0, 0, 0]
+    assert len(res.steps) == 2
+    assert [step.iterations for step in res.steps] == [0, 0]
 
 
 def test_shrink_delta_zero_flux():
@@ -67,30 +54,31 @@ def test_shrink_delta_zero_flux():
     res = shrink_delta(grid, GAS, 0.0)
     assert res.converged
     assert np.abs(res.solution.psi).max() == 0.0
-    assert len(res.steps) == 2  # first comparison already lands at zero
+    assert len(res.steps) == 2  # the delta = 0 solve and its certificate
+
+
+def halving_chain(grid, m, tol):
+    """psi at the end of a plain halving chain of cold shielded solves.
+
+    delta = 1e-4 b * 0.5**k, run until consecutive solves differ by at most
+    tol: a route to the shield limit independent of shrink_delta's.
+    """
+    delta, previous = 1e-4 * grid.profile.b, None
+    for _ in range(40):
+        solution = newton_solve(grid.with_delta(delta), GAS, m)
+        assert solution.converged
+        if previous is not None and np.abs(solution.psi - previous).max() <= tol:
+            return solution.psi
+        previous, delta = solution.psi, 0.5 * delta
+    raise AssertionError("halving chain did not settle")
 
 
 def test_shrink_delta_schedule_independent():
     grid = cylinder_grid(nx=24, nr=10, length=2.0)
     m = 0.35
-    a = shrink_delta(grid, GAS, m, factor=0.5)
-    b = shrink_delta(grid, GAS, m, factor=0.35)
-    assert a.converged and b.converged
-    assert np.abs(a.solution.psi - b.solution.psi).max() < 20.0 * a.tol
-
-
-@pytest.mark.parametrize("factor", [0.5, 0.35])
-def test_extrapolated_start_is_exact_on_polynomials(factor):
-    rng = np.random.default_rng(3)
-    A, B, C = rng.standard_normal((3, 5, 4))
-    delta = 0.02  # the next shield; the stored ones are delta / factor**k
-    olds = [delta / factor**k for k in (3, 2, 1)]  # oldest first
-    quad = [A + B * d + C * d**2 for d in olds]
-    assert np.abs(_extrapolated_start(quad, factor)
-                  - (A + B * delta + C * delta**2)).max() < 1e-13
-    line = [A + B * d for d in olds[1:]]
-    assert np.abs(_extrapolated_start(line, factor) - (A + B * delta)).max() < 1e-13
-    assert np.array_equal(_extrapolated_start([A], factor), A)
+    res = shrink_delta(grid, GAS, m)
+    assert res.converged
+    assert np.abs(res.solution.psi - halving_chain(grid, m, res.tol)).max() < 20.0 * res.tol
 
 
 def tanh_chain(**kwargs):
@@ -100,22 +88,16 @@ def tanh_chain(**kwargs):
 
 
 def test_shrink_delta_extrapolated_starts_halve_iterations():
-    # extrapolating the deviation from the datum, the default chain takes 5
-    # accepted steps ([3, 2, 0, 0]), chord steps included, and halving delta
-    # takes 6 over 11 steps; extrapolating psi itself takes 7 and 8,
-    # starting from the previous deviation alone 7 and 18, and misplacing
-    # the nodes at t_k = factor**k 12 and 22.  The third step of the
-    # halving chain starts at a gradient 3 per cent above tol, so rounding
-    # may save it its one step
-    for res, steps, bound in ((tanh_chain(), 4, 5), (tanh_chain(factor=0.5), 11, 6)):
-        assert res.converged
-        assert len(res.steps) == steps
-        assert sum(step.iterations for step in res.steps) <= bound
-    assert [step.iterations for step in tanh_chain().steps[2:]] == [0, 0]
+    # the shielded solve starts from psi0 plus the datum change, psi's
+    # O(delta) axis term, so it takes one chord step on the cold solve's factor
+    res = tanh_chain()
+    assert res.converged
+    assert [step.iterations for step in res.steps] == [3, 1]
+    assert res.steps[1].factorizations == 0
 
 
 def test_shrink_delta_reuses_cholesky_factors():
-    # the chain's 5 accepted steps all use the one factor of its cold start
+    # the 4 accepted steps all use the one factor of the cold start
     res = tanh_chain()
     assert res.converged
     assert res.steps[0].factorizations >= 1  # a cold start has no factor
@@ -128,10 +110,9 @@ def test_shrink_delta_reuses_cholesky_factors():
 @given(kind=st.sampled_from(["tanh_step", "bump"]), radius=st.floats(0.6, 1.4),
        shape=st.floats(0.5, 3.0), bump=st.floats(-0.3, 0.3), f=st.floats(0.05, 0.6))
 def test_shrink_delta_limit_matches_unshielded_solve(kind, radius, shape, bump, f):
-    # the last step moved by at most tol and later ones would shrink like
-    # delta, so the chain sits within factor / (1 - factor) * tol, about
-    # 0.02 tol, of its limit; 0.1 tol leaves room for the two gradient
-    # tolerances
+    # the answer is the direct delta = 0 solve, and the certificate's
+    # difference is the first-order term of psi in delta: a cold solve at
+    # ten times the shield lies ten times as far from psi0
     if kind == "tanh_step":
         prof = make_profile(kind, a=radius, ell=shape)
     else:
@@ -141,29 +122,61 @@ def test_shrink_delta_limit_matches_unshielded_solve(kind, radius, shape, bump, 
     res = shrink_delta(grid, GAS, m)
     direct = newton_solve(grid, GAS, m)
     assert res.converged and direct.converged and not direct.cutoff_active
-    assert np.abs(res.solution.psi - direct.psi).max() <= 0.1 * res.tol
+    assert res.solution.psi.tobytes() == direct.psi.tobytes()
+    delta_c, diff = res.steps[1].delta, res.steps[1].diff
+    far = newton_solve(grid.with_delta(10.0 * delta_c), GAS, m)
+    assert far.converged
+    assert np.abs(far.psi - direct.psi).max() == pytest.approx(10.0 * diff, rel=1e-2)
+
+
+def flag_solve(monkeypatch, which):
+    """Flag shrink_delta's solve number which by hand; returns the list of
+    solves newton_solve returned (no cheap real input fails a solve)."""
+    solves = []
+
+    def flagging(*args, **kwargs):
+        solution = newton_solve(*args, **kwargs)
+        solves.append(solution)
+        return dataclasses.replace(solution, converged=len(solves) != which)
+
+    monkeypatch.setattr(continuation, "newton_solve", flagging)
+    return solves
 
 
 def test_shrink_delta_stops_at_a_flagged_solve(monkeypatch):
-    # no cheap real input fails a step, so the second solve is flagged by hand
+    # a flagged delta = 0 solve is returned without a certificate
+    solves = flag_solve(monkeypatch, 1)
+    res = tanh_chain()
+    assert len(solves) == 1 and len(res.steps) == 1 and not res.converged
+    assert not res.solution.converged and res.solution.factor is None
+    # a flagged shielded solve refuses the certificate of a converged answer
+    solves = flag_solve(monkeypatch, 2)
+    res = tanh_chain()
+    assert len(solves) == 2 and len(res.steps) == 2 and not res.converged
+    assert res.solution.converged and res.solution.factor is None
+
+
+def test_shrink_delta_refuses_a_perturbed_answer(monkeypatch):
+    # psi0 moved by 10 tol off the limit: the shielded solve moves it back
+    tol = 1e-8
     solves = []
 
-    def flag_second(*args, **kwargs):
+    def perturbing(*args, **kwargs):
         solution = newton_solve(*args, **kwargs)
+        if not solves:
+            solution.psi[1:-1, 1:-1] += 10.0 * tol
         solves.append(solution)
-        return dataclasses.replace(solution, converged=len(solves) != 2)
+        return solution
 
-    monkeypatch.setattr(continuation, "newton_solve", flag_second)
-    res = tanh_chain()
-    assert len(solves) == 2 and not res.converged
-    assert len(res.steps) == 1  # the flagged step is not recorded
-    assert not res.solution.converged and res.solution.factor is None
+    monkeypatch.setattr(continuation, "newton_solve", perturbing)
+    res = tanh_chain(tol=tol)
+    assert len(solves) == 2 and solves[1].converged
+    assert res.solution.converged and not res.converged
 
 
 def test_shrink_delta_takes_the_nodal_peak_once(monkeypatch):
-    # only the returned step's max_momentum_sq and cutoff_active are read,
-    # so a chain of four solves takes the off-axis nodal peak once, and the
-    # returned peak is the one newton_solve would give that psi
+    # each solve takes the off-axis nodal peak once, and the returned peak
+    # is the one newton_solve gives that psi
     calls = []
     gradients = solver.nodal_gradients
 
@@ -175,8 +188,8 @@ def test_shrink_delta_takes_the_nodal_peak_once(monkeypatch):
     res = tanh_chain()
     monkeypatch.undo()
     sol = res.solution
-    assert res.converged and len(res.steps) == 4
-    assert calls == [sol.grid.delta]
+    assert res.converged and len(res.steps) == 2
+    assert calls == [0.0, res.steps[1].delta]
     psi_x, psi_r = gradients(sol.psi, sol.grid)
     nodal = (psi_x[:, 1:]**2 + psi_r[:, 1:]**2) / (sol.grid.r_nodes[:, 1:] + sol.grid.delta)**2
     peak = np.maximum(cell_state(sol.psi, sol.grid, GAS).s.max(), nodal.max())
@@ -185,20 +198,16 @@ def test_shrink_delta_takes_the_nodal_peak_once(monkeypatch):
 
 
 def test_shrink_delta_that_never_settles():
-    # consecutive solves at delta and 0.9 delta never agree to 1e-300
-    grid = cylinder_grid(nx=8, nr=4, length=1.0)
-    res = shrink_delta(grid, GAS, 0.1, factor=0.9, tol=1e-300)
+    # the shielded solve takes a Newton step, so it moves by more than 1e-300
+    res = tanh_chain(tol=1e-300)
     assert not res.converged
-    assert len(res.steps) == _SHRINK_MAX_STEPS
-    assert all(step.diff > 0.0 for step in res.steps[1:])
+    assert len(res.steps) == 2 and res.steps[1].iterations >= 1
     assert res.solution.converged and res.solution.factor is None
 
 
 def test_shrink_delta_validation():
     grid = cylinder_grid(nx=8, nr=4, length=1.0)
-    with pytest.raises(ValueError):
-        shrink_delta(grid, GAS, 0.1, factor=1.5)
-    for tol in (-1.0, 0.0, float("nan")):  # no diff <= tol: the chain would run 60 solves
+    for tol in (-1.0, 0.0, float("nan")):  # no move <= tol: nothing could be certified
         with pytest.raises(ValueError, match="tol must be > 0"):
             shrink_delta(grid, GAS, 0.1, tol=tol)
 
@@ -245,6 +254,21 @@ def test_mass_flux_sweep_rejects_negative():
     grid = cylinder_grid(nx=8, nr=4, length=1.0)
     with pytest.raises(ValueError):
         mass_flux_sweep(grid, GAS, [-1.0])
+
+
+def test_mass_flux_sweep_checks_every_flux_before_solving(monkeypatch):
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args[2])
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_solve", counting)
+    grid = cylinder_grid(nx=8, nr=4, length=1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="mass_flux_sweep: fluxes must be finite"):
+            mass_flux_sweep(grid, GAS, [0.5, bad])
+    assert solves == []
 
 
 def test_find_critical_flux_pipe_oracle():

@@ -11,7 +11,7 @@ checked against perfbench/reference.json.  One line per input reads
     workload lattice_key passed|failed fingerprint
 
 The fingerprint is the workload's digest of its outputs: critical.txt,
-psi with the shrink chain's steps, or field.csv with diagnostics.txt.  Two
+psi with shrink_delta's steps, or field.csv with diagnostics.txt.  Two
 checkouts give the same outputs when this prints the same lines in both;
 diff the two.  The digests depend on the BLAS build, so compare runs from
 one machine only.  Exits 1 if any input fails its checks.
