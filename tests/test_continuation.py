@@ -40,6 +40,25 @@ def test_shrink_delta_certifies_limit():
     assert np.abs(res.solution.psi - flat).max() < 100.0 * res.tol
 
 
+def test_shrink_delta_differences_scale_linearly():
+    # cold solves at 2, 4, ..., 64 times the certificate's shield, measured
+    # from the returned limit, continue the certificate's difference
+    grid = cylinder_grid()
+    m = 0.3
+    res = shrink_delta(grid, GAS, m)
+    assert res.converged
+    delta_c, psi0 = res.steps[1].delta, res.solution.psi
+    diffs = [res.steps[1].diff]
+    for k in range(1, 7):
+        solution = newton_solve(grid.with_delta(2.0**k * delta_c), GAS, m)
+        assert solution.converged
+        diffs.append(np.abs(solution.psi - psi0).max())
+    ratios = np.array(diffs[:-1]) / np.array(diffs[1:])
+    assert len(ratios) == 6
+    # the solution moves like delta, so halving delta halves the difference
+    assert np.all(np.abs(ratios - 0.5) < 0.1)
+
+
 def test_shrink_delta_pipe_chain_takes_no_newton_steps():
     # in a pipe the datum at each shield is the exact discrete solution, so
     # the deviation is zero and both starts meet the gradient tolerance
