@@ -2,9 +2,9 @@
 
 The flow is computed from a stream function minimizing a convex energy on
 a body-fitted grid, with an axis shield and a momentum cutoff making the
-problem uniformly elliptic.  Continuation drives the shield to zero and
-the mass flux to its critical value, with diagnostics certifying each
-limit.
+problem uniformly elliptic.  The unshielded problem is solved directly
+and certified by one shielded solve, continuation drives the mass flux to
+its critical value, and diagnostics certify each limit.
 """
 
 from .gas import CoenergyBundle, GasModel

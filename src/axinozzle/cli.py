@@ -16,7 +16,8 @@ value; the other files call repr directly.
 Exit codes: 0 success, 1 diagnostics failed (or, for solve with
 diagnostics off, the momentum cutoff engaged: the squared momentum of a
 cell or an off-axis node passed the truncation onset), 2 configuration
-error, 3 solver non-convergence (or a critical bracket that did not close).
+error (or an --out that cannot be created or written), 3 solver
+non-convergence (or a critical bracket that did not close).
 """
 
 from __future__ import annotations
@@ -50,12 +51,6 @@ AutoFloat = float | None
 
 class ConfigError(ValueError):
     """Configuration file failed validation."""
-
-
-@dataclass(frozen=True)
-class GasConfig:
-    gamma: float = GasModel.gamma
-    m_tilde: float = GasModel.m_tilde
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,7 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    gas: GasConfig
+    gas: GasModel
     nozzle: NozzleConfig
     grid: GridConfig
     flux: FluxConfig
@@ -116,7 +111,7 @@ class RunConfig:
 
 
 # sections read field by field into their dataclass; [flux] is read by hand
-_SECTIONS = {"gas": GasConfig, "nozzle": NozzleConfig, "grid": GridConfig,
+_SECTIONS = {"gas": GasModel, "nozzle": NozzleConfig, "grid": GridConfig,
              "tolerances": ToleranceConfig, "outputs": OutputConfig}
 _FLUX_KEYS = ("m0", "sweep", "critical")
 
@@ -172,7 +167,11 @@ def _read_section(parser, name):
     extra = section.keys() - readers.keys()
     if extra:
         raise ConfigError(f"unknown keys in [{name}]: {sorted(extra)}")
-    return cls(**{key: readers[key](key, raw) for key, raw in section.items()})
+    values = {key: readers[key](key, raw) for key, raw in section.items()}
+    try:  # GasModel checks its parameters; a reader's ConfigError is not wrapped again
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _read_flux(parser) -> FluxConfig:
@@ -232,11 +231,7 @@ def _make_profile(cfg: NozzleConfig) -> NozzleProfile:
         raise ConfigError(f"nozzle: {exc}") from exc
 
 
-def _build(cfg: RunConfig):
-    try:
-        gas = GasModel(**asdict(cfg.gas))
-    except ValueError as exc:
-        raise ConfigError(f"gas: {exc}") from exc
+def _build_grid(cfg: RunConfig):
     profile = _make_profile(cfg.nozzle)
     length = cfg.nozzle.length
     if length is None:
@@ -259,7 +254,7 @@ def _build(cfg: RunConfig):
     if any(m0 > limit for m0 in (cfg.flux.m0 or 0.0,) + cfg.flux.sweep):
         raise ConfigError(f"flux: m0 must be at most {SCALE_LIMIT:g} times the throat "
                           f"flux pi b^2, {limit!r}")
-    return gas, grid
+    return grid
 
 
 def _fmt(value) -> str:
@@ -339,7 +334,7 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
                           "the far-field check samples; set [outputs] diagnostics = no "
                           "or lengthen the nozzle")
 
-    gas, grid = _build(cfg)
+    gas, grid = cfg.gas, _build_grid(cfg)
 
     if command in ("solve", "diagnose"):
         solution = newton_solve(grid, gas, cfg.flux.m0 / TWO_PI,
@@ -417,6 +412,9 @@ def main(argv=None) -> int:
         return run(cfg, args.command, Path(args.out))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # run reads nothing; this is creating or writing --out
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .gas import GasModel
 from .nozzle import FAR_FIELD_OFFSET, MappedGrid
-from .solver import StreamSolution, nodal_gradients
+from .solver import StreamSolution, nodal_gradients, off_axis_momentum_sq
 
 TWO_PI = 2.0 * np.pi
 # the irrotationality residual differences two node layers in from each edge
@@ -80,27 +80,21 @@ def velocity_from_stream(solution: StreamSolution, gas: GasModel) -> FlowField:
     """Reconstruct the meridian velocity field from a stream solution.
 
     The density comes from the truncated density-momentum relation the
-    solve minimized; no momentum is clamped.  The off-axis nodes evaluated
-    here count in the solution's max_momentum_sq, so a solution not
-    flagged cutoff_active has every such node on the subsonic branch, and
-    a flagged one yields a field of the truncated problem, not a subsonic
-    flow (diagnostic only).
+    solve minimized; no momentum is clamped.  It is evaluated at the
+    off-axis nodes of solver.off_axis_momentum_sq, whose peak is the
+    solution's max_momentum_sq, so a solution not flagged cutoff_active
+    has every such node on the subsonic branch, and a flagged one yields a
+    field of the truncated problem, not a subsonic flow (diagnostic only).
     """
     grid = solution.grid
     psi_x, psi_r = nodal_gradients(solution.psi, grid)
-    r_shield = grid.r_nodes + grid.delta
-    # with a zero shield the raw axis row divides by zero; it is discarded
-    # and rebuilt by extrapolation below, so silence the intermediate
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (psi_x**2 + psi_r**2) / r_shield**2
-    # use the same truncated relation the solve minimized, so flagged
-    # near-sonic fields stay interpretable instead of erroring out; the
-    # raw axis row (NaN at a zero shield) is replaced before it is rebuilt
-    s[:, 0] = 0.0
-    rho = gas.truncated_density_from_momentum(s.ravel()).reshape(s.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        U = psi_r / (r_shield * rho)
-        V = -psi_x / (r_shield * rho)
+    s = off_axis_momentum_sq(psi_x, psi_r, grid)
+    rho = np.empty_like(psi_x)
+    rho[:, 1:] = gas.truncated_density_from_momentum(s.ravel()).reshape(s.shape)
+    rho_shield = (grid.r_nodes[:, 1:] + grid.delta) * rho[:, 1:]
+    U, V = np.empty_like(psi_x), np.empty_like(psi_x)
+    U[:, 1:] = psi_r[:, 1:] / rho_shield
+    V[:, 1:] = -psi_x[:, 1:] / rho_shield
 
     # axis values by even quadratic extrapolation from the first two rows
     U[:, 0] = (4.0 * U[:, 1] - U[:, 2]) / 3.0

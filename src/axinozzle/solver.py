@@ -92,7 +92,7 @@ class StreamSolution:
     factorizations: int
     cutoff_active: bool
     converged: bool
-    max_momentum_sq: float  # peak over the cells and the off-axis nodes
+    max_momentum_sq: float  # peak over the cells and off_axis_momentum_sq's nodes
     energy_history: list = field(default_factory=list)
     # banded Cholesky factor the last step solved with; a solve passed it
     # as factor= refactors into this buffer, so it may change afterwards
@@ -138,6 +138,12 @@ def nodal_gradients(psi: np.ndarray, grid: MappedGrid):
     psi_x = dpsi_dxi - sg * fp / f * dpsi_dsg
     psi_r = dpsi_dsg / f
     return psi_x, psi_r
+
+
+def off_axis_momentum_sq(psi_x: np.ndarray, psi_r: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """|grad psi / (r + delta)|^2 at the nodes j >= 1 from nodal_gradients; the axis
+    row is left out, since it divides by zero at delta = 0."""
+    return (psi_x[:, 1:]**2 + psi_r[:, 1:]**2) / (grid.r_nodes[:, 1:] + grid.delta)**2
 
 
 def assemble_energy(state: CellState, grid: MappedGrid) -> float:
@@ -313,7 +319,8 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
     and the gradient tolerance certify a solve whichever factor its steps
     used, and the energy history is nonincreasing up to rounding.
     max_momentum_sq is the peak squared momentum over the cells the solve
-    minimized and the off-axis nodes the velocity field is evaluated at.  A
+    minimized and the off-axis nodes of off_axis_momentum_sq, where
+    fields.velocity_from_stream evaluates the gas.  A
     solution flagged cutoff_active has that peak above the truncation
     onset s_lo and is not a certified subsonic flow.
     """
@@ -360,10 +367,7 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
         history.append(energy)
         last_norm = grad_norm
 
-    # the off-axis nodes fields.velocity_from_stream evaluates the gas at;
-    # it rebuilds the axis row by extrapolation (NaN here at delta = 0)
-    psi_x, psi_r = nodal_gradients(psi, grid)
-    nodal = (psi_x[:, 1:]**2 + psi_r[:, 1:]**2) / (grid.r_nodes[:, 1:] + grid.delta)**2
+    nodal = off_axis_momentum_sq(*nodal_gradients(psi, grid), grid)
     max_s = float(np.maximum(state.s.max(), nodal.max()))  # NaN stays NaN
     return StreamSolution(
         grid=grid,

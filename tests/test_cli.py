@@ -4,7 +4,6 @@ import contextlib
 import io
 import math
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -93,8 +92,13 @@ def test_parse_rejects_non_finite_numbers(text):
 
 
 def test_gas_defaults_are_the_library_defaults():
-    cfg = parse_config("[flux]\nm0 = 1\n")
-    assert asdict(cfg.gas) == asdict(GasModel())
+    assert parse_config("[flux]\nm0 = 1\n").gas == GasModel()
+
+
+def test_gas_parameters_are_checked_at_parse_time():
+    # [gas] is read straight into GasModel, whose own check rejects gamma = 1
+    with pytest.raises(ConfigError, match=r"^gas: GasModel: gamma"):
+        parse_config("[gas]\ngamma = 1.0\n[flux]\nm0 = 1\n")
 
 
 def write(tmp_path, text, name="run.ini"):
@@ -517,6 +521,22 @@ def test_unclosed_critical_bracket_exits_3(tmp_path, capsys, monkeypatch):
 
 
 SMALL_CYLINDER = BASE.replace("nx = 48\nnr = 12\ndelta = 1e-6", "nx = 16\nnr = 8")
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command, flux", [("solve", "m0 = 1.0"), ("critical", "critical = yes")],
+                         ids=["solve", "critical"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, flux, below):
+    # the run solves, then cannot create --out; that raised FileExistsError
+    # or NotADirectoryError, a traceback with exit 1
+    text = SMALL_CYLINDER.replace("m0 = 1.0", flux)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken / "sub" if below else taken
+    assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(out) in err
+    assert taken.read_text() == "kept"
 
 
 @pytest.mark.parametrize("edit", [

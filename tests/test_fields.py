@@ -66,6 +66,24 @@ def test_momentum_identity_off_axis(tanh_flow):
     assert np.abs(flow.rho[:, 1:] * flow.q[:, 1:] - s).max() < 1e-10
 
 
+def test_velocity_evaluates_the_gas_off_the_axis_only(monkeypatch):
+    # at delta = 0 the axis row would divide by zero; it is extrapolated
+    # from the rows above, so the gas sees only the (nx + 1) nr other nodes
+    grid = build_grid(make_profile("tanh_step", a=0.8, ell=2.0), length=8.0, nx=32, nr=8)
+    sol = newton_solve(grid, GAS, 0.2)
+    sizes = []
+    evaluate = GasModel._evaluate
+
+    def counting(self, s, name, **kwargs):
+        sizes.append(np.size(s))
+        return evaluate(self, s, name, **kwargs)
+
+    monkeypatch.setattr(GasModel, "_evaluate", counting)
+    flow = velocity_from_stream(sol, GAS)
+    assert sizes == [(grid.nx + 1) * grid.nr]
+    assert all(np.isfinite(a).all() for a in (flow.U, flow.V, flow.rho, flow.mach))
+
+
 def test_zero_flux_conventions():
     grid = build_grid(make_profile("cylinder", a=1.0), length=4.0,
                       nx=48, nr=12, delta=1e-6)

@@ -31,8 +31,6 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")  # before numpy loads: one BLAS thread is faster here
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np  # noqa: E402
-
 from axinozzle import GasModel, build_grid, find_critical_flux, make_profile  # noqa: E402
 from axinozzle.nozzle import pick_domain_length  # noqa: E402
 
@@ -49,9 +47,8 @@ def bracket(gas: GasModel, nx: int, h: float, w: float, length: float | None,
     grid = build_grid(profile, length=length or pick_domain_length(profile),
                       nx=nx, nr=nx // 4, delta=delta)
     est = find_critical_flux(grid, gas)
-    bound = np.pi * gas.m_tilde * float((grid.fc * (grid.fc + 2.0 * grid.delta)).min())
     largest_sub = max((p.m0 for p in est.probes if p.reason == "subcritical"), default=0.0)
-    holds = est.width <= 1e-4 * bound and est.lo == largest_sub
+    holds = est.width <= est.tol and est.lo == largest_sub
     line = (f"{nx}x{nx // 4} h={h:g} w={w:g} {len(est.probes)} "
             f"{est.lo:.9f} {est.hi:.9f}{'' if holds else ' FAILED'}")
     return line, len(est.probes), holds
