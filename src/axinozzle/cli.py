@@ -334,11 +334,15 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
                           "the far-field check samples; set [outputs] diagnostics = no "
                           "or lengthen the nozzle")
 
+    # a file at --out or above it would fail mkdir after the solve; fail before it
+    if any(path.exists() and not path.is_dir() for path in (out_dir, *out_dir.parents)):
+        raise NotADirectoryError(f"--out {out_dir}: it or a directory above it is a file")
     gas, grid = cfg.gas, _build_grid(cfg)
 
     if command in ("solve", "diagnose"):
         solution = newton_solve(grid, gas, cfg.flux.m0 / TWO_PI,
                                 tol=cfg.tolerances.newton)
+        solution.factor = None  # the band is not held through the fields and diagnostics
         if not solution.converged:
             print(f"solver failed to converge at m0 = {cfg.flux.m0}", file=sys.stderr)
             return 3

@@ -15,7 +15,9 @@ up to momentum m_tilde, a quintic blend over [m_tilde**2,
 is C^2, decreasing and uniformly elliptic, which makes the stream-function
 energy strictly convex.  GasModel._evaluate is its one evaluator; it builds
 the blend and tail constants at the first point with s >= s_lo, which no
-certified subsonic state has.
+certified subsonic state has.  Its public readers run it on blocks of _GAS_BLOCK
+points past two blocks, which bounds its temporaries and leaves the bits alone: every
+step is elementwise, and each entry of _bracketed_newton follows its own iterates.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ _BISECT_STEPS = 64  # step cap; even all-bisection steps reach full precision
 # The worst error sits in the first interval at the fold and shrinks like
 # h^3: 4e-8, 6e-9, 7e-10 at 65, 129, 257 nodes.
 _START_NODES = 257
+_GAS_BLOCK = 8192  # points per block of GasModel._in_blocks: about 1 MiB of temporaries
 # The relations raise to the power 1/(gamma - 1), which multiplies rounding
 # errors by that factor; a gamma closer to 1 than this loses over half the digits.
 _GAMMA_MIN_EXCESS = float(np.sqrt(np.finfo(float).eps))
@@ -452,14 +455,27 @@ class GasModel:
                     value[mid] = f_lo + self._coenergy_blend_tail(s[mid])
         return _Truncated(value, rho, slope)
 
+    def _in_blocks(self, s, name, form, **options):
+        """form(_evaluate(s)), a tuple of arrays like s, one _GAS_BLOCK at a time past two."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        if s.size <= 2 * _GAS_BLOCK:
+            return form(self._evaluate(s, name, **options))
+        flat, outs = s.ravel(), None
+        for start in range(0, s.size, _GAS_BLOCK):
+            parts = form(self._evaluate(flat[start:start + _GAS_BLOCK], name, **options))
+            outs = outs or [np.empty(s.size) for _ in parts]
+            for out, part in zip(outs, parts):
+                out[start:start + _GAS_BLOCK] = part
+        return [out.reshape(s.shape) for out in outs]
+
     def truncated_density_from_momentum(self, s):
         """Truncated density relation, defined for every squared momentum >= 0."""
-        e = self._evaluate(s, "truncated_density_from_momentum", coenergy=False)
-        return _like_input(s, e.rho)
+        return _like_input(s, self._in_blocks(s, "truncated_density_from_momentum",
+                                              lambda e: (e.rho,), coenergy=False)[0])
 
     def coenergy(self, s):
         """Convex increasing energy density F with F' = 1/Htilde, F(0) = 0."""
-        return _like_input(s, self._evaluate(s, "coenergy").value)
+        return _like_input(s, self._in_blocks(s, "coenergy", lambda e: (e.value,))[0])
 
     def coenergy_bundle(self, s) -> CoenergyBundle:
         """Coenergy F, F' = 1/Htilde and F'' = -Htilde'/Htilde**2 >= 0, as arrays.
@@ -468,8 +484,8 @@ class GasModel:
         matters inside assembly loops; the coenergy knots are built only if
         some s reaches s_lo.
         """
-        e = self._evaluate(s, "coenergy_bundle")
-        return CoenergyBundle(e.value, 1.0 / e.rho, -e.slope / e.rho**2)
+        return CoenergyBundle(*self._in_blocks(s, "coenergy_bundle", lambda e: (
+            e.value, 1.0 / e.rho, -e.slope / e.rho**2)))
 
     @cached_property
     def ellipticity_bounds(self) -> tuple[float, float]:

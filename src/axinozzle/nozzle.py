@@ -157,7 +157,8 @@ class MappedGrid:
 
     nx and nr count cells; nodes are (nx+1) x (nr+1).  One midpoint
     quadrature point sits at each cell center.  delta >= 0 is the axis
-    shield added to r in the energy density.
+    shield added to r in the energy density.  x_nodes, measure and the coef_r of
+    corner_coefficients are read-only broadcast views of their 1-D owners, stored once.
     """
 
     def __init__(self, profile: NozzleProfile, length: float, nx: int, nr: int,
@@ -178,7 +179,7 @@ class MappedGrid:
 
         self.f_nodes = np.asarray(profile.wall(self.xi))
         self.fp_nodes = np.asarray(profile.wall_slope(self.xi))
-        self.x_nodes = np.broadcast_to(self.xi[:, None], (self.nx + 1, self.nr + 1)).copy()
+        self.x_nodes = np.broadcast_to(self.xi[:, None], self.shape)
         self.r_nodes = self.f_nodes[:, None] * self.sigma[None, :]
 
         # cell-center geometry for the midpoint quadrature rule
@@ -189,9 +190,7 @@ class MappedGrid:
         self.fc = np.asarray(profile.wall(xc))
         self.fpc = np.asarray(profile.wall_slope(xc))
         self.rc = self.fc[:, None] * sc[None, :]
-        self.measure = self.dxi * self.dsigma * np.broadcast_to(
-            self.fc[:, None], (self.nx, self.nr)
-        ).copy()
+        self.measure = np.broadcast_to((self.dxi * self.dsigma * self.fc)[:, None], self.rc.shape)
         self.r_shield = self.rc + self.delta
 
     @property
@@ -207,9 +206,7 @@ class MappedGrid:
         cxi = np.array([-1.0, 1.0, -1.0, 1.0]) / (2.0 * self.dxi)
         csg = np.array([-1.0, -1.0, 1.0, 1.0]) / (2.0 * self.dsigma)
         coef_x = cxi[:, None, None] - beta[None, :, :] * csg[:, None, None]
-        coef_r = np.broadcast_to(
-            csg[:, None, None] / self.fc[None, :, None], (4, self.nx, self.nr)
-        ).copy()
+        coef_r = np.broadcast_to(csg[:, None, None] / self.fc[None, :, None], coef_x.shape)
         return coef_x, coef_r
 
     @property

@@ -119,12 +119,11 @@ class CellState(NamedTuple):
 def cell_state(psi, grid: MappedGrid, gas: GasModel) -> CellState:
     """The one gas evaluation of psi, from which every assembly reads."""
     sw, se, nw, ne = psi[:-1, :-1], psi[1:, :-1], psi[:-1, 1:], psi[1:, 1:]
-    psi_xi = (se + ne - sw - nw) / (2.0 * grid.dxi)
-    psi_sg = (nw + ne - sw - se) / (2.0 * grid.dsigma)
-    beta = (grid.fpc / grid.fc)[:, None] * grid.sc[None, :]
-    psi_x = psi_xi - beta * psi_sg
-    psi_r = psi_sg / grid.fc[:, None]
-    del psi_xi, psi_sg, beta  # freed before the gas evaluation, which sets peak memory
+    # psi_xi and psi_sg (numpy reuses these temporaries) become psi_x and psi_r in place
+    psi_x = (se + ne - sw - nw) / (2.0 * grid.dxi)
+    psi_r = (nw + ne - sw - se) / (2.0 * grid.dsigma)
+    psi_x -= (grid.fpc / grid.fc)[:, None] * grid.sc[None, :] * psi_r
+    psi_r /= grid.fc[:, None]
     s = (psi_x**2 + psi_r**2) / grid.r_shield**2
     return CellState(s, psi_x, psi_r, gas.coenergy_bundle(s.ravel()))
 
@@ -157,7 +156,7 @@ def assemble_gradient(state: CellState, grid: MappedGrid) -> np.ndarray:
     prime = state.coenergy.prime.reshape(state.s.shape)
     w1 = 2.0 * grid.measure * prime / grid.r_shield
     gx = w1 * state.psi_x
-    gr = w1 * state.psi_r
+    gr = np.multiply(w1, state.psi_r, out=w1)  # w1 is not read again
     coef_x, coef_r = grid.corner_coefficients
     grad = np.zeros(grid.shape)
     grad[:-1, :-1] += gx * coef_x[0] + gr * coef_r[0]
@@ -257,8 +256,8 @@ def _armijo_by_derivative(trial_state: CellState, grid: MappedGrid,
     return grad if float((grad * step).sum()) <= (2.0 * _ARMIJO_SLOPE - 1.0) * slope else None
 
 
-def _line_search(psi, state: CellState, energy: float, grad_int: np.ndarray,
-                 factor: np.ndarray, grid: MappedGrid, gas: GasModel, trials: int):
+def _line_search(psi, energy: float, grad_int: np.ndarray, factor: np.ndarray,
+                 grid: MappedGrid, gas: GasModel, trials: int):
     """Solve for a step with factor and backtrack along it; None if no trial passes.
 
     The step is -grad back-solved with the factor.  Any SPD factor F gives
@@ -276,6 +275,7 @@ def _line_search(psi, state: CellState, energy: float, grad_int: np.ndarray,
         return None
     step = np.zeros_like(psi)
     step[1:-1, 1:-1] = step_int.reshape(grid.nx - 1, grid.nr - 1)
+    del step_int
     t = 1.0
     for _ in range(trials):
         trial = psi + t * step
@@ -348,19 +348,17 @@ def newton_solve(grid: MappedGrid, gas: GasModel, m: float,
     while True:
         if grad is None:
             grad = assemble_gradient(state, grid)
-        grad_int = grad[1:-1, 1:-1].ravel()
+        grad_int, grad = grad[1:-1, 1:-1].ravel(), None  # the full array is not kept
         grad_norm = float(np.linalg.norm(grad_int))
         if grad_norm <= tol or len(history) > _MAX_ITER:
             break
         accepted = None
         if factor is not None and grad_norm <= _CHORD_CONTRACTION * last_norm:
-            accepted = _line_search(psi, state, energy, grad_int, factor, grid, gas,
-                                    trials=1)
+            accepted = _line_search(psi, energy, grad_int, factor, grid, gas, trials=1)
         if accepted is None:
             factor = _cholesky(assemble_hessian(state, grid, out=factor))
             factorizations += 1
-            accepted = _line_search(psi, state, energy, grad_int, factor, grid, gas,
-                                    trials=45)
+            accepted = _line_search(psi, energy, grad_int, factor, grid, gas, trials=45)
         if accepted is None:
             break  # energy floor reached; left flagged by the gradient check
         psi, state, energy, grad = accepted

@@ -526,9 +526,16 @@ SMALL_CYLINDER = BASE.replace("nx = 48\nnr = 12\ndelta = 1e-6", "nx = 16\nnr = 8
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
 @pytest.mark.parametrize("command, flux", [("solve", "m0 = 1.0"), ("critical", "critical = yes")],
                          ids=["solve", "critical"])
-def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, flux, below):
-    # the run solves, then cannot create --out; that raised FileExistsError
-    # or NotADirectoryError, a traceback with exit 1
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatch, command,
+                                                flux, below):
+    # creating --out raised FileExistsError or NotADirectoryError, a
+    # traceback with exit 1; then it exited 2 only after the whole solve or
+    # bracket had run.  It is refused before either is called.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --out")
+
+    monkeypatch.setattr(cli, "newton_solve", no_solve)
+    monkeypatch.setattr(cli, "find_critical_flux", no_solve)
     text = SMALL_CYLINDER.replace("m0 = 1.0", flux)
     taken = tmp_path / "taken"
     taken.write_text("kept")

@@ -1,6 +1,8 @@
 """Shield shrinking, flux sweeps, the critical flux, and the sonic approach."""
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +348,38 @@ def test_find_critical_flux_brackets_cylinder_oracle(a, gamma, m_tilde):
 def throat_bound(grid, gas):
     """pi m_tilde min f_c (f_c + 2 delta): no subcritical solve carries more."""
     return np.pi * gas.m_tilde * float((grid.fc * (grid.fc + 2.0 * grid.delta)).min())
+
+
+@pytest.fixture(scope="module")
+def critical_ladder():
+    """tools/critical_ladder.py, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "critical_ladder.py"
+    spec = importlib.util.spec_from_file_location("critical_ladder", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("h, w", [(-0.2, 1.625), (-0.25, 1.0)])
+def test_critical_flux_converges_under_refinement(critical_ladder, h, w):
+    # The bracket midpoint on grids n x n/4, n = 32 ... 256, approaches the
+    # continuous critical flux m* like m* - C h^p, p > 0, so each halving of
+    # h shrinks the next difference of midpoints by 2^-p.  Every quotient
+    # of the scheme is consistent to at least first order in h: the cell
+    # gradients and the midpoint rule are second order, the one-sided
+    # nodal gradients at the wall, which set where the cutoff engages on a
+    # bump, first order at worst.  So p >= 1, and a difference at most half
+    # the one before (the tool's SHRINK) is the weakest rate consistent with that
+    # convergence.  Measured: ratios 1/12.3, 1/8.5 and 1/5.9, 1/9.4.  The
+    # extrapolated flux is a subsonic one of the continuous problem, so it
+    # stays below pi m_tilde b^2, the flux through the throat at momentum
+    # m_tilde, and below the finest grid's discrete throat bound B.
+    ladder = critical_ladder.Ladder(h, w, GasModel())
+    d = np.diff(ladder.midpoints)
+    assert np.all(d > 0.0), ladder.lines()
+    assert np.all(d[1:] <= 0.5 * d[:-1]), ladder.lines()
+    assert ladder.richardson < min(ladder.bound, ladder.limit), ladder.lines()
+    assert all(ladder.gates().values())  # the tool's exit code reads these gates
 
 
 def test_find_critical_flux_start_closes_tanh_bracket():

@@ -11,6 +11,8 @@ checked through identities, dense deterministic sampling, and a
 derandomized property test over gamma and m_tilde.
 """
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -314,6 +316,64 @@ def test_mixed_bundle_equals_each_branch_alone():
         for a, b in zip(whole, GAS.coenergy_bundle(part)):
             assert np.array_equal(a[where], b)
         start += part.size
+
+
+@pytest.mark.parametrize("blocks, extra", [(2, 0), (2, 1), (3, 17)])
+def test_blocked_readers_match_single_calls(blocks, extra):
+    # past two blocks of _GAS_BLOCK points the public readers evaluate one
+    # block at a time; every value must carry the bits a short single call
+    # gives it.  The rest state, the blend knots, blend and tail points and
+    # s = 1 sit in the first block and in the last, partial one.
+    n = blocks * gas_module._GAS_BLOCK + extra
+    gas = GasModel()  # its blend and knot constants are built in the first block
+    special = np.array([0.0, gas.s_lo, np.nextafter(gas.s_lo, 0.0), 0.5 * (gas.s_lo + gas.s_hi),
+                        gas.s_hi, 1.0, 3.0])
+    s = np.random.default_rng(n).uniform(0.0, 1.2, n)
+    s[:special.size] = s[-special.size:] = special
+    chunks = range(0, n, 1000)  # single calls: 1000 points are below two blocks
+    for name in ("coenergy_bundle", "truncated_density_from_momentum", "coenergy"):
+        got = getattr(gas, name)(s)
+        parts = [getattr(GAS, name)(s[i:i + 1000]) for i in chunks]
+        for k, got_k in enumerate(got if name == "coenergy_bundle" else [got]):
+            want = np.concatenate([p[k] if name == "coenergy_bundle" else p for p in parts])
+            assert got_k.shape == s.shape
+            assert np.array_equal(got_k.view(np.uint64), want.view(np.uint64)), name
+    assert gas.coenergy(s.reshape(-1, 1)).shape == (n, 1)
+    for bad in (-1e-300, np.nan):
+        s[-1] = bad
+        for name in ("coenergy_bundle", "truncated_density_from_momentum", "coenergy"):
+            with pytest.raises(ValueError, match=f"^{name}: s must be >= 0$"):
+                getattr(gas, name)(s)
+
+
+def test_branch_root_entries_do_not_see_each_other():
+    # why blocks keep the bits: each entry of _bracketed_newton follows its
+    # own iterates, here with the fold u = 0 (a 0/0 first step) among them
+    u = np.concatenate([[0.0, 1.0, 1e-12], np.linspace(0.0, 1.0, 101)])
+    e0 = GAS._table_start(u)
+    whole = GAS._branch_root(u, e0)
+    parts = np.concatenate([GAS._branch_root(u[i:i + 7], e0[i:i + 7]) for i in range(0, u.size, 7)])
+    assert np.array_equal(whole.view(np.uint64), parts.view(np.uint64))
+
+
+def test_blocked_bundle_memory():
+    # one cell array is 65536 doubles, the cells of the 512x128 grid of the
+    # cli-field benchmark.  Evaluated whole, coenergy_bundle held 10.25 of
+    # them above its 3 outputs (5.13 MiB).  A block's evaluation holds about
+    # 16 arrays of its 8192 points, 2 cell arrays; the bound leaves one more
+    # for the block results that wait to be copied out.
+    gas = GasModel()
+    s = np.linspace(0.0, gas.s_lo, 65536)  # the subsonic cells of a certified solve
+    gas.coenergy_bundle(s[:8])  # start table, built once per model
+    cell_array = s.nbytes
+    tracemalloc.start()
+    try:
+        bundle = gas.coenergy_bundle(s)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held >= 3 * cell_array and len(bundle) == 3
+    assert peak - held <= 3 * cell_array
 
 
 def test_blend_monotonicity_gate():

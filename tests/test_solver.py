@@ -12,6 +12,7 @@ diagnostics.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -536,6 +537,33 @@ def test_solution_flags_are_bool(m):
     sol = newton_solve(cylinder_grid(nx=16, nr=6, delta=1e-6), GAS, m)
     assert sol.cutoff_active == (m > 0.5)
     assert type(sol.converged) is bool and type(sol.cutoff_active) is bool
+
+
+def test_large_solve_holds_its_band_and_a_bounded_workspace():
+    # cell arrays of nx nr doubles; a node array is (nx+1)(nr+1)/(nx nr),
+    # about 1.02 of them.  Above its band a solve's peak holds, when the
+    # derivative form of Armijo's test assembles the trial gradient:
+    #   corner_coefficients' coef_x, built in the first gradient     4
+    #   psi, the step and the trial point, 3 node arrays             3.05
+    #   the interior gradient of the accepted point                  0.98
+    #   the accepted and the trial cell state, 6 arrays each        12
+    #   in assemble_gradient: its weights (reused for gr), gx, the
+    #   two corner products and the nodal gradient                   5.02
+    # 25.1 in all, bounded by 26 (13 MiB at 512x128).  The solve held 36.3
+    # when the gas ran whole, coef_r and measure were full copies and the
+    # accepted point's nodal gradient was kept.
+    nx, nr = 256, 128
+    grid = build_grid(make_profile("bump", a0=1.0, h=-0.2, w=1.625), length=8.0, nx=nx, nr=nr)
+    band = 8 * (nr + 1) * (nx - 1) * (nr - 1)
+    GAS.coenergy_bundle(np.linspace(0.0, 1.2, 64))  # the gas's constants, built once per model
+    tracemalloc.start()
+    try:
+        sol = newton_solve(grid, GAS, 1.5 / (2.0 * np.pi))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert peak - band <= 26 * 8 * nx * nr
 
 
 def test_one_gas_evaluation_per_energy_evaluation(monkeypatch):
