@@ -78,9 +78,15 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class FluxConfig:
-    mode: str                     # "single" | "sweep" | "critical"
+    """The fluxes to solve; parse_config admits exactly one key."""
+
     m0: float | None = None
     sweep: tuple[float, ...] = ()
+    critical: bool = False
+
+    @property
+    def mode(self) -> str:
+        return "single" if self.m0 is not None else "sweep" if self.sweep else "critical"
 
 
 @dataclass(frozen=True)
@@ -110,10 +116,9 @@ class RunConfig:
     outputs: OutputConfig
 
 
-# sections read field by field into their dataclass; [flux] is read by hand
+# sections read field by field into their dataclass
 _SECTIONS = {"gas": GasModel, "nozzle": NozzleConfig, "grid": GridConfig,
-             "tolerances": ToleranceConfig, "outputs": OutputConfig}
-_FLUX_KEYS = ("m0", "sweep", "critical")
+             "tolerances": ToleranceConfig, "outputs": OutputConfig, "flux": FluxConfig}
 
 
 def _finite_float(key, raw, expected="a number"):
@@ -156,6 +161,8 @@ _READERS = {
     "int": _int,
     "bool": _bool,
     "str": lambda key, raw: raw,
+    "tuple[float, ...]": lambda key, raw: tuple(_finite_float(key, tok)
+                                                for tok in raw.split(",")),
 }
 
 
@@ -174,32 +181,6 @@ def _read_section(parser, name):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _read_flux(parser) -> FluxConfig:
-    if not parser.has_section("flux"):
-        raise ConfigError("missing required section [flux]")
-    section = parser["flux"]
-    extra = section.keys() - set(_FLUX_KEYS)
-    if extra:
-        raise ConfigError(f"unknown keys in [flux]: {sorted(extra)}")
-    modes = [key for key in _FLUX_KEYS if key in section]
-    if len(modes) != 1:
-        raise ConfigError(
-            f"[flux] must set exactly one of m0, sweep, critical; got {modes or 'none'}")
-    if modes[0] == "m0":
-        m0 = _finite_float("m0", section["m0"])
-        if m0 < 0.0:
-            raise ConfigError("flux: m0 must be a number >= 0")
-        return FluxConfig(mode="single", m0=m0)
-    if modes[0] == "sweep":
-        values = tuple(_finite_float("sweep", tok) for tok in section["sweep"].split(","))
-        if not values or any(v < 0.0 for v in values):
-            raise ConfigError("flux: sweep needs a comma list of numbers >= 0")
-        return FluxConfig(mode="sweep", sweep=values)
-    if not _bool("critical", section["critical"]):
-        raise ConfigError("flux: critical must be 'yes' when present")
-    return FluxConfig(mode="critical")
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate an INI configuration."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -209,7 +190,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"malformed configuration: {exc}") from exc
 
     for name in parser.sections():
-        if name not in _SECTIONS and name != "flux":
+        if name not in _SECTIONS:
             raise ConfigError(f"unknown section [{name}]")
     sections = {name: _read_section(parser, name) for name in _SECTIONS}
     for key in ("newton", "critical"):
@@ -219,7 +200,20 @@ def parse_config(text: str) -> RunConfig:
     for key in DEFAULT_THRESHOLDS:  # every measured quantity is >= 0
         if getattr(sections["tolerances"], key) < 0.0:
             raise ConfigError(f"tolerances: {key} must be >= 0")
-    return RunConfig(flux=_read_flux(parser), **sections)
+    if not parser.has_section("flux"):
+        raise ConfigError("missing required section [flux]")
+    flux = sections["flux"]
+    modes = [f.name for f in fields(FluxConfig) if f.name in parser["flux"]]
+    if len(modes) != 1:
+        raise ConfigError(
+            f"[flux] must set exactly one of m0, sweep, critical; got {modes or 'none'}")
+    if (flux.m0 or 0.0) < 0.0:
+        raise ConfigError("flux: m0 must be a number >= 0")
+    if any(v < 0.0 for v in flux.sweep):
+        raise ConfigError("flux: sweep needs a comma list of numbers >= 0")
+    if modes == ["critical"] and not flux.critical:
+        raise ConfigError("flux: critical must be 'yes' when present")
+    return RunConfig(**sections)
 
 
 def _make_profile(cfg: NozzleConfig) -> NozzleProfile:
@@ -328,8 +322,11 @@ def run(cfg: RunConfig, command: str, out_dir: Path) -> int:
         raise ConfigError(f"grid: diagnostics need nx and nr >= {MIN_DIAGNOSTIC_CELLS}; "
                           "set [outputs] diagnostics = no or refine the grid")
     # below this the far-field station of each end lies in the other half
-    length = cfg.nozzle.length
-    if diagnostics and length is not None and length < FAR_FIELD_OFFSET:
+    short = cfg.nozzle.length is not None and cfg.nozzle.length < FAR_FIELD_OFFSET
+    if short and command == "sweep":
+        raise ConfigError(f"nozzle: sweep needs length >= {FAR_FIELD_OFFSET:g}, where its "
+                          "far-field columns sample; lengthen the nozzle")
+    if short and diagnostics:
         raise ConfigError(f"nozzle: diagnostics need length >= {FAR_FIELD_OFFSET:g}, where "
                           "the far-field check samples; set [outputs] diagnostics = no "
                           "or lengthen the nozzle")

@@ -90,7 +90,7 @@ def velocity_from_stream(solution: StreamSolution, gas: GasModel) -> FlowField:
     psi_x, psi_r = nodal_gradients(solution.psi, grid)
     s = off_axis_momentum_sq(psi_x, psi_r, grid)
     rho = np.empty_like(psi_x)
-    rho[:, 1:] = gas.truncated_density_from_momentum(s.ravel()).reshape(s.shape)
+    rho[:, 1:] = gas.truncated_density_from_momentum(s)
     rho_shield = (grid.r_nodes[:, 1:] + grid.delta) * rho[:, 1:]
     U, V = np.empty_like(psi_x), np.empty_like(psi_x)
     U[:, 1:] = psi_r[:, 1:] / rho_shield
@@ -102,7 +102,7 @@ def velocity_from_stream(solution: StreamSolution, gas: GasModel) -> FlowField:
     rho[:, 0] = np.clip((4.0 * rho[:, 1] - rho[:, 2]) / 3.0, 1.0, gas.rho_stag)
 
     q = np.hypot(U, V)
-    mach = q / np.sqrt(gas.sound_speed_sq(rho.ravel()).reshape(rho.shape))
+    mach = q / np.sqrt(gas.sound_speed_sq(rho))
     omega = np.arctan2(V, U)  # 0 where the field vanishes identically
     return FlowField(grid=grid, m=solution.m, U=U, V=V, rho=rho, q=q,
                      mach=mach, omega=omega, psi=solution.psi)
@@ -150,7 +150,8 @@ def far_field_error(flow: FlowField, gas: GasModel):
     Compares (U, V) with the shielded datum's (sqrt(Ginv((rho U)^2)), 0) at
     the stations nearest x = -(L - 2) and x = +(L - 2) (FAR_FIELD_OFFSET
     = 2), where rho U = m0 / (pi r_mp (r_mp + 2 delta)) for the wall
-    radius r_mp there.
+    radius r_mp there.  It needs grid.length >= FAR_FIELD_OFFSET: on a
+    shorter grid each station lies in the other half of the nozzle.
     """
     grid = flow.grid
     prof = grid.profile
@@ -169,11 +170,6 @@ def positivity_check(flow: FlowField) -> PositivityCheck:
     i, j = np.unravel_index(int(np.argmin(flow.U)), flow.U.shape)
     return PositivityCheck(float(flow.U[i, j]),
                            (float(flow.grid.x_nodes[i, j]), float(flow.grid.r_nodes[i, j])))
-
-
-def wall_speed_max(flow: FlowField) -> float:
-    """Largest flow speed along the wall row (monotone in the mass flux)."""
-    return float(flow.q[:, -1].max())
 
 
 def _on_support(t: np.ndarray, kernel) -> np.ndarray:
@@ -249,7 +245,7 @@ def entropy_pair_residual(flow: FlowField, gas: GasModel,
     xi = grid.xi
     r = grid.r_nodes
     r_safe = np.where(r > 1e-12, r, 1.0)
-    p = gas.pressure(flow.rho.ravel()).reshape(flow.rho.shape)
+    p = gas.pressure(flow.rho)
     eta_plus = flow.rho * flow.U**2 + p
     lam_plus = flow.rho * flow.U * flow.V
     eta_minus = lam_plus

@@ -493,13 +493,14 @@ class GasModel:
 
         The coefficient H^2 / (H - 2 H' s) is the inverse of the coenergy
         Hessian's eigenvalue F' + 2 s F'' along the momentum, read from
-        coenergy_bundle as 1 / (prime + 2 s second); the other eigenvalue
-        F' = 1/H lies in [1/rho_stag, 1/rho_hi].  On the exact branch the
-        coefficient equals rho (1 - M^2), M the Mach number, which falls as s
-        rises, so the branch takes its extremes at its ends s = 0 and s_lo.
-        The blend is sampled by its quintic alone at 4097 points of
-        [s_lo, s_hi], and beyond it the coefficient is rho_hi.  The range is
-        widened by a small relative margin to cover points between samples.
+        _evaluate's rho = H and slope = H' as rho^2 / (rho - 2 slope s);
+        the other eigenvalue F' = 1/H lies in [1/rho_stag, 1/rho_hi].  On
+        the exact branch the coefficient equals rho (1 - M^2), M the Mach
+        number, which falls as s rises, so the branch takes its extremes at
+        its ends s = 0 and s_lo.  The blend is sampled by its quintic alone
+        at 4097 points of [s_lo, s_hi], and beyond it the coefficient is
+        rho_hi.  The range is widened by a small relative margin to cover
+        points between samples.
         """
         ends = np.array([0.0, self.s_lo])
         e = self._evaluate(ends, "ellipticity_bounds", coenergy=False)

@@ -113,7 +113,7 @@ class CellState(NamedTuple):
     s: np.ndarray          # squared momentum per cell
     psi_x: np.ndarray      # physical gradient of the bilinear field at cell centers
     psi_r: np.ndarray
-    coenergy: CoenergyBundle  # over s.ravel()
+    coenergy: CoenergyBundle
 
 
 def cell_state(psi, grid: MappedGrid, gas: GasModel) -> CellState:
@@ -125,7 +125,7 @@ def cell_state(psi, grid: MappedGrid, gas: GasModel) -> CellState:
     psi_x -= (grid.fpc / grid.fc)[:, None] * grid.sc[None, :] * psi_r
     psi_r /= grid.fc[:, None]
     s = (psi_x**2 + psi_r**2) / grid.r_shield**2
-    return CellState(s, psi_x, psi_r, gas.coenergy_bundle(s.ravel()))
+    return CellState(s, psi_x, psi_r, gas.coenergy_bundle(s))
 
 
 def nodal_gradients(psi: np.ndarray, grid: MappedGrid):
@@ -147,22 +147,18 @@ def off_axis_momentum_sq(psi_x: np.ndarray, psi_r: np.ndarray, grid: MappedGrid)
 
 def assemble_energy(state: CellState, grid: MappedGrid) -> float:
     """Discrete energy: midpoint quadrature of F(|grad psi/(r+delta)|^2)(r+delta)."""
-    value = state.coenergy.value.reshape(state.s.shape)
-    return float((grid.measure * value * grid.r_shield).sum())
+    return float((grid.measure * state.coenergy.value * grid.r_shield).sum())
 
 
 def assemble_gradient(state: CellState, grid: MappedGrid) -> np.ndarray:
     """Exact energy derivative w.r.t. interior nodal values (zero on boundary)."""
-    prime = state.coenergy.prime.reshape(state.s.shape)
-    w1 = 2.0 * grid.measure * prime / grid.r_shield
+    w1 = 2.0 * grid.measure * state.coenergy.prime / grid.r_shield
     gx = w1 * state.psi_x
     gr = np.multiply(w1, state.psi_r, out=w1)  # w1 is not read again
     coef_x, coef_r = grid.corner_coefficients
     grad = np.zeros(grid.shape)
-    grad[:-1, :-1] += gx * coef_x[0] + gr * coef_r[0]
-    grad[1:, :-1] += gx * coef_x[1] + gr * coef_r[1]
-    grad[:-1, 1:] += gx * coef_x[2] + gr * coef_r[2]
-    grad[1:, 1:] += gx * coef_x[3] + gr * coef_r[3]
+    for k, (i, j) in enumerate(_CORNER_NODE):  # cell (ci, cj) adds to node (ci + i, cj + j)
+        grad[i:grid.nx + i, j:grid.nr + j] += gx * coef_x[k] + gr * coef_r[k]
     grad[0, :] = grad[-1, :] = 0.0
     grad[:, 0] = grad[:, -1] = 0.0
     return grad
@@ -179,10 +175,8 @@ def assemble_hessian(state: CellState, grid: MappedGrid,
     pbtrf reads, so the factorization works in place.  The band is written
     into out (such as a factor to overwrite) when one is given.
     """
-    prime = state.coenergy.prime.reshape(state.s.shape)
-    second = state.coenergy.second.reshape(state.s.shape)
-    w1 = 2.0 * grid.measure * prime / grid.r_shield
-    w2 = 4.0 * grid.measure * second / grid.r_shield**3
+    w1 = 2.0 * grid.measure * state.coenergy.prime / grid.r_shield
+    w2 = 4.0 * grid.measure * state.coenergy.second / grid.r_shield**3
     ax, ar = grid.corner_coefficients
     proj = state.psi_x * ax + state.psi_r * ar  # (4, nx, nr)
     nx, nr = grid.nx, grid.nr

@@ -730,7 +730,9 @@ def test_every_config_exits_0_to_3_without_traceback(draw):
     (BASE + "m1 = 2\n", "unknown keys in [flux]: ['m1']"),
     (BASE.replace("nx = 48", "nx = abc"), "nx: not an integer: 'abc'"),
     (BASE.replace("m0 = 1.0", "sweep = 0.5, 1.0"), "solve needs [flux] m0"),
-], ids=["malformed", "no-flux", "unknown-flux-key", "nx-abc", "solve-sweep"])
+    (BASE.replace("m0 = 1.0", "sweep = 0.5, -1"),
+     "flux: sweep needs a comma list of numbers >= 0\n"),
+], ids=["malformed", "no-flux", "unknown-flux-key", "nx-abc", "solve-sweep", "sweep-negative"])
 def test_configuration_errors_exit_2(tmp_path, capsys, text, message):
     out = tmp_path / "out"
     assert main(["solve", "--config", write(tmp_path, text), "--out", str(out)]) == 2
@@ -768,17 +770,26 @@ def test_auto_length_passes_the_far_field_check(tmp_path):
 
 @pytest.mark.parametrize("command, outputs", [
     ("diagnose", ""), ("solve", ""), ("solve", "\n[outputs]\ndiagnostics = no\n"),
-], ids=["diagnose", "solve", "solve-no-diagnostics"])
-def test_length_below_the_far_field_offset(tmp_path, capsys, command, outputs):
+    ("sweep", ""),
+], ids=["diagnose", "solve", "solve-no-diagnostics", "sweep"])
+def test_length_below_the_far_field_offset(tmp_path, capsys, monkeypatch, command, outputs):
     # at length 1.5 each far-field station lies in the other half of the nozzle
     text = BUMP_W1.replace("length = auto", "length = 1.5").replace("256", "32") + outputs
     out = tmp_path / "out"
+    if command == "sweep":  # its far-field columns sample there too, so it must not solve
+        text = text.replace("m0 = 0.9", "sweep = 0.5, 0.9")
+        monkeypatch.setattr(cli, "mass_flux_sweep", lambda *args: pytest.fail("solved"))
     code = main([command, "--config", write(tmp_path, text), "--out", str(out)])
     if outputs:  # without diagnostics no far-field check runs
         assert code == 0 and (out / "field.csv").exists()
         return
     assert code == 2
-    assert "diagnostics need length >= 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if command == "sweep":
+        assert err == ("configuration error: nozzle: sweep needs length >= 2, where its "
+                       "far-field columns sample; lengthen the nozzle\n")
+    else:
+        assert "diagnostics need length >= 2" in err
     assert not out.exists()
 
 

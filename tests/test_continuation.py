@@ -593,6 +593,31 @@ def test_sonic_limit_study_refuses_a_wide_sonic_gap(tanh_64x16):
     assert study.gap_bound > 10.0 * (1.0 - GAS.m_tilde)
 
 
+@pytest.mark.parametrize("term, edit, reason", [
+    (3, lambda f: dataclasses.replace(f, mach=0.5 * f.mach), "mach_not_monotone"),
+    (5, lambda f: dataclasses.replace(f, U=2.0 * f.U, V=2.0 * f.V, rho=0.5 * f.rho),
+     "velocity_diffs_not_shrinking"),
+    (5, lambda f: dataclasses.replace(f, rho=2.0 * f.rho), "momentum_diffs_not_shrinking"),
+], ids=["mach-drop", "velocity-jump", "momentum-jump"])
+def test_sonic_limit_study_refuses_a_broken_approach(tanh_64x16, monkeypatch, term, edit,
+                                                     reason):
+    # the certified study above with one term's flow altered: its Mach
+    # maximum halved, its velocity doubled at the same momentum, or its
+    # density doubled at the same velocity; each gate alone refuses it
+    grid, est = tanh_64x16
+    reconstruct, flows = continuation.velocity_from_stream, []
+
+    def altered(solution, gas):
+        flows.append(reconstruct(solution, gas))
+        return edit(flows[-1]) if len(flows) == term + 1 else flows[-1]
+
+    monkeypatch.setattr(continuation, "velocity_from_stream", altered)
+    study = sonic_limit_study(grid, GAS, m0_anchor=est.lo)
+    assert len(flows) == 6
+    assert not study.certified
+    assert list(study.reasons) == [reason]
+
+
 def test_sonic_limit_study_validation():
     grid = cylinder_grid(nx=8, nr=4, length=1.0)
     for n_terms in (1, 2):  # two terms give one difference, which cannot shrink

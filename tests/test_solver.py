@@ -384,6 +384,18 @@ def test_linear_solve_rejects_non_finite_rhs():
         _back_solve(_cholesky(band), rhs)
 
 
+def test_line_search_refuses_a_step_that_is_not_descent():
+    # any SPD factor gives -g^T F^-1 g < 0; a zero gradient gives slope 0,
+    # as rounding alone could, and no trial is taken: the zero step's
+    # trial, psi itself, would pass the Armijo test with its own energy
+    band, rhs = cold_tanh_system(8, 6)
+    grid = tanh_grid(8, 6)
+    psi = _datum(grid, 0.25)
+    energy = assemble_energy(cell_state(psi, grid, GAS), grid)
+    zero = np.zeros_like(rhs)
+    assert solver._line_search(psi, energy, zero, _cholesky(band), grid, GAS, trials=45) is None
+
+
 def test_band_is_factored_in_place():
     # a Fortran-ordered band is what LAPACK reads, so no copy is made per Newton step
     band, rhs = cold_tanh_system(16, 6)
